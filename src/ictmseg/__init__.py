@@ -12,9 +12,11 @@ __version__ = "0.1.0"
 
 from .energy import (
     EnergyBreakdown,
+    FitFields,
     IndicatorSet,
     ModelParams,
     SegState,
+    fit_fields,
     fit_residual,
     fitting_energy,
     gray_indicator,

@@ -39,42 +39,44 @@ def _fmt(x) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
-def _write_energy_csv(path, log) -> None:
-    inner_by_outer: dict[int, list] = {}
-    for rec in log.inners:
-        inner_by_outer.setdefault(rec.outer, []).append(rec)
+def _write_energy_csv(path, inners, outers=()) -> None:
+    """One row per RMSAV step, each outer iteration's steps followed by its
+    summary row."""
+    rows = [(r.outer, 0, [r.outer, r.inner, _fmt(r.fit), "", _fmt(r.idiv), _fmt(r.tv),
+                          _fmt(r.energy), "", _fmt(r.z_sq), _fmt(r.xi), "", _fmt(r.err2)])
+            for r in inners]
+    rows += [(r.outer, 1, [r.outer, "", _fmt(r.energy.fit), _fmt(r.energy.length),
+                           _fmt(r.energy.idiv), _fmt(r.energy.tv), _fmt(r.energy.total),
+                           _fmt(r.eu_after), "", "", _fmt(r.err1), ""])
+             for r in outers]
+    rows.sort(key=lambda row: row[:2])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ENERGY_COLUMNS)
-        outers = log.outers or []
-        outer_ids = [r.outer for r in outers] or sorted(inner_by_outer)
-        for k in outer_ids:
-            for rec in inner_by_outer.get(k, []):
-                writer.writerow([k, rec.inner, _fmt(rec.fit), "", _fmt(rec.idiv),
-                                 _fmt(rec.tv), _fmt(rec.energy), "",
-                                 _fmt(rec.z_sq), _fmt(rec.xi), "", _fmt(rec.err2)])
-            for rec in outers:
-                if rec.outer != k:
-                    continue
-                e = rec.energy
-                writer.writerow([k, "", _fmt(e.fit), _fmt(e.length), _fmt(e.idiv),
-                                 _fmt(e.tv), _fmt(e.total), _fmt(rec.eu_after),
-                                 "", "", _fmt(rec.err1), ""])
+        writer.writerows(row for _, _, row in rows)
 
 
-def _write_manifest(path, cfg: ExperimentConfig, extras: dict | None = None) -> None:
+def _write_manifest(path, cfg: ExperimentConfig, extras: dict | None = None,
+                    warnings=()) -> None:
+    """Resolved config plus `# key = value` run extras. Each warning is also
+    printed to stderr and recorded as a `# warning = ...` line."""
     lines = [f"# ictmseg {__version__} run manifest"]
     lines += config_lines(cfg)
     for key, value in (extras or {}).items():
         lines.append(f"# {key} = {value}")
+    for msg in warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+        lines.append(f"# warning = {msg}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
     """Initial partition from a contour spec.
 
-    The contour interior is phase 0; for n > 2 the exterior is split among
-    the remaining phases by intensity quantiles of f (deterministic).
+    The contour interior is phase 0; for n > 2 the exterior pixels, ranked by
+    intensity (stable, so ties keep raster order), are split into n - 1
+    equal-count groups, darkest first. No phase starts empty unless the
+    exterior has fewer than n - 1 pixels.
     """
     if spec_text is None:
         raise ConfigError("segmentation requires an 'init' contour spec")
@@ -106,30 +108,26 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
                           "(circle|rect|checkerboard|mask)")
     labels = np.zeros((h, w), dtype=np.int64)
     outside = ~interior
-    if n == 2:
-        labels[outside] = 1
-    elif outside.any():
-        vals = f[outside]
-        qs = np.quantile(vals, [k / (n - 1) for k in range(1, n - 1)])
-        labels[outside] = 1 + np.searchsorted(qs, vals, side="right")
+    order = np.argsort(f[outside], kind="stable")
+    exterior = np.empty(order.size, dtype=np.int64)
+    for phase, group in enumerate(np.array_split(order, n - 1), start=1):
+        exterior[group] = phase
+    labels[outside] = exterior
     return IndicatorSet.from_labels(labels, n)
 
 
 def _resolve_image(cfg: ExperimentConfig):
-    """Produce (f, truth_or_None, bias_or_None) from the configured source,
-    with corruption applied and load clamping to [0, 255]."""
+    """Produce (f, truth_or_None) from the configured source, with corruption
+    applied and load clamping to [0, 255]."""
+    truth = None
     if cfg.synth is not None:
-        clean, truth, bias = generate(cfg.synth)
+        clean, truth, _ = generate(cfg.synth)
     else:
         clean = read_field(cfg.input)
-        bias = None
-        truth = None
         if cfg.truth is not None:
             labels = read_pgm(cfg.truth).astype(np.int64)
             truth = IndicatorSet.from_labels(labels, int(labels.max()) + 1)
-    f = corrupt(clean, cfg.noise)
-    f = np.clip(f, 0.0, 255.0)
-    return f, truth, bias
+    return np.clip(corrupt(clean, cfg.noise), 0.0, 255.0), truth
 
 
 def _score_rows(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
@@ -137,6 +135,12 @@ def _score_rows(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
         raise ConfigError(f"truth has {truth.n} phases, prediction {pred.n}")
     matched = match_phases(pred, truth)
     return multiphase_report(matched, truth)
+
+
+def _print_metric_rows(rows: list[dict]) -> None:
+    for row in rows:
+        print(f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
+              f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}")
 
 
 def _write_metric_rows(path, rows: list[dict], quiet: bool) -> None:
@@ -148,9 +152,7 @@ def _write_metric_rows(path, rows: list[dict], quiet: bool) -> None:
             writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
                              for k, v in row.items()})
     if not quiet:
-        for row in rows:
-            print(f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
-                  f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}")
+        _print_metric_rows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    f, truth, _ = _resolve_image(cfg)
+    f, truth = _resolve_image(cfg)
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     progress = None
     if not quiet:
@@ -206,7 +208,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     corrected = f / np.maximum(state.b, np.finfo(float).tiny)
     write_f64(out / "corrected.f64", corrected)
     write_pgm(out / "corrected.pgm", np.clip(corrected, 0.0, 255.0))
-    _write_energy_csv(out / "energy.csv", log)
+    _write_energy_csv(out / "energy.csv", log.inners, log.outers)
     if truth is not None:
         write_pgm(out / "truth.pgm", truth.labels().astype(np.float64))
         _write_metric_rows(out / "metrics.csv", _score_rows(state.u, truth), quiet)
@@ -214,7 +216,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "outer_iterations": len(log.outers),
         "final_err1": log.outers[-1].err1 if log.outers else "",
         "means": ",".join(f"{c:.6g}" for c in state.c),
-    })
+    }, warnings=log.warnings)
     if not quiet:
         print(f"finished in {len(log.outers)} outer iterations; outputs in {out}")
     return 0
@@ -226,7 +228,7 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     Unlike segmentation, the flow runs long (default cap 500 steps unless the
     config sets max_inner) since there is no partition to co-evolve with.
     """
-    f, _, _ = _resolve_image(cfg)
+    f, _ = _resolve_image(cfg)
     params = replace(cfg.params, lambdas=(0.0,) * cfg.params.n_phases)
     if "max_inner" not in cfg.raw:
         params = replace(params, max_inner=500)
@@ -240,16 +242,12 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     alpha = gray_indicator(f_norm, params.sigma, params.p)
     g, records, hit_cap = update_image(state, f_norm, alpha, params)
     g = g * params.intensity_scale
-    from .solve import IterationLog
-
-    log = IterationLog(inners=records)
-    if hit_cap:
-        log.warnings.append(f"inner loop hit max_inner={params.max_inner}")
     write_pgm(out / "denoised.pgm", g)
     write_f64(out / "denoised.f64", g)
-    _write_energy_csv(out / "energy.csv", log)
+    _write_energy_csv(out / "energy.csv", records)
+    warnings = [f"inner loop hit max_inner={params.max_inner}"] if hit_cap else []
     _write_manifest(out / "manifest.txt", cfg,
-                    extras={"inner_iterations": len(records)})
+                    extras={"inner_iterations": len(records)}, warnings=warnings)
     if not quiet:
         print(f"denoised in {len(records)} flow steps; outputs in {out}")
     return 0
@@ -276,9 +274,7 @@ def cmd_metrics(pred_path: str, truth_path: str, out: Path | None,
     if out is not None:
         _write_metric_rows(out / "metrics.csv", rows, quiet)
     elif not quiet:
-        for row in rows:
-            print(f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
-                  f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}")
+        _print_metric_rows(rows)
     return 0
 
 

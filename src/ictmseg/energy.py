@@ -18,18 +18,23 @@ force in `solve` is the exact gradient of the energy evaluated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import Kernel, convolve, gaussian_kernel, gradient, inner_product
+from .field import (Kernel, convolve, gaussian_kernel, gradient, heat_kernel_pixels,
+                    inner_product)
 
 __all__ = [
     "ModelParams",
     "IndicatorSet",
     "SegState",
     "EnergyBreakdown",
+    "FitFields",
     "gray_indicator",
+    "fit_fields",
+    "residual_fields",
     "fit_residual",
     "fitting_energy",
     "length_energy",
@@ -199,32 +204,88 @@ def ones_mass(shape: tuple[int, int], kernel: Kernel) -> np.ndarray:
     return convolve(np.ones(shape, dtype=np.float64), kernel)
 
 
-def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float,
-                 kernel: Kernel) -> np.ndarray:
-    """Kernel-weighted squared residual field
+class FitFields(NamedTuple):
+    """The three fit-kernel passes through which the model reads the bias:
+    K*1 (fixed for a run), K*b and K*b^2 (new after each bias update)."""
 
-        e_i(x) = sum_y K(y-x) * (g(x) - b(y) * c_i)^2,
+    one: np.ndarray
+    kb: np.ndarray
+    kb2: np.ndarray
 
-    expanded into three convolutions; clamped at 0 against roundoff.
+
+def fit_fields(b: np.ndarray, kernel: Kernel,
+               one: np.ndarray | None = None) -> FitFields:
+    """K*1, K*b and K*b^2 for the bias `b`; pass `one` to reuse K*1."""
+    b = np.asarray(b, dtype=np.float64)
+    if one is None:
+        one = ones_mass(b.shape, kernel)
+    return FitFields(one, convolve(b, kernel), convolve(b * b, kernel))
+
+
+def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
+    """Stacked kernel-weighted squared residuals, one per mean c_i:
+
+        e_i(x) = sum_y K(y-x) * (g(x) - b(y) * c_i)^2
+               = g^2 (K*1) - 2 c_i g (K*b) + c_i^2 (K*b^2),
+
+    clamped at 0 against roundoff.
     """
     g = np.asarray(g, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    one = ones_mass(g.shape, kernel)
-    kb = convolve(b, kernel)
-    kb2 = convolve(b * b, kernel)
-    e = g * g * one - 2.0 * c_i * g * kb + c_i * c_i * kb2
-    return np.maximum(e, 0.0)
+    c = np.asarray(c, dtype=np.float64)
+    g2_one = g * g * fields.one
+    e = np.empty((len(c),) + g.shape)
+    for i, c_i in enumerate(c):
+        e[i] = np.maximum(g2_one - 2.0 * c_i * g * fields.kb + c_i * c_i * fields.kb2, 0.0)
+    return e
+
+
+def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float,
+                 kernel: Kernel) -> np.ndarray:
+    """The residual field e_i of one mean c_i (see `residual_fields`)."""
+    return residual_fields(g, [c_i], fit_fields(b, kernel))[0]
+
+
+def fit_term(e_fields: np.ndarray, u: IndicatorSet, lambdas) -> float:
+    """sum_i lam_i * <u_i, e_i> for fixed residual fields."""
+    return sum(lambdas[i] * inner_product(u.masks[i], e_fields[i]) for i in range(u.n))
 
 
 def fitting_energy(state: SegState, params: ModelParams,
                    kernel: Kernel | None = None) -> float:
     """sum_i lam_i * <u_i, e_i>."""
-    kernel = kernel or gaussian_kernel(params.rho)
-    total = 0.0
-    for i, lam in enumerate(params.lambdas):
-        e_i = fit_residual(state.g, state.b, float(state.c[i]), kernel)
-        total += lam * inner_product(state.u.masks[i], e_i)
-    return total
+    fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
+    return fit_term(residual_fields(state.g, state.c, fields), state.u, params.lambdas)
+
+
+def length_potentials(u: IndicatorSet, kernel: Kernel,
+                      one: np.ndarray | None = None) -> np.ndarray:
+    """Stacked K_t*1 - K_t*u_i: the heat-kernel mass outside phase i, which
+    equals sum_{j != i} K_t*u_j on a partition. Pass `one` to reuse K_t*1."""
+    if one is None:
+        one = ones_mass(u.shape, kernel)
+    return np.stack([one - convolve(m, kernel) for m in u.masks])
+
+
+def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,
+                time_px: float) -> float:
+    """mu * sqrt(pi/t) * sum_i <u_i, potentials_i>."""
+    return mu * (np.sqrt(np.pi / time_px)
+                 * sum(inner_product(u.masks[i], potentials[i]) for i in range(u.n)))
+
+
+def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
+                mu: float, time_px: float) -> np.ndarray:
+    """Per-phase pointwise costs
+
+        phi_i = lam_i e_i + 2 mu sqrt(pi/t) potentials_i,
+
+    nonnegative by construction (clamped against roundoff). Their pixelwise
+    minimizer is the thresholding step of the partition energy."""
+    pref = 2.0 * mu * np.sqrt(np.pi / time_px)
+    phis = np.empty_like(e_fields)
+    for i in range(len(phis)):
+        phis[i] = lambdas[i] * e_fields[i] + pref * potentials[i]
+    return np.maximum(phis, 0.0, out=phis)
 
 
 def length_energy(u: IndicatorSet, mu: float, time_px: float,
@@ -237,15 +298,8 @@ def length_energy(u: IndicatorSet, mu: float, time_px: float,
     """
     if time_px <= 0:
         raise ValueError("heat time must be positive")
-    from .field import heat_kernel_pixels
-
     kernel = kernel or heat_kernel_pixels(time_px)
-    pref = np.sqrt(np.pi / time_px)
-    total = 0.0
-    for i in range(u.n):
-        others = u.masks.sum(axis=0) - u.masks[i]
-        total += inner_product(u.masks[i], convolve(others, kernel))
-    return mu * pref * total
+    return length_term(u, length_potentials(u, kernel), mu, time_px)
 
 
 def idiv_energy(g: np.ndarray, f: np.ndarray, gamma: float, g_floor: float) -> float:
@@ -286,6 +340,5 @@ def partition_energy(e_fields: np.ndarray, u: IndicatorSet, params: ModelParams,
     """Energy of a partition with the residual fields held fixed:
     fitting plus heat-kernel length. This is the quantity the thresholding
     step decreases monotonically."""
-    fit = sum(params.lambdas[i] * inner_product(u.masks[i], e_fields[i])
-              for i in range(u.n))
-    return fit + length_energy(u, params.mu, time_px, kernel)
+    return (fit_term(e_fields, u, params.lambdas)
+            + length_energy(u, params.mu, time_px, kernel))

@@ -60,10 +60,6 @@ class Kernel:
         """Full 2-D weight stencil, shape (2*radius+1, 2*radius+1)."""
         return np.outer(self.profile, self.profile)
 
-    @property
-    def normalization(self) -> float:
-        return float(self.weights.sum())
-
     def std_pixels(self) -> float:
         """Standard deviation of the (truncated, renormalized) kernel."""
         x = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
@@ -214,10 +210,10 @@ def solve_implicit(rhs: np.ndarray, dt: float) -> np.ndarray:
     return _fft.idctn(spec, type=2, norm="ortho")
 
 
-def inner_product(a: np.ndarray, b: np.ndarray, spacing: float = 1.0) -> float:
-    """Discrete L2 pairing sum(a * b) * spacing^2."""
+def inner_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete L2 pairing sum(a * b)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b) * spacing * spacing)
+    return float(np.sum(a * b))

@@ -9,6 +9,7 @@ height), then width*height float64 values row-major. Configs are flat UTF-8
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,27 +148,20 @@ class ExperimentConfig:
             raise ConfigError("synth source requires synth.size")
         size = _parse_ints(raw["synth.size"], 2, "synth.size")
         shapes = tuple(_parse_region(r) for r in raw.get("synth.region", []))
-        bias = raw.get("synth.bias", "none")
-        kind, args = _split_spec(bias)
+        spec = SynthSpec(size=(size[0], size[1]),
+                         background=raw.get("synth.background", 60.0), shapes=shapes)
+        kind, args = _split_spec(raw.get("synth.bias", "none"))
         if kind == "none":
-            return SynthSpec(size=(size[0], size[1]),
-                             background=raw.get("synth.background", 60.0),
-                             shapes=shapes)
+            return spec
         if kind == "ramp":
             lo, hi = _parse_floats(args, 2, "synth.bias ramp")
-            return SynthSpec(size=(size[0], size[1]),
-                             background=raw.get("synth.background", 60.0),
-                             shapes=shapes, bias_kind="ramp",
-                             bias_lo=lo, bias_hi=hi)
+            return replace(spec, bias_kind="ramp", bias_lo=lo, bias_hi=hi)
         if kind == "gaussian":
             vals = _parse_floats(args, None, "synth.bias gaussian")
             if len(vals) not in (1, 2):
                 raise ConfigError("synth.bias gaussian takes amplitude[,width]")
-            return SynthSpec(size=(size[0], size[1]),
-                             background=raw.get("synth.background", 60.0),
-                             shapes=shapes, bias_kind="gaussian",
-                             bias_amplitude=vals[0],
-                             bias_width=vals[1] if len(vals) == 2 else None)
+            return replace(spec, bias_kind="gaussian", bias_amplitude=vals[0],
+                           bias_width=vals[1] if len(vals) == 2 else None)
         raise ConfigError(f"unknown bias kind {kind!r}")
 
     @staticmethod
@@ -260,7 +254,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(parse_config(text, source=str(path)))
 
 
-def config_lines(cfg: ExperimentConfig, overrides: dict | None = None) -> list[str]:
+def config_lines(cfg: ExperimentConfig) -> list[str]:
     """Re-serialize the resolved configuration (for the run manifest)."""
     p = cfg.params
     lines = []
@@ -300,6 +294,4 @@ def config_lines(cfg: ExperimentConfig, overrides: dict | None = None) -> list[s
     lines.append(f"freeze_bias = {str(p.freeze_bias).lower()}")
     lines.append(f"seed = {cfg.seed}")
     lines.append(f"out = {cfg.out}")
-    for key, value in (overrides or {}).items():
-        lines.append(f"{key} = {value}")
     return lines

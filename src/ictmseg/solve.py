@@ -23,19 +23,26 @@ as a cross-check in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailure
 from .energy import (
     EnergyBreakdown,
+    FitFields,
     IndicatorSet,
     ModelParams,
     SegState,
+    fit_fields,
+    fit_term,
     gray_indicator,
     idiv_energy,
+    length_potentials,
+    length_term,
     ones_mass,
+    phase_costs,
+    residual_fields,
     tv_energy,
 )
 from .field import (
@@ -142,24 +149,25 @@ class IterationLog:
 # closed-form subproblems
 
 def update_means(state: SegState, params: ModelParams,
-                 kernel: Kernel | None = None) -> tuple[np.ndarray, list[str]]:
+                 kernel: Kernel | None = None, *,
+                 fields: FitFields | None = None) -> tuple[np.ndarray, list[str]]:
     """Optimal region means c_i = <u_i * g, K*b> / <u_i, K*b^2>.
 
-    An empty phase (zero denominator) keeps its previous mean and is flagged;
-    thresholding may repopulate it later.
+    `fields`, if given, are the fit fields of `state.b` and replace the
+    kernel passes. An empty phase (zero denominator) keeps its previous mean
+    and is flagged; thresholding may repopulate it later.
     """
-    kernel = kernel or gaussian_kernel(params.rho)
-    kb = convolve(state.b, kernel)
-    kb2 = convolve(state.b * state.b, kernel)
+    if fields is None:
+        fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
     c = np.array(state.c, dtype=np.float64, copy=True)
     flags = []
     for i in range(state.u.n):
         mask = state.u.masks[i]
-        denom = inner_product(mask, kb2)
+        denom = inner_product(mask, fields.kb2)
         if denom <= 0.0:
             flags.append(f"phase {i} empty; keeping previous mean {c[i]:.6g}")
             continue
-        c[i] = inner_product(mask * state.g, kb) / denom
+        c[i] = inner_product(mask * state.g, fields.kb) / denom
     return c, flags
 
 
@@ -213,26 +221,21 @@ class GContext:
     eps_tv: float
     g_floor: float
     dt: float
-    c0: float
     shift: float
     eta: float
 
 
 def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
     """Exact infimum of the I-divergence term over g >= g_floor."""
-    if gamma <= 0.0:
-        return 0.0
-    f = np.asarray(f, dtype=np.float64)
-    g_star = np.maximum(f, g_floor)
-    return gamma * float(np.sum(g_star - f * np.log(g_star)))
+    return idiv_energy(np.maximum(f, g_floor), f, gamma, g_floor)
 
 
 def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                    params: ModelParams, kernel: Kernel | None = None) -> GContext:
-    kernel = kernel or gaussian_kernel(params.rho)
-    one = ones_mass(state.g.shape, kernel)
-    kb = convolve(state.b, kernel)
-    kb2 = convolve(state.b * state.b, kernel)
+                    params: ModelParams, fields: FitFields | None = None) -> GContext:
+    """`fields` are the fit fields of `state.b`; made from `params.rho` if
+    not given."""
+    if fields is None:
+        fields = fit_fields(state.b, gaussian_kernel(params.rho))
     lam_u = np.zeros_like(state.g)
     lam_cu = np.zeros_like(state.g)
     fit_const = 0.0
@@ -240,21 +243,20 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
         c_i = float(state.c[i])
         lam_u += lam * state.u.masks[i]
         lam_cu += lam * c_i * state.u.masks[i]
-        fit_const += lam * c_i * c_i * inner_product(state.u.masks[i], kb2)
+        fit_const += lam * c_i * c_i * inner_product(state.u.masks[i], fields.kb2)
     f = np.asarray(f, dtype=np.float64)
     idiv_lb = fidelity_lower_bound(f, params.gamma, params.g_floor)
     return GContext(
         f=f,
         alpha=np.asarray(alpha, dtype=np.float64),
-        weight=one * lam_u,
-        target=kb * lam_cu,
+        weight=fields.one * lam_u,
+        target=fields.kb * lam_cu,
         fit_const=fit_const,
         gamma=params.gamma,
         nu=params.nu,
         eps_tv=params.eps_tv,
         g_floor=params.g_floor,
         dt=params.time_step,
-        c0=params.c0,
         shift=params.c0 + max(0.0, -idiv_lb),
         eta=params.eta_relax,
     )
@@ -362,12 +364,12 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
 
 
 def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                 params: ModelParams, kernel: Kernel | None = None,
+                 params: ModelParams, fields: FitFields | None = None,
                  outer: int = 0) -> tuple[np.ndarray, list[InnerRecord], bool]:
     """Run the RMSAV inner loop from the current g until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
     """
-    ctx = build_g_context(state, f, alpha, params, kernel)
+    ctx = build_g_context(state, f, alpha, params, fields)
     g = np.asarray(state.g, dtype=np.float64)
     e_cur = g_energy(g, ctx)[0]
     sav = SavState(z=float(np.sqrt(e_cur + ctx.shift)))
@@ -392,35 +394,16 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
 # --------------------------------------------------------------------------
 # partition subproblem: thresholding
 
-def _residual_fields(g: np.ndarray, b: np.ndarray, c: np.ndarray,
-                     kernel: Kernel) -> np.ndarray:
-    """Stacked e_i fields sharing the three kernel passes."""
-    one = ones_mass(g.shape, kernel)
-    kb = convolve(b, kernel)
-    kb2 = convolve(b * b, kernel)
-    g2_one = g * g * one
-    e = np.empty((len(c),) + g.shape)
-    for i, c_i in enumerate(np.asarray(c, dtype=np.float64)):
-        e[i] = np.maximum(g2_one - 2.0 * c_i * g * kb + c_i * c_i * kb2, 0.0)
-    return e
-
-
 def threshold_fields(e_fields: np.ndarray, u: IndicatorSet, params: ModelParams,
                      time_px: float, kernel: Kernel | None = None) -> np.ndarray:
     """Per-phase pointwise costs
 
-        phi_i = lam_i e_i + 2 mu sqrt(pi/t) sum_{j != i} K_t * u_j,
+        phi_i = lam_i e_i + 2 mu sqrt(pi/t) sum_{j != i} K_t * u_j
 
-    nonnegative by construction (asserted up to roundoff, then clamped).
+    of the partition `u` (see `energy.phase_costs`).
     """
-    kernel = kernel or heat_kernel_pixels(time_px)
-    pref = 2.0 * params.mu * np.sqrt(np.pi / time_px)
-    one = ones_mass(u.shape, kernel)
-    phis = np.empty_like(e_fields)
-    for i in range(u.n):
-        others = one - convolve(u.masks[i], kernel)
-        phis[i] = params.lambdas[i] * e_fields[i] + pref * others
-    return np.maximum(phis, 0.0)
+    potentials = length_potentials(u, kernel or heat_kernel_pixels(time_px))
+    return phase_costs(e_fields, potentials, params.lambdas, params.mu, time_px)
 
 
 def threshold(phis: np.ndarray) -> IndicatorSet:
@@ -435,10 +418,6 @@ def threshold(phis: np.ndarray) -> IndicatorSet:
 
 # --------------------------------------------------------------------------
 # full alternating loop
-
-def _partition_err(u_new: IndicatorSet, u_old: IndicatorSet) -> float:
-    return float(np.sqrt(np.sum((u_new.masks - u_old.masks) ** 2)))
-
 
 def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             progress=None) -> tuple[SegState, IterationLog]:
@@ -467,7 +446,6 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fit_kernel = gaussian_kernel(params.rho)
     time_px = params.heat_time_pixels(f.shape)
     length_kernel = heat_kernel_pixels(time_px)
-    length_pref = np.sqrt(np.pi / time_px)
     ones_tau = ones_mass(f.shape, length_kernel)
 
     state = SegState(
@@ -476,21 +454,13 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         g=np.maximum(f, params.g_floor),
         u=init.copy(),
     )
-    u_convs = np.stack([convolve(m, length_kernel) for m in state.u.masks])
+    # K*1, K*b, K*b^2 change only with the bias; K_t*1 - K_t*u_i only with u.
+    fields = fit_fields(state.b, fit_kernel)
+    potentials = length_potentials(state.u, length_kernel, ones_tau)
 
     log = IterationLog(header={
-        "n_phases": params.n_phases,
-        "lambda": tuple(params.lambdas),
-        "mu": params.mu, "gamma": params.gamma, "nu": params.nu,
-        "rho": params.rho, "tau": params.tau, "tau_in_pixels": params.tau_in_pixels,
-        "sigma": params.sigma, "p": params.p,
-        "dt": params.dt, "c0": params.c0, "eta_relax": params.eta_relax,
+        "n_phases": params.n_phases, **asdict(params),
         "dt_effective": params.time_step,
-        "intensity_scale": params.intensity_scale,
-        "eps_tv": params.eps_tv, "g_floor": params.g_floor,
-        "tol1": params.tol1, "tol2": params.tol2,
-        "max_outer": params.max_outer, "max_inner": params.max_inner,
-        "freeze_bias": params.freeze_bias,
         "heat_time_pixels": time_px,
         "energy_shift": params.c0 + max(
             0.0, -fidelity_lower_bound(f, params.gamma, params.g_floor)),
@@ -500,44 +470,33 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     k = 0
     while err1 > params.tol1 and k < params.max_outer:
         flags: list[str] = []
-        state.c, mean_flags = update_means(state, params, fit_kernel)
+        state.c, mean_flags = update_means(state, params, fields=fields)
         flags += mean_flags
         if not params.freeze_bias:
             state.b = update_bias(state, params, fit_kernel)
+            fields = fit_fields(state.b, fit_kernel, fields.one)
         state.g, inner_records, hit_cap = update_image(
-            state, f, alpha, params, fit_kernel, outer=k)
+            state, f, alpha, params, fields, outer=k)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
 
-        e_fields = _residual_fields(state.g, state.b, state.c, fit_kernel)
-        lam_dot_old = sum(params.lambdas[i] * inner_product(state.u.masks[i], e_fields[i])
-                          for i in range(state.u.n))
-        len_old = length_pref * sum(
-            inner_product(state.u.masks[i], ones_tau - u_convs[i])
-            for i in range(state.u.n))
-        eu_before = lam_dot_old + params.mu * len_old
+        e_fields = residual_fields(state.g, state.c, fields)
+        eu_before = (fit_term(e_fields, state.u, params.lambdas)
+                     + length_term(state.u, potentials, params.mu, time_px))
+        u_new = threshold(phase_costs(e_fields, potentials, params.lambdas,
+                                      params.mu, time_px))
+        potentials = length_potentials(u_new, length_kernel, ones_tau)
+        fit_new = fit_term(e_fields, u_new, params.lambdas)
+        len_new = length_term(u_new, potentials, params.mu, time_px)
+        eu_after = fit_new + len_new
 
-        pref = 2.0 * params.mu * length_pref
-        phis = np.maximum(
-            np.stack([params.lambdas[i] * e_fields[i] + pref * (ones_tau - u_convs[i])
-                      for i in range(state.u.n)]), 0.0)
-        u_new = threshold(phis)
-
-        u_convs = np.stack([convolve(m, length_kernel) for m in u_new.masks])
-        lam_dot_new = sum(params.lambdas[i] * inner_product(u_new.masks[i], e_fields[i])
-                          for i in range(u_new.n))
-        len_new = length_pref * sum(
-            inner_product(u_new.masks[i], ones_tau - u_convs[i])
-            for i in range(u_new.n))
-        eu_after = lam_dot_new + params.mu * len_new
-
-        err1 = _partition_err(u_new, state.u)
+        err1 = float(np.sqrt(np.sum((u_new.masks - state.u.masks) ** 2)))
         state.u = u_new
 
         breakdown = EnergyBreakdown.build(
-            fit=lam_dot_new,
-            length=params.mu * len_new,
+            fit=fit_new,
+            length=len_new,
             idiv=idiv_energy(state.g, f, params.gamma, params.g_floor),
             tv=tv_energy(state.g, alpha, params.nu, params.eps_tv),
         )

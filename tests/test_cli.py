@@ -4,10 +4,12 @@ import csv
 import filecmp
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from ictmseg.cli import ENERGY_COLUMNS, main
+import ictmseg
+from ictmseg.cli import ENERGY_COLUMNS, _build_init, main
 from ictmseg.fileio import read_f64, read_pgm, write_pgm
 
 SEG_CFG = """
@@ -190,7 +192,40 @@ def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    # run beside the imported package, so an uninstalled checkout works too
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "ictmseg", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=package_root)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_warnings_reach_stderr_and_manifest(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SEG_CFG.replace("max_outer = 30", "max_outer = 1"))
+    out = tmp_path / "seg"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "warning: stopped at max_outer=1 " in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    assert "# warning = stopped at max_outer=1 " in manifest
+
+    cfg = write_cfg(tmp_path, "synth.size = 16,16\nsynth.background = 80\n"
+                              "synth.region = rect:4,4,8,8,180\n"
+                              "max_inner = 2\ntol2 = 0\n", name="dn.cfg")
+    out = tmp_path / "dn"
+    assert main(["denoise", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "warning: inner loop hit max_inner=2" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    assert "# warning = inner loop hit max_inner=2\n" in manifest
+
+
+def test_contour_init_populates_every_phase():
+    # A plateau in the exterior intensities must not leave a phase empty.
+    n = 128
+    yy, xx = np.mgrid[0:n, 0:n]
+    scene = np.full((n, n), 60.0)
+    scene[(xx >= 10) & (xx < 50) & (yy >= 10) & (yy < 110)] = 190.0
+    scene[(xx - 90) ** 2 + (yy - 64) ** 2 <= 25 ** 2] = 120.0
+    for f in (scene, np.full((n, n), 60.0)):
+        counts = _build_init("circle:64,64,30", f, 3).masks.sum(axis=(1, 2))
+        assert (counts > 0).all(), counts
+        assert abs(counts[1] - counts[2]) <= 1, counts

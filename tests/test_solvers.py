@@ -8,6 +8,7 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
+    fit_fields,
     fit_residual,
     fitting_energy,
     gray_indicator,
@@ -505,3 +506,61 @@ def test_segment_reaches_fixed_point_and_stays():
     state2, log2 = segment(clean, state.u, params)
     assert np.array_equal(state.u.masks, state2.u.masks)
     assert len(log2.outers) == 1
+
+
+# ------------------------------------------------------------ fit-field reuse
+
+def test_fit_fields_reuse_is_bit_identical():
+    state = random_instance(16)
+    f = state.g.copy()
+    params = ModelParams(max_inner=3, tol2=0.0)
+    k = gaussian_kernel(params.rho)
+    fields = fit_fields(state.b, k)
+    alpha = gray_indicator(f, params.sigma, params.p)
+    c_a, flags_a = update_means(state, params, k)
+    c_b, flags_b = update_means(state, params, fields=fields)
+    assert np.array_equal(c_a, c_b) and flags_a == flags_b
+    state.c = c_a
+    ctx_a = build_g_context(state, f, alpha, params)
+    ctx_b = build_g_context(state, f, alpha, params, fields=fields)
+    for name in ("weight", "target", "fit_const", "shift"):
+        assert np.array_equal(getattr(ctx_a, name), getattr(ctx_b, name)), name
+    g_a, rec_a, cap_a = update_image(state, f, alpha, params)
+    g_b, rec_b, cap_b = update_image(state, f, alpha, params, fields=fields)
+    assert np.array_equal(g_a, g_b) and rec_a == rec_b and cap_a == cap_b
+
+
+@pytest.mark.parametrize("n_phases, freeze_bias", [(2, False), (3, False), (3, True)])
+def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
+    # One outer iteration makes 2n fit-kernel convolutions in the bias
+    # update plus K*b and K*b^2 after it; K*1 is made once per run.
+    import ictmseg.energy
+    import ictmseg.solve
+
+    n = 32
+    f = np.full((n, n), 60.0)
+    f[4:14, 4:28] = 190.0
+    f[18:28, 8:24] = 120.0
+    f = f * sample_gamma_field(n, n, 10.0, seed=3)
+    labels = np.zeros((n, n), dtype=np.int64)
+    labels[n // 2:, :] = 1
+    labels[:, n // 2:] = n_phases - 1
+    params = ModelParams(lambdas=(1.0,) * n_phases, max_outer=4, tol1=0.0,
+                         freeze_bias=freeze_bias)
+    fit = gaussian_kernel(params.rho)
+    counts = [0]
+
+    def counting(field, kernel):
+        if kernel.radius == fit.radius and np.array_equal(kernel.profile, fit.profile):
+            counts[-1] += 1
+        return convolve(field, kernel)
+
+    for module in (ictmseg.energy, ictmseg.solve):
+        monkeypatch.setattr(module, "convolve", counting)
+    _, log = segment(f, IndicatorSet.from_labels(labels, n_phases), params,
+                     progress=lambda rec: counts.append(0))
+    budget = 0 if freeze_bias else 2 * n_phases + 2
+    assert len(log.outers) >= 3
+    assert counts[0] == 3 + budget   # K*1, K*b, K*b^2 before the loop
+    assert counts[1:-1] == [budget] * (len(log.outers) - 1)
+    assert counts[-1] == 0
