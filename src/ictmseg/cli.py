@@ -117,8 +117,9 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
 
 
 def _resolve_image(cfg: ExperimentConfig):
-    """Produce (f, truth_or_None) from the configured source, with corruption
-    applied and load clamping to [0, 255]."""
+    """Produce (f, truth_or_None, warnings) from the configured source, with
+    corruption applied and load clamping to [0, 255]. A clamp that changes
+    any pixel is reported as a run warning."""
     truth = None
     if cfg.synth is not None:
         clean, truth, _ = generate(cfg.synth)
@@ -127,7 +128,12 @@ def _resolve_image(cfg: ExperimentConfig):
         if cfg.truth is not None:
             labels = read_pgm(cfg.truth).astype(np.int64)
             truth = IndicatorSet.from_labels(labels, int(labels.max()) + 1)
-    return np.clip(corrupt(clean, cfg.noise), 0.0, 255.0), truth
+    raw = corrupt(clean, cfg.noise)
+    f = np.clip(raw, 0.0, 255.0)
+    changed = np.count_nonzero(f != raw)
+    warnings = [f"input clamped to [0, 255]: {changed} of {f.size} pixels changed "
+                f"(min {raw.min():.6g}, max {raw.max():.6g})"] if changed else []
+    return f, truth, warnings
 
 
 def _score_rows(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
@@ -190,7 +196,7 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    f, truth = _resolve_image(cfg)
+    f, truth, warnings = _resolve_image(cfg)
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     progress = None
     if not quiet:
@@ -216,7 +222,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "outer_iterations": len(log.outers),
         "final_err1": log.outers[-1].err1 if log.outers else "",
         "means": ",".join(f"{c:.6g}" for c in state.c),
-    }, warnings=log.warnings)
+    }, warnings=warnings + log.warnings)
     if not quiet:
         print(f"finished in {len(log.outers)} outer iterations; outputs in {out}")
     return 0
@@ -228,7 +234,7 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     Unlike segmentation, the flow runs long (default cap 500 steps unless the
     config sets max_inner) since there is no partition to co-evolve with.
     """
-    f, _ = _resolve_image(cfg)
+    f, _, warnings = _resolve_image(cfg)
     params = replace(cfg.params, lambdas=(0.0,) * cfg.params.n_phases)
     if "max_inner" not in cfg.raw:
         params = replace(params, max_inner=500)
@@ -245,7 +251,8 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     write_pgm(out / "denoised.pgm", g)
     write_f64(out / "denoised.f64", g)
     _write_energy_csv(out / "energy.csv", records)
-    warnings = [f"inner loop hit max_inner={params.max_inner}"] if hit_cap else []
+    if hit_cap:
+        warnings.append(f"inner loop hit max_inner={params.max_inner}")
     _write_manifest(out / "manifest.txt", cfg,
                     extras={"inner_iterations": len(records)}, warnings=warnings)
     if not quiet:

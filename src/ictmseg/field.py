@@ -3,8 +3,10 @@ difference operators, and the spectral solver for (I + dt * Lap^2).
 
 Fields are float64 arrays of shape (height, width), row-major. All boundary
 handling is reflective (symmetric half-sample padding), which realizes a
-zero-normal-derivative closure; the cosine-transform solver uses the matching
-basis so that applying the operator and inverting it are exact inverses.
+zero-normal-derivative closure. Under that extension every symmetric stencil
+is diagonal in the DCT-II basis, so convolution and the implicit solve are
+both one cosine-transform round trip with a separable multiplier; applying
+the operator and inverting it are exact inverses.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
-from scipy import ndimage as _ndimage
 
 __all__ = [
     "Kernel",
@@ -112,33 +113,26 @@ def heat_kernel_pixels(time_px: float, truncation: float = DEFAULT_TRUNCATION) -
     return heat_kernel(time_px, 1.0, truncation)
 
 
-# Kernels at or above this tap count go through the FFT path; below it the
-# direct separable path is used (and matches the brute-force sum to ~1e-15).
-_FFT_TAP_THRESHOLD = 65
+def _multiplier(stencil, n: int) -> np.ndarray:
+    """DCT-II eigenvalues h_0 + 2 sum_m h_m cos(pi k m / n), k < n, of a centred
+    symmetric stencil: its taps folded onto the 2n-periodic reflected extension."""
+    r = len(stencil) // 2
+    taps = np.bincount(np.arange(-r, r + 1) % (2 * n), stencil, 2 * n)
+    return np.fft.rfft(taps)[:n].real
 
 
 def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Convolve with reflective (symmetric) boundary handling.
 
-    Exploits separability: two 1-D passes, identical to the full 2-D sum.
+    One DCT-II round trip with the kernel's separable multiplier, equal to
+    the full 2-D sum over the reflected field for any radius; the cost does
+    not depend on the radius.
     """
     field = np.asarray(field, dtype=np.float64)
-    taps = 2 * kernel.radius + 1
-    if taps >= _FFT_TAP_THRESHOLD:
-        return _convolve_fft(field, kernel)
-    out = _ndimage.convolve1d(field, kernel.profile, axis=0, mode="reflect")
-    out = _ndimage.convolve1d(out, kernel.profile, axis=1, mode="reflect")
-    return out
-
-
-def _convolve_fft(field: np.ndarray, kernel: Kernel) -> np.ndarray:
-    from scipy.signal import fftconvolve
-
-    r = kernel.radius
-    padded = np.pad(field, r, mode="symmetric")
-    out = fftconvolve(padded, kernel.profile[:, None], mode="valid")
-    out = fftconvolve(out, kernel.profile[None, :], mode="valid")
-    return out
+    m_y, m_x = (_multiplier(kernel.profile, n) for n in field.shape)
+    spec = _fft.dctn(field, type=2, norm="ortho")
+    spec *= m_y[:, None] * m_x[None, :]
+    return _fft.idctn(spec, type=2, norm="ortho")
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,12 +183,6 @@ def biharmonic(field: np.ndarray) -> np.ndarray:
     return laplacian(laplacian(field))
 
 
-def _laplacian_eigenvalues(height: int, width: int) -> np.ndarray:
-    lam_y = 2.0 * np.cos(np.pi * np.arange(height) / height) - 2.0
-    lam_x = 2.0 * np.cos(np.pi * np.arange(width) / width) - 2.0
-    return lam_y[:, None] + lam_x[None, :]
-
-
 def solve_implicit(rhs: np.ndarray, dt: float) -> np.ndarray:
     """Solve (I + dt * Lap^2) x = rhs by cosine-transform diagonalization.
 
@@ -204,7 +192,8 @@ def solve_implicit(rhs: np.ndarray, dt: float) -> np.ndarray:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rhs = np.asarray(rhs, dtype=np.float64)
-    lam = _laplacian_eigenvalues(*rhs.shape)
+    lam_y, lam_x = (_multiplier([1.0, -2.0, 1.0], n) for n in rhs.shape)
+    lam = lam_y[:, None] + lam_x[None, :]
     spec = _fft.dctn(rhs, type=2, norm="ortho")
     spec /= 1.0 + dt * lam * lam
     return _fft.idctn(spec, type=2, norm="ortho")

@@ -94,24 +94,52 @@ def score_masks(pred: np.ndarray, truth: np.ndarray) -> dict[str, float]:
             "accuracy": accuracy(counts), "kappa": kappa(counts)}
 
 
+def _max_overlap_assignment(overlap: np.ndarray) -> np.ndarray:
+    """Column of each row that maximizes the total overlap: the Hungarian
+    method, adding one row at a time along a shortest augmenting path over
+    row and column potentials, O(n^3) and deterministic."""
+    cost = -np.asarray(overlap, dtype=np.float64)
+    n = cost.shape[0]
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=np.int64)    # 1-based row at column j; 0: free
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        minv = np.full(n + 1, np.inf)
+        way = np.zeros(n + 1, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            cur = np.concatenate(([np.inf], cost[i0 - 1] - u[i0] - v[1:]))
+            relax = ~used & (cur < minv)
+            minv[relax], way[relax] = cur[relax], j0
+            j0 = int(np.argmin(np.where(used, np.inf, minv)))
+            delta = minv[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(n, dtype=np.int64)
+    cols[row_of[1:] - 1] = np.arange(n)
+    return cols
+
+
 def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
     """Permute prediction phases to maximize total overlap with the truth.
 
-    Segmentation phase indices are arbitrary; exhaustive over permutations
-    (phase counts here are small), deterministic on ties.
+    Segmentation phase indices are arbitrary. The best permutation is an
+    assignment problem, solved here without scipy.optimize, whose import
+    alone adds ~20 MB of resident memory and ~0.14 s to a run.
     """
-    from itertools import permutations
-
     if pred.n != truth.n:
         raise ValueError(f"phase count mismatch: {pred.n} vs {truth.n}")
     overlap = np.array([[np.count_nonzero(pred.masks[i].astype(bool)
                                           & truth.masks[j].astype(bool))
                          for j in range(truth.n)] for i in range(pred.n)])
-    best = max(permutations(range(pred.n)),
-               key=lambda perm: sum(overlap[i][perm[i]] for i in range(pred.n)))
     masks = np.empty_like(pred.masks)
-    for i, j in enumerate(best):
-        masks[j] = pred.masks[i]
+    masks[_max_overlap_assignment(overlap)] = pred.masks
     return IndicatorSet(masks, check=False)
 
 

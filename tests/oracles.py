@@ -5,6 +5,8 @@ defining sums, with reflective (symmetric) boundary extension done by
 explicit index folding, and stays independent of the library's fast paths.
 """
 
+from itertools import permutations
+
 import numpy as np
 
 
@@ -112,3 +114,13 @@ def assemble_implicit_matrix(shape: tuple[int, int], dt: float) -> np.ndarray:
         basis[k] = 1.0
         mat[:, k] = (basis + dt * biharmonic_direct(basis.reshape(h, w)).ravel())
     return mat
+
+
+def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> int:
+    """Largest total overlap sum_i |pred_i & truth_perm(i)| over all n! phase
+    permutations."""
+    n = len(pred_masks)
+    overlap = [[int(np.count_nonzero((pred_masks[i] > 0) & (truth_masks[j] > 0)))
+                for j in range(n)] for i in range(n)]
+    return max(sum(overlap[i][perm[i]] for i in range(n))
+               for perm in permutations(range(n)))

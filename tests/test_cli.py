@@ -10,7 +10,7 @@ import numpy as np
 
 import ictmseg
 from ictmseg.cli import ENERGY_COLUMNS, _build_init, main
-from ictmseg.fileio import read_f64, read_pgm, write_pgm
+from ictmseg.fileio import read_f64, read_pgm, write_f64, write_pgm
 
 SEG_CFG = """
 synth.size = 48,48
@@ -229,3 +229,26 @@ def test_contour_init_populates_every_phase():
         counts = _build_init("circle:64,64,30", f, 3).masks.sum(axis=(1, 2))
         assert (counts > 0).all(), counts
         assert abs(counts[1] - counts[2]) <= 1, counts
+
+
+def test_input_clamp_is_reported(tmp_path, capsys):
+    field = np.full((16, 16), 80.0)
+    field[4:12, 4:12] = 180.0
+    hot = field.copy()
+    hot[0, :3] = (300.0, 400.0, -5.0)
+    for name, img in (("hot", hot), ("cool", field)):
+        write_f64(tmp_path / f"{name}.f64", img)
+        for cmd, extra in (("denoise", "max_inner = 2\n"),
+                           ("segment", "init = rect:4,4,8,8\nmax_outer = 2\n")):
+            cfg = write_cfg(tmp_path, f"input = {tmp_path / name}.f64\n" + extra,
+                            name=f"{name}_{cmd}.cfg")
+            out = tmp_path / f"{name}_{cmd}"
+            assert main([cmd, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            err = capsys.readouterr().err
+            manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+            line = "input clamped to [0, 255]: 3 of 256 pixels changed (min -5, max 400)"
+            if name == "hot":
+                assert f"warning: {line}\n" in err
+                assert f"# warning = {line}\n" in manifest
+            else:
+                assert "clamped" not in err and "clamped" not in manifest

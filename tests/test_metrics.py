@@ -16,6 +16,8 @@ from ictmseg.metrics import (
     score_masks,
 )
 
+from oracles import best_overlap_exhaustive
+
 rng = np.random.default_rng(31)
 
 
@@ -144,4 +146,24 @@ def test_match_phases_repairs_label_swap():
     truth = labels_to_set(labels, 2)
     swapped = labels_to_set(1 - labels, 2)
     fixed = match_phases(swapped, truth)
+    assert np.array_equal(fixed.masks, truth.masks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_match_phases_total_overlap_matches_exhaustive(n):
+    for _ in range(5):
+        pred = labels_to_set(rng.integers(0, n, size=(7, 9)), n)
+        truth = labels_to_set(rng.integers(0, n, size=(7, 9)), n)
+        matched = match_phases(pred, truth)
+        total = sum(np.count_nonzero((matched.masks[i] > 0) & (truth.masks[i] > 0))
+                    for i in range(n))
+        assert total == best_overlap_exhaustive(pred.masks, truth.masks)
+
+
+def test_match_phases_undoes_twelve_phase_relabeling():
+    # 12! permutations: out of reach for an exhaustive search
+    labels = rng.permutation(np.arange(16 * 16) % 12).reshape(16, 16)
+    perm = rng.permutation(12)
+    truth = labels_to_set(labels, 12)
+    fixed = match_phases(labels_to_set(perm[labels], 12), truth)
     assert np.array_equal(fixed.masks, truth.masks)
