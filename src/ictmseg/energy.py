@@ -39,6 +39,8 @@ __all__ = [
     "fitting_energy",
     "length_energy",
     "idiv_energy",
+    "TVGradient",
+    "tv_gradient",
     "tv_energy",
     "total_energy",
     "partition_energy",
@@ -313,13 +315,31 @@ def idiv_energy(g: np.ndarray, f: np.ndarray, gamma: float, g_floor: float) -> f
     return gamma * float(np.sum(g - f * np.log(g)))
 
 
-def tv_energy(g: np.ndarray, alpha: np.ndarray, nu: float, eps_tv: float) -> float:
-    """Weighted smoothed total variation nu * sum(alpha * sqrt(|grad g|^2 + eps^2))."""
+class TVGradient(NamedTuple):
+    """Forward differences of g and mag = sqrt(|grad g|^2 + eps^2): what the
+    TV energy and its force both read."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+    mag: np.ndarray
+
+
+def tv_gradient(g: np.ndarray, eps_tv: float) -> TVGradient:
+    gx, gy = gradient(g)
+    return TVGradient(gx, gy, np.sqrt(gx * gx + gy * gy + eps_tv * eps_tv))
+
+
+def tv_energy(g: np.ndarray, alpha: np.ndarray, nu: float, eps_tv: float,
+              grad: TVGradient | None = None) -> float:
+    """Weighted smoothed total variation nu * sum(alpha * sqrt(|grad g|^2 + eps^2)).
+
+    `grad`, if given, is `tv_gradient(g, eps_tv)` and is not recomputed.
+    """
     if nu == 0.0:
         return 0.0
-    gx, gy = gradient(g)
-    mag = np.sqrt(gx * gx + gy * gy + eps_tv * eps_tv)
-    return nu * float(np.sum(np.asarray(alpha, dtype=np.float64) * mag))
+    if grad is None:
+        grad = tv_gradient(g, eps_tv)
+    return nu * float(np.sum(np.asarray(alpha, dtype=np.float64) * grad.mag))
 
 
 def total_energy(state: SegState, f: np.ndarray, alpha: np.ndarray,

@@ -25,6 +25,7 @@ __all__ = [
     "divergence",
     "laplacian",
     "biharmonic",
+    "implicit_symbol",
     "solve_implicit",
     "inner_product",
     "as_field",
@@ -183,20 +184,33 @@ def biharmonic(field: np.ndarray) -> np.ndarray:
     return laplacian(laplacian(field))
 
 
-def solve_implicit(rhs: np.ndarray, dt: float) -> np.ndarray:
+def implicit_symbol(shape: tuple[int, int], dt: float) -> np.ndarray:
+    """DCT-II eigenvalues 1 + dt * (lam_y + lam_x)^2 of I + dt * Lap^2 on
+    `shape`, read-only: a flow that solves with one (shape, dt) at every step
+    builds it once."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    lam_y, lam_x = (_multiplier([1.0, -2.0, 1.0], n) for n in shape)
+    lam = lam_y[:, None] + lam_x[None, :]
+    symbol = 1.0 + dt * lam * lam
+    symbol.flags.writeable = False
+    return symbol
+
+
+def solve_implicit(rhs: np.ndarray, dt: float,
+                   symbol: np.ndarray | None = None) -> np.ndarray:
     """Solve (I + dt * Lap^2) x = rhs by cosine-transform diagonalization.
 
     The DCT-II basis diagonalizes the reflected-closure Laplacian, so the
     solve inverts exactly the same operator that `biharmonic` applies.
+    `symbol`, if given, is `implicit_symbol(rhs.shape, dt)`.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     rhs = np.asarray(rhs, dtype=np.float64)
-    lam_y, lam_x = (_multiplier([1.0, -2.0, 1.0], n) for n in rhs.shape)
-    lam = lam_y[:, None] + lam_x[None, :]
+    if symbol is None:
+        symbol = implicit_symbol(rhs.shape, dt)
     spec = _fft.dctn(rhs, type=2, norm="ortho")
-    spec /= 1.0 + dt * lam * lam
-    return _fft.idctn(spec, type=2, norm="ortho")
+    spec /= symbol
+    return _fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,9 +16,16 @@ xi is the smallest value in [0, 1] keeping
     G = (1/dt) * <g_{j+1} - g_j, A (g_{j+1} - g_j)>,
 
 which yields the unconditional stability law z_{j+1}^2 - z_j^2 <= -(1-eta)*G
-(with equality whenever xi lands strictly inside (0, 1]). The identity
-G = -2*z_tilde^2 + 2*z_tilde*z_j holds exactly by construction and is used
-as a cross-check in the tests.
+(with equality whenever xi lands strictly inside (0, 1]). Since
+g_{j+1} - g_j = -dt * z_tilde * m_hat and A m_hat = m, the step evaluates
+G = dt * z_tilde^2 * <m, m_hat> from the inner product it already has, with
+no biharmonic; the tests check it against the definition above. The identity
+G = -2*z_tilde^2 + 2*z_tilde*z_j holds exactly by construction and is a
+second cross-check.
+
+One step costs one force, one DCT round trip, one TV gradient and one energy
+evaluation: the gradient of g_{j+1} serves both its energy and the next
+step's force.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .energy import (
     IndicatorSet,
     ModelParams,
     SegState,
+    TVGradient,
     fit_fields,
     fit_term,
     gray_indicator,
@@ -44,16 +52,16 @@ from .energy import (
     phase_costs,
     residual_fields,
     tv_energy,
+    tv_gradient,
 )
 from .field import (
     Kernel,
     as_field,
-    biharmonic,
     convolve,
     divergence,
     gaussian_kernel,
-    gradient,
     heat_kernel_pixels,
+    implicit_symbol,
     inner_product,
     solve_implicit,
 )
@@ -67,6 +75,7 @@ __all__ = [
     "GContext",
     "build_g_context",
     "fidelity_lower_bound",
+    "energy_shift",
     "g_energy",
     "force",
     "rmsav_step",
@@ -98,12 +107,14 @@ class StepResult:
     z_tilde: float
     z_next: float
     xi: float
-    g_val: float          # G-functional (1/dt) <delta, A delta>, pre-floor delta
+    g_val: float          # G = (1/dt) <delta, A delta> of the pre-floor delta,
+                          # evaluated as dt * z_tilde^2 * <m, m_hat>
     e_next: float         # E_g at the (floored) new iterate
     fit: float
     idiv: float
     tv: float
     floored: bool
+    grad: TVGradient | None = None   # tv_gradient of g_next (None when nu = 0)
 
 
 @dataclass(frozen=True)
@@ -223,6 +234,7 @@ class GContext:
     dt: float
     shift: float
     eta: float
+    symbol: np.ndarray    # implicit_symbol(f.shape, dt), shared by every step
 
 
 def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
@@ -230,10 +242,17 @@ def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
     return idiv_energy(np.maximum(f, g_floor), f, gamma, g_floor)
 
 
+def energy_shift(f: np.ndarray, params: ModelParams) -> float:
+    """`GContext.shift`: c0 plus the magnitude of the fidelity's lower bound."""
+    return params.c0 + max(0.0, -fidelity_lower_bound(f, params.gamma, params.g_floor))
+
+
 def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                    params: ModelParams, fields: FitFields | None = None) -> GContext:
+                    params: ModelParams, fields: FitFields | None = None,
+                    shift: float | None = None) -> GContext:
     """`fields` are the fit fields of `state.b`; made from `params.rho` if
-    not given."""
+    not given. `shift` is `energy_shift(f, params)`, a constant of the run;
+    computed here if not given."""
     if fields is None:
         fields = fit_fields(state.b, gaussian_kernel(params.rho))
     lam_u = np.zeros_like(state.g)
@@ -245,7 +264,8 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
         lam_cu += lam * c_i * state.u.masks[i]
         fit_const += lam * c_i * c_i * inner_product(state.u.masks[i], fields.kb2)
     f = np.asarray(f, dtype=np.float64)
-    idiv_lb = fidelity_lower_bound(f, params.gamma, params.g_floor)
+    if shift is None:
+        shift = energy_shift(f, params)
     return GContext(
         f=f,
         alpha=np.asarray(alpha, dtype=np.float64),
@@ -257,63 +277,84 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
         eps_tv=params.eps_tv,
         g_floor=params.g_floor,
         dt=params.time_step,
-        shift=params.c0 + max(0.0, -idiv_lb),
+        shift=shift,
         eta=params.eta_relax,
+        symbol=implicit_symbol(f.shape, params.time_step),
     )
 
 
-def g_energy(g: np.ndarray, ctx: GContext) -> tuple[float, float, float, float]:
-    """E_g(g) = fitting + I-divergence + weighted TV; returns (total, parts)."""
+def _tv_gradient(g: np.ndarray, ctx: GContext) -> TVGradient | None:
+    return tv_gradient(g, ctx.eps_tv) if ctx.nu > 0.0 else None
+
+
+def g_energy(g: np.ndarray, ctx: GContext,
+             grad: TVGradient | None = None) -> tuple[float, float, float, float]:
+    """E_g(g) = fitting + I-divergence + weighted TV; returns (total, parts).
+
+    `grad`, if given, is `tv_gradient(g, ctx.eps_tv)`."""
+    # The step calls this with the TV gradients of g and g_next alive, at the
+    # flow's peak memory: TV comes first and the fidelity uses one temporary.
+    tv = tv_energy(g, ctx.alpha, ctx.nu, ctx.eps_tv, grad)
     fit = float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const
     idiv = 0.0
     if ctx.gamma > 0.0:
-        idiv = ctx.gamma * float(np.sum(g - ctx.f * np.log(g)))
-    tv = tv_energy(g, ctx.alpha, ctx.nu, ctx.eps_tv)
+        r = np.log(g)
+        r *= ctx.f
+        idiv = ctx.gamma * float(np.sum(np.subtract(g, r, out=r)))
     return fit + idiv + tv, fit, idiv, tv
 
 
-def force(g: np.ndarray, ctx: GContext) -> np.ndarray:
+def force(g: np.ndarray, ctx: GContext,
+          grad: TVGradient | None = None) -> np.ndarray:
     """Variational derivative of E_g; the exact gradient of `g_energy`.
 
         F'(g) = 2 (weight*g - target) - gamma*(f-g)/g
                 - nu * div(alpha * grad g / sqrt(|grad g|^2 + eps^2))
+
+    `grad`, if given, is `tv_gradient(g, ctx.eps_tv)`.
     """
     out = 2.0 * (ctx.weight * g - ctx.target)
     if ctx.gamma > 0.0:
         out += ctx.gamma * (1.0 - ctx.f / g)
     if ctx.nu > 0.0:
-        gx, gy = gradient(g)
-        mag = np.sqrt(gx * gx + gy * gy + ctx.eps_tv * ctx.eps_tv)
+        gx, gy, mag = grad if grad is not None else tv_gradient(g, ctx.eps_tv)
         out -= ctx.nu * divergence(ctx.alpha * gx / mag, ctx.alpha * gy / mag)
     return out
 
 
 def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
                e_cur: float | None = None,
-               outer: int | None = None, inner: int | None = None) -> StepResult:
+               outer: int | None = None, inner: int | None = None,
+               grad: TVGradient | None = None) -> StepResult:
     """One relaxed-SAV step of the g gradient flow.
 
-    `e_cur` (E_g at the incoming iterate) may be supplied to avoid a
-    recomputation; the positivity floor is applied after the update, and the
-    G-functional is evaluated on the pre-floor displacement.
+    `e_cur` (E_g at the incoming iterate) and `grad` (its `tv_gradient`) may
+    be supplied to avoid recomputing them; the result carries both for
+    `g_next`. The positivity floor is applied after the update, and the
+    G-functional is that of the pre-floor displacement.
     """
     if z <= 0.0:
         raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
                                outer, inner)
+    if grad is None:
+        grad = _tv_gradient(g, ctx)
     if e_cur is None:
-        e_cur = g_energy(g, ctx)[0]
-    root_cur = np.sqrt(e_cur + ctx.shift)
-    m = force(g, ctx) / root_cur
-    m_hat = solve_implicit(m, ctx.dt)
+        e_cur = g_energy(g, ctx, grad)[0]
+    m = force(g, ctx, grad)
+    m /= np.sqrt(e_cur + ctx.shift)
+    m_hat = solve_implicit(m, ctx.dt, ctx.symbol)
     ip = inner_product(m, m_hat)
+    del m
     z_tilde = z / (1.0 + 0.5 * ctx.dt * ip)
-    g_raw = g - ctx.dt * z_tilde * m_hat
-    delta = g_raw - g
-    g_val = (inner_product(delta, delta)
-             + ctx.dt * inner_product(delta, biharmonic(delta))) / ctx.dt
-    g_next = np.maximum(g_raw, ctx.g_floor)
-    floored = bool(g_raw.min() < ctx.g_floor)
-    e_next, fit, idiv, tv = g_energy(g_next, ctx)
+    g_val = ctx.dt * z_tilde * z_tilde * ip
+    # g_next = g - dt * z_tilde * m_hat, built in the buffer of m_hat
+    g_next = m_hat
+    g_next *= -ctx.dt * z_tilde
+    g_next += g
+    floored = bool(g_next.min() < ctx.g_floor)
+    np.maximum(g_next, ctx.g_floor, out=g_next)
+    grad_next = _tv_gradient(g_next, ctx)
+    e_next, fit, idiv, tv = g_energy(g_next, ctx, grad_next)
     if not (np.isfinite(e_next) and np.isfinite(z_tilde) and np.isfinite(g_val)):
         raise NumericalFailure("non-finite value in SAV step", outer, inner)
     xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta)
@@ -321,7 +362,7 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
     return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
                       xi=float(xi), g_val=float(g_val), e_next=float(e_next),
                       fit=float(fit), idiv=float(idiv), tv=float(tv),
-                      floored=floored)
+                      floored=floored, grad=grad_next)
 
 
 def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
@@ -365,18 +406,21 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
 
 def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
                  params: ModelParams, fields: FitFields | None = None,
-                 outer: int = 0) -> tuple[np.ndarray, list[InnerRecord], bool]:
+                 outer: int = 0, shift: float | None = None,
+                 ) -> tuple[np.ndarray, list[InnerRecord], bool]:
     """Run the RMSAV inner loop from the current g until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
+    `fields` and `shift` are passed to `build_g_context`.
     """
-    ctx = build_g_context(state, f, alpha, params, fields)
+    ctx = build_g_context(state, f, alpha, params, fields, shift)
     g = np.asarray(state.g, dtype=np.float64)
-    e_cur = g_energy(g, ctx)[0]
+    grad = _tv_gradient(g, ctx)
+    e_cur = g_energy(g, ctx, grad)[0]
     sav = SavState(z=float(np.sqrt(e_cur + ctx.shift)))
     records: list[InnerRecord] = []
     err2 = np.inf
     while err2 > params.tol2 and sav.inner_iter < params.max_inner:
-        step = rmsav_step(g, sav.z, ctx, e_cur=e_cur,
+        step = rmsav_step(g, sav.z, ctx, e_cur=e_cur, grad=grad,
                           outer=outer, inner=sav.inner_iter)
         err2 = abs(step.e_next - e_cur) / max(abs(step.e_next), np.finfo(float).tiny)
         records.append(InnerRecord(
@@ -384,7 +428,7 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
             fit=step.fit, idiv=step.idiv, tv=step.tv,
             z=step.z_next, z_tilde=step.z_tilde, xi=step.xi,
             g_val=step.g_val, err2=float(err2), floored=step.floored))
-        g, e_cur = step.g_next, step.e_next
+        g, e_cur, grad = step.g_next, step.e_next, step.grad
         sav.z, sav.xi = step.z_next, step.xi
         sav.inner_iter += 1
     hit_cap = err2 > params.tol2
@@ -458,12 +502,12 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fields = fit_fields(state.b, fit_kernel)
     potentials = length_potentials(state.u, length_kernel, ones_tau)
 
+    shift = energy_shift(f, params)
     log = IterationLog(header={
         "n_phases": params.n_phases, **asdict(params),
         "dt_effective": params.time_step,
         "heat_time_pixels": time_px,
-        "energy_shift": params.c0 + max(
-            0.0, -fidelity_lower_bound(f, params.gamma, params.g_floor)),
+        "energy_shift": shift,
     })
 
     err1 = np.inf
@@ -476,7 +520,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             state.b = update_bias(state, params, fit_kernel)
             fields = fit_fields(state.b, fit_kernel, fields.one)
         state.g, inner_records, hit_cap = update_image(
-            state, f, alpha, params, fields, outer=k)
+            state, f, alpha, params, fields, outer=k, shift=shift)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")

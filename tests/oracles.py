@@ -3,11 +3,18 @@
 Everything here is written as literal double/quadruple loops over the
 defining sums, with reflective (symmetric) boundary extension done by
 explicit index folding, and stays independent of the library's fast paths.
+`rmsav_step_reference` is the exception: it is the RMSAV step written out
+term by term from the library's force and energy, without the reuse the
+library's step makes.
 """
 
 from itertools import permutations
 
 import numpy as np
+
+from ictmseg.errors import NumericalFailure
+from ictmseg.field import biharmonic, inner_product, solve_implicit
+from ictmseg.solve import StepResult, force, g_energy, relaxation_coefficient
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -124,3 +131,36 @@ def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> 
                 for j in range(n)] for i in range(n)]
     return max(sum(overlap[i][perm[i]] for i in range(n))
                for perm in permutations(range(n)))
+
+
+def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = None,
+                         outer: int | None = None,
+                         inner: int | None = None) -> StepResult:
+    """The unfused RMSAV step: the force recomputed from g, G from its
+    definition (1/dt) <delta, A delta> with the biharmonic applied, and the
+    floor applied out of place."""
+    if z <= 0.0:
+        raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
+                               outer, inner)
+    if e_cur is None:
+        e_cur = g_energy(g, ctx)[0]
+    root_cur = np.sqrt(e_cur + ctx.shift)
+    m = force(g, ctx) / root_cur
+    m_hat = solve_implicit(m, ctx.dt)
+    ip = inner_product(m, m_hat)
+    z_tilde = z / (1.0 + 0.5 * ctx.dt * ip)
+    g_raw = g - ctx.dt * z_tilde * m_hat
+    delta = g_raw - g
+    g_val = (inner_product(delta, delta)
+             + ctx.dt * inner_product(delta, biharmonic(delta))) / ctx.dt
+    g_next = np.maximum(g_raw, ctx.g_floor)
+    floored = bool(g_raw.min() < ctx.g_floor)
+    e_next, fit, idiv, tv = g_energy(g_next, ctx)
+    if not (np.isfinite(e_next) and np.isfinite(z_tilde) and np.isfinite(g_val)):
+        raise NumericalFailure("non-finite value in SAV step", outer, inner)
+    xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta)
+    z_next = xi * z_tilde + (1.0 - xi) * np.sqrt(e_next + ctx.shift)
+    return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
+                      xi=float(xi), g_val=float(g_val), e_next=float(e_next),
+                      fit=float(fit), idiv=float(idiv), tv=float(tv),
+                      floored=floored)

@@ -19,6 +19,7 @@ from ictmseg.field import (
     gradient,
     heat_kernel,
     heat_kernel_pixels,
+    implicit_symbol,
     inner_product,
     laplacian,
     solve_implicit,
@@ -233,6 +234,10 @@ def test_solve_implicit_round_trip(shape, dt, seed):
     rhs = field + dt * biharmonic(field)
     back = solve_implicit(rhs, dt)
     assert np.abs(back - field).max() < 1e-10
+    # a symbol built once gives the same bits and cannot be written to
+    symbol = implicit_symbol(shape, dt)
+    assert np.array_equal(solve_implicit(rhs, dt, symbol), back)
+    assert not symbol.flags.writeable
 
 
 def test_solve_implicit_matches_dense_solve():

@@ -14,10 +14,12 @@ from ictmseg.energy import (
     gray_indicator,
 )
 from ictmseg.errors import DegenerateInputError
-from ictmseg.field import convolve, gaussian_kernel, inner_product
+from ictmseg.field import biharmonic, convolve, gaussian_kernel, inner_product
 from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
     build_g_context,
+    energy_shift,
+    fidelity_lower_bound,
     force,
     g_energy,
     relaxation_coefficient,
@@ -29,7 +31,7 @@ from ictmseg.solve import (
     update_image,
     update_means,
 )
-from oracles import bias_direct, means_direct, phi_direct
+from oracles import bias_direct, means_direct, phi_direct, rmsav_step_reference
 
 rng = np.random.default_rng(777)
 
@@ -266,6 +268,115 @@ def test_rmsav_energy_decreases_on_noisy_field():
         g, z, e_new = step.g_next, step.z_next, step.e_next
         assert e_new <= e + 1e-8 * max(1.0, abs(e))
         e = e_new
+
+
+def test_rmsav_g_val_matches_definition():
+    # the step evaluates G = dt*z_tilde^2*<m, m_hat>; recompute it from the
+    # definition (1/dt) <delta, (I + dt*Lap^2) delta>, delta = g_next - g
+    g, ctx = noisy_context()
+    z = float(np.sqrt(g_energy(g, ctx)[0] + ctx.shift))
+    for _ in range(30):
+        step = rmsav_step(g, z, ctx)
+        assert not step.floored
+        delta = step.g_next - g
+        g_def = (inner_product(delta, delta)
+                 + ctx.dt * inner_product(delta, biharmonic(delta))) / ctx.dt
+        assert g_def > 0.0
+        assert abs(step.g_val - g_def) / g_def < 1e-8
+        g, z = step.g_next, step.z_next
+
+
+def unit_scale_context(near_floor: bool, n=32):
+    """A Gamma-noisy two-phase scene at unit scale; with `near_floor` the
+    dark phase sits just above g_floor, so the flow hits the floor."""
+    clean = np.full((n, n), 0.75)
+    clean[n // 4: 3 * n // 4, n // 4: 3 * n // 4] = 2e-3 if near_floor else 0.25
+    f = clean * sample_gamma_field(n, n, 4.0, seed=11)
+    mask = (clean < 0.5).astype(float)
+    state = SegState(c=np.zeros(2), b=np.ones((n, n)),
+                     g=np.maximum(f, 1e-3), u=two_phase(mask))
+    params = ModelParams(gamma=0.1, nu=1.0, dt=0.1)
+    state.c, _ = update_means(state, params)
+    return state.g.copy(), make_context(state, f, params)
+
+
+@pytest.mark.parametrize("near_floor", [False, True])
+def test_rmsav_step_matches_reference(near_floor):
+    # the fused step (energy and TV gradient handed forward, closed-form G,
+    # in-place update and floor) follows the unfused reference step
+    g, ctx = unit_scale_context(near_floor)
+    e = g_energy(g, ctx)[0]
+    z = float(np.sqrt(e + ctx.shift))
+    g_ref, z_ref, e_ref = g.copy(), z, e
+    grad = None
+    floored = 0
+    for _ in range(50):
+        step = rmsav_step(g, z, ctx, e_cur=e, grad=grad)
+        ref = rmsav_step_reference(g_ref, z_ref, ctx, e_cur=e_ref)
+        assert step.floored == ref.floored
+        floored += step.floored
+        assert np.abs(step.g_next - ref.g_next).max() < 1e-10
+        for name in ("z_next", "xi", "e_next", "g_val"):
+            a, b = getattr(step, name), getattr(ref, name)
+            assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300), name
+        g, z, e, grad = step.g_next, step.z_next, step.e_next, step.grad
+        g_ref, z_ref, e_ref = ref.g_next, ref.z_next, ref.e_next
+    assert (floored > 0) == near_floor
+    assert g.min() >= ctx.g_floor
+
+
+def test_rmsav_operator_budget(monkeypatch):
+    # K steps of the flow: K implicit solves, no biharmonic, and K + 1 TV
+    # gradients (one per iterate, the entry energy's included)
+    import ictmseg.energy
+    import ictmseg.field
+    import ictmseg.solve
+
+    counts = {"gradient": 0, "biharmonic": 0, "solve_implicit": 0}
+
+    def counting(name):
+        fn = getattr(ictmseg.field, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in counts:
+        wrapped = counting(name)
+        for module in (ictmseg.solve, ictmseg.energy):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    steps = 7
+    state = random_instance(16)
+    f = state.g.copy()
+    params = ModelParams(tol2=0.0, max_inner=steps)
+    alpha = gray_indicator(f, params.sigma, params.p)
+    _, records, _ = update_image(state, f, alpha, params)
+    assert len(records) == steps
+    assert counts == {"gradient": steps + 1, "biharmonic": 0, "solve_implicit": steps}
+
+
+def test_segment_computes_energy_shift_once(monkeypatch):
+    # the shift of z = sqrt(E_g + shift) is a constant of the run: one
+    # fidelity lower bound for the log header and every image flow
+    import ictmseg.solve
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return fidelity_lower_bound(*args)
+
+    monkeypatch.setattr(ictmseg.solve, "fidelity_lower_bound", counting)
+    n = 16
+    f = np.full((n, n), 60.0)
+    f[4:12, 4:12] = 190.0
+    init = np.zeros((n, n))
+    init[2:10, 2:10] = 1.0
+    _, log = segment(f, two_phase(init), ModelParams(max_outer=3))
+    assert len(log.outers) >= 2
+    assert len(calls) == 1
+    assert log.header["energy_shift"] == energy_shift(f / 255.0, ModelParams())
 
 
 # ------------------------------------------------------------- relaxation xi
