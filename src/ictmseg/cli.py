@@ -29,7 +29,7 @@ from .fileio import (
 from .metrics import match_phases, multiphase_report, score_masks
 from .noise import corrupt
 from .solve import segment, update_image
-from .synth import generate
+from .synth import Shape, generate
 
 ENERGY_COLUMNS = ["outer_iter", "inner_iter", "E_fit", "E_len", "E_idiv",
                   "E_tv", "E_total", "E_u", "z_sq", "xi", "err1", "err2"]
@@ -96,16 +96,12 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
             raise ConfigError("checkerboard cell must be >= 1")
         yy, xx = np.mgrid[0:h, 0:w]
         return IndicatorSet.from_labels(((yy // cell) + (xx // cell)) % n, n)
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    if kind == "circle":
-        cx, cy, r = (float(v) for v in args.split(","))
-        interior = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-    elif kind == "rect":
-        x, y, rw, rh = (float(v) for v in args.split(","))
-        interior = (xx >= x) & (xx < x + rw) & (yy >= y) & (yy < y + rh)
-    else:
+    shape_kinds = {"circle": "disk", "rect": "rect"}
+    if kind not in shape_kinds:
         raise ConfigError(f"unknown init kind {kind!r} "
                           "(circle|rect|checkerboard|mask)")
+    values = tuple(float(v) for v in args.split(","))
+    interior = Shape(shape_kinds[kind], values, 0.0).mask(h, w)
     labels = np.zeros((h, w), dtype=np.int64)
     outside = ~interior
     order = np.argsort(f[outside], kind="stable")

@@ -154,6 +154,11 @@ class IndicatorSet:
     def labels(self) -> np.ndarray:
         return np.argmax(self.masks, axis=0).astype(np.int64)
 
+    def weighted_sum(self, weights) -> np.ndarray:
+        """sum_i w_i u_i: the weight of the phase each pixel belongs to.
+        Exact on a partition, where one term per pixel is nonzero."""
+        return np.tensordot(np.asarray(weights, dtype=np.float64), self.masks, axes=1)
+
     def copy(self) -> "IndicatorSet":
         return IndicatorSet(self.masks.copy(), check=False)
 
@@ -200,44 +205,35 @@ def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:
     return (smoothed / m) ** p
 
 
-def ones_mass(shape: tuple[int, int], kernel: Kernel) -> np.ndarray:
-    """Kernel mass seen at each pixel: K * 1. Identically 1 up to roundoff
-    under reflective padding, but computed explicitly rather than assumed."""
-    return convolve(np.ones(shape, dtype=np.float64), kernel)
-
-
 class FitFields(NamedTuple):
-    """The three fit-kernel passes through which the model reads the bias:
-    K*1 (fixed for a run), K*b and K*b^2 (new after each bias update)."""
+    """The two fit-kernel passes through which the model reads the bias,
+    K*b and K*b^2, new after each bias update. K*1 is not among them: the
+    kernel has unit mass and the boundary reflects, so K*1 = 1."""
 
-    one: np.ndarray
     kb: np.ndarray
     kb2: np.ndarray
 
 
-def fit_fields(b: np.ndarray, kernel: Kernel,
-               one: np.ndarray | None = None) -> FitFields:
-    """K*1, K*b and K*b^2 for the bias `b`; pass `one` to reuse K*1."""
+def fit_fields(b: np.ndarray, kernel: Kernel) -> FitFields:
+    """K*b and K*b^2 for the bias `b`."""
     b = np.asarray(b, dtype=np.float64)
-    if one is None:
-        one = ones_mass(b.shape, kernel)
-    return FitFields(one, convolve(b, kernel), convolve(b * b, kernel))
+    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
 
 
 def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
     """Stacked kernel-weighted squared residuals, one per mean c_i:
 
         e_i(x) = sum_y K(y-x) * (g(x) - b(y) * c_i)^2
-               = g^2 (K*1) - 2 c_i g (K*b) + c_i^2 (K*b^2),
+               = g^2 - 2 c_i g (K*b) + c_i^2 (K*b^2)       (K*1 = 1),
 
     clamped at 0 against roundoff.
     """
     g = np.asarray(g, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    g2_one = g * g * fields.one
+    g2 = g * g
     e = np.empty((len(c),) + g.shape)
     for i, c_i in enumerate(c):
-        e[i] = np.maximum(g2_one - 2.0 * c_i * g * fields.kb + c_i * c_i * fields.kb2, 0.0)
+        e[i] = np.maximum(g2 - 2.0 * c_i * g * fields.kb + c_i * c_i * fields.kb2, 0.0)
     return e
 
 
@@ -259,13 +255,19 @@ def fitting_energy(state: SegState, params: ModelParams,
     return fit_term(residual_fields(state.g, state.c, fields), state.u, params.lambdas)
 
 
-def length_potentials(u: IndicatorSet, kernel: Kernel,
-                      one: np.ndarray | None = None) -> np.ndarray:
-    """Stacked K_t*1 - K_t*u_i: the heat-kernel mass outside phase i, which
-    equals sum_{j != i} K_t*u_j on a partition. Pass `one` to reuse K_t*1."""
-    if one is None:
-        one = ones_mass(u.shape, kernel)
-    return np.stack([one - convolve(m, kernel) for m in u.masks])
+def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
+    """Stacked heat-kernel mass outside each phase, sum_{j != i} K_t*u_j.
+
+    The kernel has unit mass and the phases sum to 1, so the mass outside
+    phase i is 1 - K_t*u_i, and that outside the last phase is the sum of
+    the others' K_t*u_j: n - 1 convolutions. A one-phase set has a zero
+    field; an empty phase sees the full mass."""
+    potentials = np.zeros((u.n,) + u.shape)
+    for i in range(u.n - 1):
+        spread = convolve(u.masks[i], kernel)
+        potentials[-1] += spread
+        np.subtract(1.0, spread, out=potentials[i])
+    return potentials
 
 
 def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,

@@ -48,7 +48,6 @@ from .energy import (
     idiv_energy,
     length_potentials,
     length_term,
-    ones_mass,
     phase_costs,
     residual_fields,
     tv_energy,
@@ -67,7 +66,6 @@ from .field import (
 )
 
 __all__ = [
-    "SavState",
     "StepResult",
     "InnerRecord",
     "OuterRecord",
@@ -91,15 +89,6 @@ __all__ = [
 
 # --------------------------------------------------------------------------
 # bookkeeping types
-
-@dataclass
-class SavState:
-    """Inner-loop scalar state: auxiliary variable z, last relaxation xi."""
-
-    z: float
-    xi: float = 1.0
-    inner_iter: int = 0
-
 
 @dataclass(frozen=True)
 class StepResult:
@@ -186,19 +175,18 @@ def update_bias(state: SegState, params: ModelParams,
                 kernel: Kernel | None = None) -> np.ndarray:
     """Optimal bias field
 
-        b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y).
+        b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y)
+             = K*(sum_i lam_i c_i u_i g) / K*(sum_i lam_i c_i^2 u_i),
+
+    two convolutions for any number of phases (K is linear).
     """
-    if not np.any(np.asarray(state.c) != 0.0):
+    c = np.asarray(state.c, dtype=np.float64)
+    if not np.any(c != 0.0):
         raise DegenerateInputError("all region means are zero; bias undefined")
     kernel = kernel or gaussian_kernel(params.rho)
-    num = np.zeros_like(state.g)
-    den = np.zeros_like(state.g)
-    for i, lam in enumerate(params.lambdas):
-        c_i = float(state.c[i])
-        if lam == 0.0 or c_i == 0.0:
-            continue
-        num += lam * c_i * convolve(state.u.masks[i] * state.g, kernel)
-        den += lam * c_i * c_i * convolve(state.u.masks[i], kernel)
+    lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
+    num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
+    den = convolve(state.u.weighted_sum(lam_c * c), kernel)
     den = np.maximum(den, np.finfo(np.float64).tiny)
     return num / den
 
@@ -210,8 +198,8 @@ def update_bias(state: SegState, params: ModelParams,
 class GContext:
     """Everything the g-subproblem needs with (c, b, u) held fixed.
 
-    weight = (K*1) * sum_i lam_i u_i and target = (K*b) * sum_i lam_i c_i u_i
-    collapse the per-phase fitting terms, so
+    weight = sum_i lam_i u_i and target = (K*b) * sum_i lam_i c_i u_i
+    collapse the per-phase fitting terms (K*1 = 1), so
 
         E_fit(g) = <g^2, weight> - 2 <g, target> + fit_const,
         dE_fit   = 2 (weight * g - target).
@@ -255,23 +243,17 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
     computed here if not given."""
     if fields is None:
         fields = fit_fields(state.b, gaussian_kernel(params.rho))
-    lam_u = np.zeros_like(state.g)
-    lam_cu = np.zeros_like(state.g)
-    fit_const = 0.0
-    for i, lam in enumerate(params.lambdas):
-        c_i = float(state.c[i])
-        lam_u += lam * state.u.masks[i]
-        lam_cu += lam * c_i * state.u.masks[i]
-        fit_const += lam * c_i * c_i * inner_product(state.u.masks[i], fields.kb2)
+    lam = np.asarray(params.lambdas, dtype=np.float64)
+    c = np.asarray(state.c, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if shift is None:
         shift = energy_shift(f, params)
     return GContext(
         f=f,
         alpha=np.asarray(alpha, dtype=np.float64),
-        weight=fields.one * lam_u,
-        target=fields.kb * lam_cu,
-        fit_const=fit_const,
+        weight=state.u.weighted_sum(lam),
+        target=fields.kb * state.u.weighted_sum(lam * c),
+        fit_const=inner_product(state.u.weighted_sum(lam * c * c), fields.kb2),
         gamma=params.gamma,
         nu=params.nu,
         eps_tv=params.eps_tv,
@@ -313,12 +295,16 @@ def force(g: np.ndarray, ctx: GContext,
 
     `grad`, if given, is `tv_gradient(g, ctx.eps_tv)`.
     """
+    # The divergence comes first, so that `out` is not alive while it runs.
+    tv = None
+    if ctx.nu > 0.0:
+        gx, gy, mag = grad if grad is not None else tv_gradient(g, ctx.eps_tv)
+        tv = ctx.nu * divergence(ctx.alpha * gx / mag, ctx.alpha * gy / mag)
     out = 2.0 * (ctx.weight * g - ctx.target)
     if ctx.gamma > 0.0:
         out += ctx.gamma * (1.0 - ctx.f / g)
-    if ctx.nu > 0.0:
-        gx, gy, mag = grad if grad is not None else tv_gradient(g, ctx.eps_tv)
-        out -= ctx.nu * divergence(ctx.alpha * gx / mag, ctx.alpha * gy / mag)
+    if tv is not None:
+        out -= tv
     return out
 
 
@@ -416,21 +402,19 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
     g = np.asarray(state.g, dtype=np.float64)
     grad = _tv_gradient(g, ctx)
     e_cur = g_energy(g, ctx, grad)[0]
-    sav = SavState(z=float(np.sqrt(e_cur + ctx.shift)))
+    z = float(np.sqrt(e_cur + ctx.shift))
     records: list[InnerRecord] = []
     err2 = np.inf
-    while err2 > params.tol2 and sav.inner_iter < params.max_inner:
-        step = rmsav_step(g, sav.z, ctx, e_cur=e_cur, grad=grad,
-                          outer=outer, inner=sav.inner_iter)
+    while err2 > params.tol2 and len(records) < params.max_inner:
+        step = rmsav_step(g, z, ctx, e_cur=e_cur, grad=grad,
+                          outer=outer, inner=len(records))
         err2 = abs(step.e_next - e_cur) / max(abs(step.e_next), np.finfo(float).tiny)
         records.append(InnerRecord(
-            outer=outer, inner=sav.inner_iter, energy=step.e_next,
+            outer=outer, inner=len(records), energy=step.e_next,
             fit=step.fit, idiv=step.idiv, tv=step.tv,
             z=step.z_next, z_tilde=step.z_tilde, xi=step.xi,
             g_val=step.g_val, err2=float(err2), floored=step.floored))
-        g, e_cur, grad = step.g_next, step.e_next, step.grad
-        sav.z, sav.xi = step.z_next, step.xi
-        sav.inner_iter += 1
+        g, e_cur, grad, z = step.g_next, step.e_next, step.grad, step.z_next
     hit_cap = err2 > params.tol2
     return g, records, hit_cap
 
@@ -490,7 +474,6 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fit_kernel = gaussian_kernel(params.rho)
     time_px = params.heat_time_pixels(f.shape)
     length_kernel = heat_kernel_pixels(time_px)
-    ones_tau = ones_mass(f.shape, length_kernel)
 
     state = SegState(
         c=np.zeros(params.n_phases),
@@ -498,9 +481,9 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         g=np.maximum(f, params.g_floor),
         u=init.copy(),
     )
-    # K*1, K*b, K*b^2 change only with the bias; K_t*1 - K_t*u_i only with u.
+    # K*b, K*b^2 change only with the bias; the length potentials only with u.
     fields = fit_fields(state.b, fit_kernel)
-    potentials = length_potentials(state.u, length_kernel, ones_tau)
+    potentials = length_potentials(state.u, length_kernel)
 
     shift = energy_shift(f, params)
     log = IterationLog(header={
@@ -518,7 +501,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         flags += mean_flags
         if not params.freeze_bias:
             state.b = update_bias(state, params, fit_kernel)
-            fields = fit_fields(state.b, fit_kernel, fields.one)
+            fields = fit_fields(state.b, fit_kernel)
         state.g, inner_records, hit_cap = update_image(
             state, f, alpha, params, fields, outer=k, shift=shift)
         log.inners.extend(inner_records)
@@ -530,7 +513,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
                      + length_term(state.u, potentials, params.mu, time_px))
         u_new = threshold(phase_costs(e_fields, potentials, params.lambdas,
                                       params.mu, time_px))
-        potentials = length_potentials(u_new, length_kernel, ones_tau)
+        potentials = length_potentials(u_new, length_kernel)
         fit_new = fit_term(e_fields, u_new, params.lambdas)
         len_new = length_term(u_new, potentials, params.mu, time_px)
         eu_after = fit_new + len_new

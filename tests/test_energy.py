@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ictmseg.energy
 from ictmseg.energy import (
     EnergyBreakdown,
     IndicatorSet,
@@ -13,12 +14,13 @@ from ictmseg.energy import (
     gray_indicator,
     idiv_energy,
     length_energy,
+    length_potentials,
     partition_energy,
     total_energy,
     tv_energy,
 )
 from ictmseg.errors import ConfigError, DegenerateInputError
-from ictmseg.field import convolve, gaussian_kernel, inner_product
+from ictmseg.field import convolve, gaussian_kernel, heat_kernel_pixels, inner_product
 
 from oracles import conv2d_direct, fit_residual_direct
 
@@ -178,6 +180,32 @@ def test_length_energy_single_phase_zero():
     masks[0] = 1.0
     val = length_energy(IndicatorSet(masks), mu=1.0, time_px=4.0)
     assert abs(val) < 1e-10
+
+
+def test_length_potentials_one_phase_set_is_zero(monkeypatch):
+    # no other phase: a zero field, made without a convolution
+    def no_convolution(field, kernel):
+        raise AssertionError("a one-phase set needs no convolution")
+
+    monkeypatch.setattr(ictmseg.energy, "convolve", no_convolution)
+    u = IndicatorSet(np.ones((1, 9, 7)))
+    pots = length_potentials(u, heat_kernel_pixels(2.0))
+    assert pots.shape == (1, 9, 7)
+    assert not pots.any()
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_length_potentials_empty_phase_sees_full_mass(empty):
+    k = heat_kernel_pixels(3.0)
+    labels = np.random.default_rng(empty).integers(0, 2, (12, 10))
+    labels[labels >= empty] += 1       # phases {0, 1, 2} minus `empty`
+    u = IndicatorSet.from_labels(labels, 3)
+    assert not u.masks[empty].any()
+    pots = length_potentials(u, k)
+    assert np.abs(pots[empty] - 1.0).max() < 1e-13
+    for i in range(3):   # sum_{j != i} K_t*u_j against direct convolutions
+        ref = sum(conv2d_direct(u.masks[j], k.weights) for j in range(3) if j != i)
+        assert np.abs(pots[i] - ref).max() < 1e-12
 
 
 def test_length_energy_straight_edge():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ictmseg
 
 from ictmseg.field import (
+    DEFAULT_TRUNCATION,
     biharmonic,
     convolve,
     divergence,
@@ -113,6 +114,15 @@ def test_convolve_constant_field_unchanged():
     k = gaussian_kernel(1.5)
     field = np.full((10, 13), 7.25)
     assert np.allclose(convolve(field, k), 7.25, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, excess=st.floats(0.1, 40.0))
+def test_convolve_unit_mass_kernel_preserves_ones(shape, excess):
+    # the solver takes K*1 = 1 instead of computing it; radius > every side
+    k = gaussian_kernel((max(shape) + excess) / DEFAULT_TRUNCATION)
+    assert k.radius > max(shape)
+    assert np.abs(convolve(np.ones(shape), k) - 1.0).max() < 1e-13
 
 
 def test_convolve_matches_direct_double_loop():

@@ -14,7 +14,8 @@ from ictmseg.energy import (
     gray_indicator,
 )
 from ictmseg.errors import DegenerateInputError
-from ictmseg.field import biharmonic, convolve, gaussian_kernel, inner_product
+from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
+                           inner_product)
 from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
     build_g_context,
@@ -125,10 +126,23 @@ def test_update_bias_recovers_smooth_field():
     assert np.abs(b - ref).max() < 1e-10
 
 
-def test_update_bias_matches_direct_quotient():
-    state = random_instance()
+def multiphase_instance(n_phases, size=8, seed=0):
+    r = np.random.default_rng(seed)
+    return SegState(
+        c=1.0 + 3.0 * r.random(n_phases),
+        b=r.random((size, size)) + 0.5,
+        g=r.random((size, size)) * 5 + 0.5,
+        u=IndicatorSet.from_labels(r.integers(0, n_phases, (size, size)), n_phases),
+    ), tuple(0.5 + r.random(n_phases))
+
+
+@pytest.mark.parametrize("n_phases", [2, 3, 4])
+def test_update_bias_matches_direct_quotient(n_phases):
+    # two convolutions of phase-weighted sums against 2n direct ones
+    state, lambdas = multiphase_instance(n_phases, seed=n_phases)
+    state.c[1] = 0.0   # a zero-mean phase drops out of both sums
     k = gaussian_kernel(1.2, truncation=3)
-    params = ModelParams(lambdas=(0.8, 1.7), rho=1.2)
+    params = ModelParams(lambdas=lambdas, rho=1.2)
     b = update_bias(state, params, k)
     ref = bias_direct(state.u.masks, state.g, state.c,
                       np.array(params.lambdas), k.weights)
@@ -495,11 +509,12 @@ def test_threshold_fields_empty_phase_sees_full_length_cost():
     assert np.allclose(phis[1], pref, atol=1e-10)
 
 
-def test_threshold_fields_match_direct_oracle():
-    state = random_instance()
-    params = ModelParams(mu=0.7, lambdas=(1.1, 0.9))
+@pytest.mark.parametrize("n_phases", [2, 3, 4])
+def test_threshold_fields_match_direct_oracle(n_phases):
+    # n - 1 heat convolutions against the oracle's n(n - 1) direct ones
+    state, lambdas = multiphase_instance(n_phases, seed=10 + n_phases)
+    params = ModelParams(mu=0.7, lambdas=lambdas)
     time_px = 2.0
-    from ictmseg.field import heat_kernel_pixels
     k = heat_kernel_pixels(time_px)
     kf = gaussian_kernel(1.2, truncation=3)
     e = np.stack([fit_residual(state.g, state.b, c, kf) for c in state.c])
@@ -643,8 +658,9 @@ def test_fit_fields_reuse_is_bit_identical():
 
 @pytest.mark.parametrize("n_phases, freeze_bias", [(2, False), (3, False), (3, True)])
 def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
-    # One outer iteration makes 2n fit-kernel convolutions in the bias
-    # update plus K*b and K*b^2 after it; K*1 is made once per run.
+    # One outer iteration makes two fit-kernel convolutions in the bias
+    # update plus K*b and K*b^2 after it, and n - 1 heat-kernel convolutions
+    # for the length potentials of the new partition; K*1 is never made.
     import ictmseg.energy
     import ictmseg.solve
 
@@ -658,20 +674,23 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     labels[:, n // 2:] = n_phases - 1
     params = ModelParams(lambdas=(1.0,) * n_phases, max_outer=4, tol1=0.0,
                          freeze_bias=freeze_bias)
-    fit = gaussian_kernel(params.rho)
-    counts = [0]
+    kernels = {"fit": gaussian_kernel(params.rho),
+               "heat": heat_kernel_pixels(params.heat_time_pixels(f.shape))}
+    counts = [{"fit": 0, "heat": 0}]
 
     def counting(field, kernel):
-        if kernel.radius == fit.radius and np.array_equal(kernel.profile, fit.profile):
-            counts[-1] += 1
+        for name, ref in kernels.items():
+            if kernel.radius == ref.radius and np.array_equal(kernel.profile, ref.profile):
+                counts[-1][name] += 1
         return convolve(field, kernel)
 
     for module in (ictmseg.energy, ictmseg.solve):
         monkeypatch.setattr(module, "convolve", counting)
     _, log = segment(f, IndicatorSet.from_labels(labels, n_phases), params,
-                     progress=lambda rec: counts.append(0))
-    budget = 0 if freeze_bias else 2 * n_phases + 2
+                     progress=lambda rec: counts.append({"fit": 0, "heat": 0}))
+    budget = {"fit": 0 if freeze_bias else 4, "heat": n_phases - 1}
     assert len(log.outers) >= 3
-    assert counts[0] == 3 + budget   # K*1, K*b, K*b^2 before the loop
+    # K*b, K*b^2 and the first partition's potentials before the loop
+    assert counts[0] == {"fit": 2 + budget["fit"], "heat": 2 * budget["heat"]}
     assert counts[1:-1] == [budget] * (len(log.outers) - 1)
-    assert counts[-1] == 0
+    assert counts[-1] == {"fit": 0, "heat": 0}
