@@ -22,7 +22,6 @@ from .energy import (
     gray_indicator,
     idiv_energy,
     length_energy,
-    partition_energy,
     total_energy,
     tv_energy,
 )
@@ -62,7 +61,6 @@ from .solve import (
     rmsav_step,
     segment,
     threshold,
-    threshold_fields,
     update_bias,
     update_image,
     update_means,

@@ -201,9 +201,10 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
                   f"E_u={rec.eu_after:.6e}  err1={rec.err1:.3e}")
     state, log = segment(f, init, cfg.params, progress=progress)
 
+    labels = state.u.labels()
     for i in range(state.u.n):
-        write_pgm(out / f"mask_{i}.pgm", state.u.masks[i] * 255.0)
-    write_pgm(out / "labels.pgm", state.u.labels().astype(np.float64))
+        write_pgm(out / f"mask_{i}.pgm", (labels == i) * 255.0)
+    write_pgm(out / "labels.pgm", labels.astype(np.float64))
     write_pgm(out / "denoised.pgm", state.g)
     write_f64(out / "denoised.f64", state.g)
     write_f64(out / "bias.f64", state.b)
@@ -225,7 +226,8 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    """Run only the smooth-image subproblem: unit bias, zero fitting weight.
+    """Run only the smooth-image subproblem: every fitting weight is zero,
+    so the flow reads no partition, bias or means.
 
     Unlike segmentation, the flow runs long (default cap 500 steps unless the
     config sets max_inner) since there is no partition to co-evolve with.
@@ -235,12 +237,7 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     if "max_inner" not in cfg.raw:
         params = replace(params, max_inner=500)
     f_norm = f / params.intensity_scale
-    n = params.n_phases
-    masks = np.zeros((n,) + f.shape)
-    masks[0] = 1.0
-    state = SegState(c=np.zeros(n), b=np.ones_like(f),
-                     g=np.maximum(f_norm, params.g_floor),
-                     u=IndicatorSet(masks, check=False))
+    state = SegState(c=None, b=None, g=np.maximum(f_norm, params.g_floor), u=None)
     alpha = gray_indicator(f_norm, params.sigma, params.p)
     g, records, hit_cap = update_image(state, f_norm, alpha, params)
     g = g * params.intensity_scale

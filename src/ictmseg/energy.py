@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import (Kernel, convolve, gaussian_kernel, gradient, heat_kernel_pixels,
-                    inner_product)
+from .field import Kernel, convolve, gaussian_kernel, gradient, heat_kernel_pixels
 
 __all__ = [
     "ModelParams",
@@ -43,7 +42,6 @@ __all__ = [
     "tv_gradient",
     "tv_energy",
     "total_energy",
-    "partition_energy",
 ]
 
 
@@ -121,51 +119,66 @@ class ModelParams:
 
 
 class IndicatorSet:
-    """A hard partition: n binary masks summing to 1 at every pixel."""
+    """A hard partition into n phases, stored as one label per pixel, the form
+    thresholding produces. The solver reads the binary masks u_i only through
+    gathers and per-phase sums of the labels; the n float64 masks are built
+    when `masks` is read. The labels are read-only, so sets are shared."""
 
-    def __init__(self, masks: np.ndarray, check: bool = True):
+    def __init__(self, masks: np.ndarray):
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 3 or masks.shape[0] < 1:
             raise ValueError(f"masks must be (n, H, W), got {masks.shape}")
-        if check:
-            binary = (masks == 0.0) | (masks == 1.0)
-            if not binary.all():
-                raise ValueError("indicator masks must be exactly 0/1")
-            if not (masks.sum(axis=0) == 1.0).all():
-                raise ValueError("masks must partition the grid (sum to 1 pointwise)")
-        self.masks = masks
-
-    @property
-    def n(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.masks.shape[1:]
+        if not ((masks == 0.0) | (masks == 1.0)).all():
+            raise ValueError("indicator masks must be exactly 0/1")
+        if not (masks.sum(axis=0) == 1.0).all():
+            raise ValueError("masks must partition the grid (sum to 1 pointwise)")
+        self._labels, self.n = np.argmax(masks, axis=0), masks.shape[0]
+        self._labels.flags.writeable = False
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, n: int) -> "IndicatorSet":
+        """From an (H, W) map of integer labels in [0, n), copied."""
         labels = np.asarray(labels)
+        if labels.ndim != 2 or labels.dtype.kind not in "biu":
+            raise ValueError(f"labels must be a 2-D integer map, got {labels.shape}")
         if labels.min() < 0 or labels.max() >= n:
             raise ValueError(f"labels out of range for {n} phases")
-        masks = np.stack([(labels == i).astype(np.float64) for i in range(n)])
-        return cls(masks, check=False)
+        u = cls.__new__(cls)
+        u._labels, u.n = labels.astype(np.intp), n
+        u._labels.flags.writeable = False
+        return u
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._labels.shape
 
     def labels(self) -> np.ndarray:
-        return np.argmax(self.masks, axis=0).astype(np.int64)
+        return self._labels
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The (n, H, W) float64 stack of binary masks."""
+        return (self._labels == np.arange(self.n)[:, None, None]).astype(np.float64)
 
     def weighted_sum(self, weights) -> np.ndarray:
-        """sum_i w_i u_i: the weight of the phase each pixel belongs to.
-        Exact on a partition, where one term per pixel is nonzero."""
-        return np.tensordot(np.asarray(weights, dtype=np.float64), self.masks, axes=1)
+        """sum_i w_i u_i: the weight of the phase each pixel belongs to."""
+        return np.asarray(weights, dtype=np.float64)[self._labels]
 
-    def copy(self) -> "IndicatorSet":
-        return IndicatorSet(self.masks.copy(), check=False)
+    def inner_products(self, fields: np.ndarray) -> np.ndarray:
+        """(<u_i, F_i>)_i for a stack F of n fields, (<u_i, F>)_i for one field:
+        sums over each phase's pixels, faster than a gather or a bincount."""
+        return np.array([np.sum(fields[i] if fields.ndim == 3 else fields,
+                                where=self._labels == i) for i in range(self.n)])
+
+    def distance(self, other: "IndicatorSet") -> float:
+        """sqrt(sum_i |u_i - v_i|^2): each relabelled pixel changes two masks."""
+        return float(np.sqrt(2.0 * np.count_nonzero(self._labels != other._labels)))
 
 
 @dataclass
 class SegState:
-    """Current iterate: region means c, bias field b, smooth image g, masks u."""
+    """Current iterate: means c, bias b, smooth image g, partition u. With
+    every fit weight zero the image flow reads only g; c, b, u may be None."""
 
     c: np.ndarray
     b: np.ndarray
@@ -173,7 +186,7 @@ class SegState:
     u: IndicatorSet
 
     def copy(self) -> "SegState":
-        return SegState(self.c.copy(), self.b.copy(), self.g.copy(), self.u.copy())
+        return SegState(self.c.copy(), self.b.copy(), self.g.copy(), self.u)
 
 
 @dataclass(frozen=True)
@@ -245,7 +258,7 @@ def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float,
 
 def fit_term(e_fields: np.ndarray, u: IndicatorSet, lambdas) -> float:
     """sum_i lam_i * <u_i, e_i> for fixed residual fields."""
-    return sum(lambdas[i] * inner_product(u.masks[i], e_fields[i]) for i in range(u.n))
+    return float(sum(lam * s for lam, s in zip(lambdas, u.inner_products(e_fields))))
 
 
 def fitting_energy(state: SegState, params: ModelParams,
@@ -264,7 +277,7 @@ def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
     field; an empty phase sees the full mass."""
     potentials = np.zeros((u.n,) + u.shape)
     for i in range(u.n - 1):
-        spread = convolve(u.masks[i], kernel)
+        spread = convolve(u.labels() == i, kernel)
         potentials[-1] += spread
         np.subtract(1.0, spread, out=potentials[i])
     return potentials
@@ -273,8 +286,7 @@ def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
 def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,
                 time_px: float) -> float:
     """mu * sqrt(pi/t) * sum_i <u_i, potentials_i>."""
-    return mu * (np.sqrt(np.pi / time_px)
-                 * sum(inner_product(u.masks[i], potentials[i]) for i in range(u.n)))
+    return mu * (np.sqrt(np.pi / time_px) * float(u.inner_products(potentials).sum()))
 
 
 def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
@@ -355,12 +367,3 @@ def total_energy(state: SegState, f: np.ndarray, alpha: np.ndarray,
     idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
     tv = tv_energy(state.g, alpha, params.nu, params.eps_tv)
     return EnergyBreakdown.build(fit, length, idiv, tv)
-
-
-def partition_energy(e_fields: np.ndarray, u: IndicatorSet, params: ModelParams,
-                     time_px: float, kernel: Kernel | None = None) -> float:
-    """Energy of a partition with the residual fields held fixed:
-    fitting plus heat-kernel length. This is the quantity the thresholding
-    step decreases monotonically."""
-    return (fit_term(e_fields, u, params.lambdas)
-            + length_energy(u, params.mu, time_px, kernel))

@@ -133,14 +133,13 @@ def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
     assignment problem, solved here without scipy.optimize, whose import
     alone adds ~20 MB of resident memory and ~0.14 s to a run.
     """
-    if pred.n != truth.n:
-        raise ValueError(f"phase count mismatch: {pred.n} vs {truth.n}")
-    overlap = np.array([[np.count_nonzero(pred.masks[i].astype(bool)
-                                          & truth.masks[j].astype(bool))
-                         for j in range(truth.n)] for i in range(pred.n)])
-    masks = np.empty_like(pred.masks)
-    masks[_max_overlap_assignment(overlap)] = pred.masks
-    return IndicatorSet(masks, check=False)
+    n = pred.n
+    if n != truth.n:
+        raise ValueError(f"phase count mismatch: {n} vs {truth.n}")
+    # overlap[i, j] counts the pixels labelled i in pred and j in truth
+    pairs = pred.labels().ravel() * n + truth.labels().ravel()
+    overlap = np.bincount(pairs, minlength=n * n).reshape(n, n)
+    return IndicatorSet.from_labels(_max_overlap_assignment(overlap)[pred.labels()], n)
 
 
 def multiphase_report(pred: IndicatorSet, truth: IndicatorSet,
@@ -156,6 +155,6 @@ def multiphase_report(pred: IndicatorSet, truth: IndicatorSet,
     rows = []
     for i, name in enumerate(names):
         row = {"class": name}
-        row.update(score_masks(pred.masks[i], truth.masks[i]))
+        row.update(score_masks(pred.labels() == i, truth.labels() == i))
         rows.append(row)
     return rows

@@ -81,7 +81,6 @@ __all__ = [
     "update_means",
     "update_bias",
     "update_image",
-    "threshold_fields",
     "threshold",
     "segment",
 ]
@@ -161,13 +160,12 @@ def update_means(state: SegState, params: ModelParams,
         fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
     c = np.array(state.c, dtype=np.float64, copy=True)
     flags = []
-    for i in range(state.u.n):
-        mask = state.u.masks[i]
-        denom = inner_product(mask, fields.kb2)
+    nums = state.u.inner_products(state.g * fields.kb)
+    for i, denom in enumerate(state.u.inner_products(fields.kb2)):
         if denom <= 0.0:
             flags.append(f"phase {i} empty; keeping previous mean {c[i]:.6g}")
             continue
-        c[i] = inner_product(mask * state.g, fields.kb) / denom
+        c[i] = nums[i] / denom
     return c, flags
 
 
@@ -204,6 +202,8 @@ class GContext:
         E_fit(g) = <g^2, weight> - 2 <g, target> + fit_const,
         dE_fit   = 2 (weight * g - target).
 
+    With every lam_i zero there is no fitting term: weight and target are None.
+
     `shift` is the effective positivity offset for the auxiliary variable
     z = sqrt(E_g + shift): the configured margin c0 plus the magnitude of the
     exact lower bound of the fidelity term (attained pointwise at g = f), so
@@ -212,8 +212,8 @@ class GContext:
 
     f: np.ndarray
     alpha: np.ndarray
-    weight: np.ndarray
-    target: np.ndarray
+    weight: np.ndarray | None
+    target: np.ndarray | None
     fit_const: float
     gamma: float
     nu: float
@@ -240,20 +240,26 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
                     shift: float | None = None) -> GContext:
     """`fields` are the fit fields of `state.b`; made from `params.rho` if
     not given. `shift` is `energy_shift(f, params)`, a constant of the run;
-    computed here if not given."""
-    if fields is None:
-        fields = fit_fields(state.b, gaussian_kernel(params.rho))
+    computed here if not given. With every lam_i zero, only `state.g` is
+    read: c, b and u may be None."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
-    c = np.asarray(state.c, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if shift is None:
         shift = energy_shift(f, params)
+    weight, target, fit_const = None, None, 0.0
+    if lam.any():
+        if fields is None:
+            fields = fit_fields(state.b, gaussian_kernel(params.rho))
+        c = np.asarray(state.c, dtype=np.float64)
+        weight = state.u.weighted_sum(lam)
+        target = fields.kb * state.u.weighted_sum(lam * c)
+        fit_const = inner_product(state.u.weighted_sum(lam * c * c), fields.kb2)
     return GContext(
         f=f,
         alpha=np.asarray(alpha, dtype=np.float64),
-        weight=state.u.weighted_sum(lam),
-        target=fields.kb * state.u.weighted_sum(lam * c),
-        fit_const=inner_product(state.u.weighted_sum(lam * c * c), fields.kb2),
+        weight=weight,
+        target=target,
+        fit_const=fit_const,
         gamma=params.gamma,
         nu=params.nu,
         eps_tv=params.eps_tv,
@@ -277,7 +283,8 @@ def g_energy(g: np.ndarray, ctx: GContext,
     # The step calls this with the TV gradients of g and g_next alive, at the
     # flow's peak memory: TV comes first and the fidelity uses one temporary.
     tv = tv_energy(g, ctx.alpha, ctx.nu, ctx.eps_tv, grad)
-    fit = float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const
+    fit = 0.0 if ctx.weight is None else (
+        float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const)
     idiv = 0.0
     if ctx.gamma > 0.0:
         r = np.log(g)
@@ -300,7 +307,7 @@ def force(g: np.ndarray, ctx: GContext,
     if ctx.nu > 0.0:
         gx, gy, mag = grad if grad is not None else tv_gradient(g, ctx.eps_tv)
         tv = ctx.nu * divergence(ctx.alpha * gx / mag, ctx.alpha * gy / mag)
-    out = 2.0 * (ctx.weight * g - ctx.target)
+    out = np.zeros_like(g) if ctx.weight is None else 2.0 * (ctx.weight * g - ctx.target)
     if ctx.gamma > 0.0:
         out += ctx.gamma * (1.0 - ctx.f / g)
     if tv is not None:
@@ -422,26 +429,20 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
 # --------------------------------------------------------------------------
 # partition subproblem: thresholding
 
-def threshold_fields(e_fields: np.ndarray, u: IndicatorSet, params: ModelParams,
-                     time_px: float, kernel: Kernel | None = None) -> np.ndarray:
-    """Per-phase pointwise costs
-
-        phi_i = lam_i e_i + 2 mu sqrt(pi/t) sum_{j != i} K_t * u_j
-
-    of the partition `u` (see `energy.phase_costs`).
-    """
-    potentials = length_potentials(u, kernel or heat_kernel_pixels(time_px))
-    return phase_costs(e_fields, potentials, params.lambdas, params.mu, time_px)
-
-
 def threshold(phis: np.ndarray) -> IndicatorSet:
     """Assign each pixel to the phase of least cost; ties take the lowest
     index. The result is the exact binary minimizer of sum_i <u_i, phi_i>
-    over the partition simplex."""
+    over the partition simplex: np.argmin(phis, axis=0) for finite costs, by
+    a scan with one contiguous strict comparison per phase (faster than the
+    strided argmin)."""
     if phis.ndim != 3 or phis.shape[0] < 2:
         raise ValueError("need at least two phase cost fields")
-    labels = np.argmin(phis, axis=0)
-    return IndicatorSet.from_labels(labels, phis.shape[0])
+    least = phis[0].copy()
+    labels = np.zeros(least.shape, dtype=np.intp)
+    for i in range(1, len(phis)):
+        np.copyto(labels, i, where=phis[i] < least)
+        np.minimum(least, phis[i], out=least)
+    return IndicatorSet.from_labels(labels, len(phis))
 
 
 # --------------------------------------------------------------------------
@@ -479,7 +480,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         c=np.zeros(params.n_phases),
         b=np.ones_like(f),
         g=np.maximum(f, params.g_floor),
-        u=init.copy(),
+        u=init,
     )
     # K*b, K*b^2 change only with the bias; the length potentials only with u.
     fields = fit_fields(state.b, fit_kernel)
@@ -507,26 +508,27 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
+        if inner_records:    # the last step's parts are those of state.g
+            idiv, tv = inner_records[-1].idiv, inner_records[-1].tv
+        else:
+            idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
+            tv = tv_energy(state.g, alpha, params.nu, params.eps_tv)
 
         e_fields = residual_fields(state.g, state.c, fields)
         eu_before = (fit_term(e_fields, state.u, params.lambdas)
                      + length_term(state.u, potentials, params.mu, time_px))
         u_new = threshold(phase_costs(e_fields, potentials, params.lambdas,
                                       params.mu, time_px))
-        potentials = length_potentials(u_new, length_kernel)
         fit_new = fit_term(e_fields, u_new, params.lambdas)
+        del e_fields, potentials     # one n-stack, the new potentials, lives across the flow
+        potentials = length_potentials(u_new, length_kernel)
         len_new = length_term(u_new, potentials, params.mu, time_px)
         eu_after = fit_new + len_new
 
-        err1 = float(np.sqrt(np.sum((u_new.masks - state.u.masks) ** 2)))
+        err1 = u_new.distance(state.u)
         state.u = u_new
 
-        breakdown = EnergyBreakdown.build(
-            fit=fit_new,
-            length=len_new,
-            idiv=idiv_energy(state.g, f, params.gamma, params.g_floor),
-            tv=tv_energy(state.g, alpha, params.nu, params.eps_tv),
-        )
+        breakdown = EnergyBreakdown.build(fit=fit_new, length=len_new, idiv=idiv, tv=tv)
         record = OuterRecord(outer=k, energy=breakdown,
                              eu_before=float(eu_before), eu_after=float(eu_after),
                              err1=float(err1), means=tuple(float(x) for x in state.c),

@@ -5,15 +5,17 @@ defining sums, with reflective (symmetric) boundary extension done by
 explicit index folding, and stays independent of the library's fast paths.
 `rmsav_step_reference` is the exception: it is the RMSAV step written out
 term by term from the library's force and energy, without the reuse the
-library's step makes.
+library's step makes. `threshold_fields` and `partition_energy` compose the
+library's partition terms for a given partition, as the solver loop does.
 """
 
 from itertools import permutations
 
 import numpy as np
 
+from ictmseg.energy import fit_term, length_energy, length_potentials, phase_costs
 from ictmseg.errors import NumericalFailure
-from ictmseg.field import biharmonic, inner_product, solve_implicit
+from ictmseg.field import biharmonic, heat_kernel_pixels, inner_product, solve_implicit
 from ictmseg.solve import StepResult, force, g_energy, relaxation_coefficient
 
 
@@ -121,6 +123,24 @@ def assemble_implicit_matrix(shape: tuple[int, int], dt: float) -> np.ndarray:
         basis[k] = 1.0
         mat[:, k] = (basis + dt * biharmonic_direct(basis.reshape(h, w)).ravel())
     return mat
+
+
+def threshold_fields(e_fields: np.ndarray, u, params, time_px: float,
+                     kernel=None) -> np.ndarray:
+    """Per-phase pointwise costs of the partition `u`,
+
+        phi_i = lam_i e_i + 2 mu sqrt(pi/t) sum_{j != i} K_t * u_j.
+    """
+    potentials = length_potentials(u, kernel or heat_kernel_pixels(time_px))
+    return phase_costs(e_fields, potentials, params.lambdas, params.mu, time_px)
+
+
+def partition_energy(e_fields: np.ndarray, u, params, time_px: float,
+                     kernel=None) -> float:
+    """Fitting plus heat-kernel length of `u` with the residual fields held
+    fixed: the quantity the thresholding step decreases monotonically."""
+    return (fit_term(e_fields, u, params.lambdas)
+            + length_energy(u, params.mu, time_px, kernel))
 
 
 def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> int:

@@ -36,7 +36,6 @@ from ictmseg.solve import (
     g_energy,
     rmsav_step,
     segment,
-    threshold_fields,
     update_bias,
     update_means,
 )
@@ -49,6 +48,7 @@ from oracles import (
     fit_residual_direct,
     means_direct,
     phi_direct,
+    threshold_fields,
 )
 
 rng = np.random.default_rng(20260810)

@@ -134,6 +134,28 @@ def test_denoise_command(tmp_path):
     assert all(r[3] == "" for r in rows[1:])  # no length column in pure denoise
 
 
+def test_denoise_makes_no_fit_kernel_pass(tmp_path, monkeypatch):
+    # every fit weight is zero: no partition, bias or K*b, K*b^2 is built,
+    # and the gray indicator's K_sigma is the one convolution of the run
+    import ictmseg.energy
+    import ictmseg.solve
+    from ictmseg.field import convolve, gaussian_kernel
+
+    radii = []
+
+    def counting(field, kernel):
+        radii.append(kernel.radius)
+        return convolve(field, kernel)
+
+    for module in (ictmseg.energy, ictmseg.solve):
+        monkeypatch.setattr(module, "convolve", counting)
+    cfg = write_cfg(tmp_path, "synth.size = 32,32\nsynth.region = rect:8,8,16,16,180\n"
+                              "noise.kind = gamma\nnoise.looks = 10\nseed = 5\n")
+    out = tmp_path / "dn"
+    assert main(["denoise", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert radii == [gaussian_kernel(1.0).radius]
+
+
 def test_metrics_command_identical_masks(tmp_path, capsys):
     mask = np.zeros((8, 8))
     mask[2:6, 2:6] = 255.0

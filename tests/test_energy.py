@@ -15,14 +15,13 @@ from ictmseg.energy import (
     idiv_energy,
     length_energy,
     length_potentials,
-    partition_energy,
     total_energy,
     tv_energy,
 )
 from ictmseg.errors import ConfigError, DegenerateInputError
 from ictmseg.field import convolve, gaussian_kernel, heat_kernel_pixels, inner_product
 
-from oracles import conv2d_direct, fit_residual_direct
+from oracles import conv2d_direct, fit_residual_direct, partition_energy
 
 rng = np.random.default_rng(99)
 
