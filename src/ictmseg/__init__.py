@@ -17,12 +17,8 @@ from .energy import (
     ModelParams,
     SegState,
     fit_fields,
-    fit_residual,
-    fitting_energy,
     gray_indicator,
     idiv_energy,
-    length_energy,
-    total_energy,
     tv_energy,
 )
 from .errors import ConfigError, DegenerateInputError, NumericalFailure

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import Kernel, convolve, gaussian_kernel, gradient, heat_kernel_pixels
+from .field import Kernel, convolve, gaussian_kernel, gradient
 
 __all__ = [
     "ModelParams",
@@ -34,14 +34,10 @@ __all__ = [
     "gray_indicator",
     "fit_fields",
     "residual_fields",
-    "fit_residual",
-    "fitting_energy",
-    "length_energy",
     "idiv_energy",
     "TVGradient",
     "tv_gradient",
     "tv_energy",
-    "total_energy",
 ]
 
 
@@ -239,33 +235,25 @@ def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
         e_i(x) = sum_y K(y-x) * (g(x) - b(y) * c_i)^2
                = g^2 - 2 c_i g (K*b) + c_i^2 (K*b^2)       (K*1 = 1),
 
-    clamped at 0 against roundoff.
+    clamped at 0 against roundoff. Each field is built in its own slot of
+    the stack, with one temporary.
     """
     g = np.asarray(g, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     g2 = g * g
     e = np.empty((len(c),) + g.shape)
-    for i, c_i in enumerate(c):
-        e[i] = np.maximum(g2 - 2.0 * c_i * g * fields.kb + c_i * c_i * fields.kb2, 0.0)
+    for c_i, e_i in zip(c, e):
+        np.multiply(2.0 * c_i, g, out=e_i)
+        e_i *= fields.kb
+        np.subtract(g2, e_i, out=e_i)
+        e_i += c_i * c_i * fields.kb2
+        np.maximum(e_i, 0.0, out=e_i)
     return e
-
-
-def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float,
-                 kernel: Kernel) -> np.ndarray:
-    """The residual field e_i of one mean c_i (see `residual_fields`)."""
-    return residual_fields(g, [c_i], fit_fields(b, kernel))[0]
 
 
 def fit_term(e_fields: np.ndarray, u: IndicatorSet, lambdas) -> float:
     """sum_i lam_i * <u_i, e_i> for fixed residual fields."""
     return float(sum(lam * s for lam, s in zip(lambdas, u.inner_products(e_fields))))
-
-
-def fitting_energy(state: SegState, params: ModelParams,
-                   kernel: Kernel | None = None) -> float:
-    """sum_i lam_i * <u_i, e_i>."""
-    fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
-    return fit_term(residual_fields(state.g, state.c, fields), state.u, params.lambdas)
 
 
 def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
@@ -287,35 +275,6 @@ def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,
                 time_px: float) -> float:
     """mu * sqrt(pi/t) * sum_i <u_i, potentials_i>."""
     return mu * (np.sqrt(np.pi / time_px) * float(u.inner_products(potentials).sum()))
-
-
-def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
-                mu: float, time_px: float) -> np.ndarray:
-    """Per-phase pointwise costs
-
-        phi_i = lam_i e_i + 2 mu sqrt(pi/t) potentials_i,
-
-    nonnegative by construction (clamped against roundoff). Their pixelwise
-    minimizer is the thresholding step of the partition energy."""
-    pref = 2.0 * mu * np.sqrt(np.pi / time_px)
-    phis = np.empty_like(e_fields)
-    for i in range(len(phis)):
-        phis[i] = lambdas[i] * e_fields[i] + pref * potentials[i]
-    return np.maximum(phis, 0.0, out=phis)
-
-
-def length_energy(u: IndicatorSet, mu: float, time_px: float,
-                  kernel: Kernel | None = None) -> float:
-    """Heat-kernel contour-length term, in pixel units.
-
-    mu * sqrt(pi/t) * sum_i sum_{j != i} <u_i, K_t * u_j>. Each interface is
-    counted once per adjacent phase, so a straight edge of length N in a
-    two-phase partition contributes 2N (the sum of both phase perimeters).
-    """
-    if time_px <= 0:
-        raise ValueError("heat time must be positive")
-    kernel = kernel or heat_kernel_pixels(time_px)
-    return length_term(u, length_potentials(u, kernel), mu, time_px)
 
 
 def idiv_energy(g: np.ndarray, f: np.ndarray, gamma: float, g_floor: float) -> float:
@@ -354,16 +313,3 @@ def tv_energy(g: np.ndarray, alpha: np.ndarray, nu: float, eps_tv: float,
     if grad is None:
         grad = tv_gradient(g, eps_tv)
     return nu * float(np.sum(np.asarray(alpha, dtype=np.float64) * grad.mag))
-
-
-def total_energy(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                 params: ModelParams,
-                 fit_kernel: Kernel | None = None,
-                 length_kernel: Kernel | None = None) -> EnergyBreakdown:
-    """All four terms of the joint objective, plus their sum."""
-    time_px = params.heat_time_pixels(state.g.shape)
-    fit = fitting_energy(state, params, fit_kernel)
-    length = length_energy(state.u, params.mu, time_px, length_kernel)
-    idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
-    tv = tv_energy(state.g, alpha, params.nu, params.eps_tv)
-    return EnergyBreakdown.build(fit, length, idiv, tv)

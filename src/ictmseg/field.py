@@ -11,7 +11,7 @@ the operator and inverting it are exact inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as _fft
@@ -56,6 +56,15 @@ class Kernel:
 
     radius: int
     profile: np.ndarray
+    _multipliers: dict = dc_field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
+
+    def multiplier(self, n: int) -> np.ndarray:
+        """The profile's DCT-II eigenvalues on n samples, made once per n."""
+        if n not in self._multipliers:
+            self._multipliers[n] = _multiplier(self.profile, n)
+            self._multipliers[n].flags.writeable = False
+        return self._multipliers[n]
 
     @property
     def weights(self) -> np.ndarray:
@@ -127,13 +136,14 @@ def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
 
     One DCT-II round trip with the kernel's separable multiplier, equal to
     the full 2-D sum over the reflected field for any radius; the cost does
-    not depend on the radius.
+    not depend on the radius. The spectrum is scaled by the two 1-D factors in
+    turn and inverted in place; `field` is never written to.
     """
-    field = np.asarray(field, dtype=np.float64)
-    m_y, m_x = (_multiplier(kernel.profile, n) for n in field.shape)
-    spec = _fft.dctn(field, type=2, norm="ortho")
-    spec *= m_y[:, None] * m_x[None, :]
-    return _fft.idctn(spec, type=2, norm="ortho")
+    x = np.asarray(field, dtype=np.float64)
+    spec = _fft.dctn(x, type=2, norm="ortho", overwrite_x=not np.may_share_memory(x, field))
+    spec *= kernel.multiplier(spec.shape[0])[:, None]
+    spec *= kernel.multiplier(spec.shape[1])
+    return _fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,33 +152,39 @@ def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (gx, gy): gx differences along width (axis 1), gy along height.
     """
     field = np.asarray(field, dtype=np.float64)
-    gx = np.zeros_like(field)
-    gy = np.zeros_like(field)
+    gx = np.empty_like(field)
+    gy = np.empty_like(field)
     gx[:, :-1] = field[:, 1:] - field[:, :-1]
-    gy[:-1, :] = field[1:, :] - field[:-1, :]
+    gx[:, -1] = 0.0
+    np.subtract(field[1:], field[:-1], out=gy[:-1])
+    gy[-1] = 0.0
     return gx, gy
 
 
-def divergence(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def divergence(px: np.ndarray, py: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Backward-difference divergence, the exact negative adjoint of gradient.
 
     The closure mirrors the gradient's: first entry passes through, last entry
     contributes only its backward neighbor. <grad f, (p,q)> == -<f, div(p,q)>
-    holds to machine precision for all (p, q).
+    holds to machine precision for all (p, q). `out`, if given, receives the
+    result; it must not overlap px or py.
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     if px.shape != py.shape:
         raise ValueError(f"component shapes differ: {px.shape} vs {py.shape}")
-    out = np.zeros_like(px)
+    out = np.empty_like(px) if out is None else out
     if px.shape[1] > 1:
-        out[:, 0] += px[:, 0]
-        out[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-        out[:, -1] += -px[:, -2]
+        out[:, 0] = px[:, 0]
+        out[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
+        out[:, -1] = 0.0 - px[:, -2]     # +0.0, not -0.0, where px is zero
+    else:
+        out.fill(0.0)
     if py.shape[0] > 1:
-        out[0, :] += py[0, :]
-        out[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        out[-1, :] += -py[-2, :]
+        out[0] += py[0]
+        out[1:-1] += py[1:-1] - py[:-2]
+        out[-1] -= py[-2]
     return out
 
 

@@ -24,8 +24,8 @@ G = -2*z_tilde^2 + 2*z_tilde*z_j holds exactly by construction and is a
 second cross-check.
 
 One step costs one force, one DCT round trip, one TV gradient and one energy
-evaluation: the gradient of g_{j+1} serves both its energy and the next
-step's force.
+evaluation: the gradient of g_{j+1} serves its energy and, turned in place
+into the TV part of the force, the next step and the next flow.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .energy import (
     idiv_energy,
     length_potentials,
     length_term,
-    phase_costs,
     residual_fields,
     tv_energy,
     tv_gradient,
@@ -71,6 +70,7 @@ __all__ = [
     "OuterRecord",
     "IterationLog",
     "GContext",
+    "FlowRun",
     "build_g_context",
     "fidelity_lower_bound",
     "energy_shift",
@@ -102,7 +102,7 @@ class StepResult:
     idiv: float
     tv: float
     floored: bool
-    grad: TVGradient | None = None   # tv_gradient of g_next (None when nu = 0)
+    tv_force: np.ndarray | None = None   # _tv_force of g_next (None when nu = 0)
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,23 @@ class GContext:
     symbol: np.ndarray    # implicit_symbol(f.shape, dt), shared by every step
 
 
+@dataclass
+class FlowRun:
+    """What the image flows of one run share: `shift` (`energy_shift`),
+    `symbol` (`implicit_symbol`) and `entry`, the (TV force term, idiv, tv)
+    of the g the next flow starts from, or None. `update_image` takes `entry`
+    out, so that no second reference keeps the field alive through the flow,
+    and puts in that of the g it returns."""
+
+    shift: float
+    symbol: np.ndarray
+    entry: tuple | None = None
+
+    @classmethod
+    def start(cls, f: np.ndarray, params: ModelParams) -> "FlowRun":
+        return cls(energy_shift(f, params), implicit_symbol(np.shape(f), params.time_step))
+
+
 def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
     """Exact infimum of the I-divergence term over g >= g_floor."""
     return idiv_energy(np.maximum(f, g_floor), f, gamma, g_floor)
@@ -237,15 +254,14 @@ def energy_shift(f: np.ndarray, params: ModelParams) -> float:
 
 def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
                     params: ModelParams, fields: FitFields | None = None,
-                    shift: float | None = None) -> GContext:
+                    run: FlowRun | None = None) -> GContext:
     """`fields` are the fit fields of `state.b`; made from `params.rho` if
-    not given. `shift` is `energy_shift(f, params)`, a constant of the run;
-    computed here if not given. With every lam_i zero, only `state.g` is
-    read: c, b and u may be None."""
+    not given. `run` holds the run's constants `shift` and `symbol`; made
+    here if not given. With every lam_i zero, only `state.g` is read: c, b
+    and u may be None."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    if shift is None:
-        shift = energy_shift(f, params)
+    run = run or FlowRun.start(f, params)
     weight, target, fit_const = None, None, 0.0
     if lam.any():
         if fields is None:
@@ -265,14 +281,33 @@ def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
         eps_tv=params.eps_tv,
         g_floor=params.g_floor,
         dt=params.time_step,
-        shift=shift,
+        shift=run.shift,
         eta=params.eta_relax,
-        symbol=implicit_symbol(f.shape, params.time_step),
+        symbol=run.symbol,
     )
 
 
-def _tv_gradient(g: np.ndarray, ctx: GContext) -> TVGradient | None:
-    return tv_gradient(g, ctx.eps_tv) if ctx.nu > 0.0 else None
+def _tv_force(grad: TVGradient | None, ctx: GContext) -> np.ndarray | None:
+    """nu * div(alpha * grad g / sqrt(|grad g|^2 + eps^2)), the TV part of the
+    force, made in the buffers of `grad` = tv_gradient(g, eps), None if nu = 0."""
+    if grad is None:
+        return None
+    for d in grad[:2]:      # the flux alpha * grad g / mag
+        d *= ctx.alpha
+        d /= grad.mag
+    div = divergence(grad.gx, grad.gy, out=grad.mag)
+    return np.multiply(div, ctx.nu, out=div)
+
+
+def _evaluate(g: np.ndarray, ctx: GContext) -> tuple:
+    """`g_energy` of g and the TV part of its force, from one TV gradient."""
+    grad = tv_gradient(g, ctx.eps_tv) if ctx.nu > 0.0 else None
+    return *g_energy(g, ctx, grad), _tv_force(grad, ctx)
+
+
+def _fit_energy(g: np.ndarray, ctx: GContext) -> float:
+    return 0.0 if ctx.weight is None else (
+        float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const)
 
 
 def g_energy(g: np.ndarray, ctx: GContext,
@@ -280,11 +315,10 @@ def g_energy(g: np.ndarray, ctx: GContext,
     """E_g(g) = fitting + I-divergence + weighted TV; returns (total, parts).
 
     `grad`, if given, is `tv_gradient(g, ctx.eps_tv)`."""
-    # The step calls this with the TV gradients of g and g_next alive, at the
-    # flow's peak memory: TV comes first and the fidelity uses one temporary.
+    # The step calls this with the TV gradient of g_next alive: TV comes
+    # first and the fidelity uses one temporary.
     tv = tv_energy(g, ctx.alpha, ctx.nu, ctx.eps_tv, grad)
-    fit = 0.0 if ctx.weight is None else (
-        float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const)
+    fit = _fit_energy(g, ctx)
     idiv = 0.0
     if ctx.gamma > 0.0:
         r = np.log(g)
@@ -294,46 +328,42 @@ def g_energy(g: np.ndarray, ctx: GContext,
 
 
 def force(g: np.ndarray, ctx: GContext,
-          grad: TVGradient | None = None) -> np.ndarray:
+          tv_force: np.ndarray | None = None) -> np.ndarray:
     """Variational derivative of E_g; the exact gradient of `g_energy`.
 
         F'(g) = 2 (weight*g - target) - gamma*(f-g)/g
                 - nu * div(alpha * grad g / sqrt(|grad g|^2 + eps^2))
 
-    `grad`, if given, is `tv_gradient(g, ctx.eps_tv)`.
+    `tv_force`, if given, is the last term's nu * div(...) at g (`_tv_force`).
     """
     # The divergence comes first, so that `out` is not alive while it runs.
-    tv = None
-    if ctx.nu > 0.0:
-        gx, gy, mag = grad if grad is not None else tv_gradient(g, ctx.eps_tv)
-        tv = ctx.nu * divergence(ctx.alpha * gx / mag, ctx.alpha * gy / mag)
-    out = np.zeros_like(g) if ctx.weight is None else 2.0 * (ctx.weight * g - ctx.target)
-    if ctx.gamma > 0.0:
-        out += ctx.gamma * (1.0 - ctx.f / g)
-    if tv is not None:
-        out -= tv
+    if tv_force is None and ctx.nu > 0.0:
+        tv_force = _tv_force(tv_gradient(g, ctx.eps_tv), ctx)
+    out = ctx.gamma * (1.0 - ctx.f / g) if ctx.gamma > 0.0 else np.zeros_like(g)
+    if ctx.weight is not None:
+        out += 2.0 * (ctx.weight * g - ctx.target)
+    if tv_force is not None:
+        out -= tv_force
     return out
 
 
 def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
                e_cur: float | None = None,
                outer: int | None = None, inner: int | None = None,
-               grad: TVGradient | None = None) -> StepResult:
+               tv_force: np.ndarray | None = None) -> StepResult:
     """One relaxed-SAV step of the g gradient flow.
 
-    `e_cur` (E_g at the incoming iterate) and `grad` (its `tv_gradient`) may
-    be supplied to avoid recomputing them; the result carries both for
-    `g_next`. The positivity floor is applied after the update, and the
-    G-functional is that of the pre-floor displacement.
+    `e_cur` (E_g at the incoming iterate) and `tv_force` (the TV part of its
+    force, `_tv_force`) may be supplied to avoid recomputing them; the result
+    carries both for `g_next`. The positivity floor is applied after the
+    update, and the G-functional is that of the pre-floor displacement.
     """
     if z <= 0.0:
         raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
                                outer, inner)
-    if grad is None:
-        grad = _tv_gradient(g, ctx)
     if e_cur is None:
-        e_cur = g_energy(g, ctx, grad)[0]
-    m = force(g, ctx, grad)
+        e_cur = g_energy(g, ctx)[0]
+    m = force(g, ctx, tv_force)
     m /= np.sqrt(e_cur + ctx.shift)
     m_hat = solve_implicit(m, ctx.dt, ctx.symbol)
     ip = inner_product(m, m_hat)
@@ -346,8 +376,7 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
     g_next += g
     floored = bool(g_next.min() < ctx.g_floor)
     np.maximum(g_next, ctx.g_floor, out=g_next)
-    grad_next = _tv_gradient(g_next, ctx)
-    e_next, fit, idiv, tv = g_energy(g_next, ctx, grad_next)
+    e_next, fit, idiv, tv, tv_next = _evaluate(g_next, ctx)
     if not (np.isfinite(e_next) and np.isfinite(z_tilde) and np.isfinite(g_val)):
         raise NumericalFailure("non-finite value in SAV step", outer, inner)
     xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta)
@@ -355,7 +384,7 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
     return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
                       xi=float(xi), g_val=float(g_val), e_next=float(e_next),
                       fit=float(fit), idiv=float(idiv), tv=float(tv),
-                      floored=floored, grad=grad_next)
+                      floored=floored, tv_force=tv_next)
 
 
 def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
@@ -399,21 +428,27 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
 
 def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
                  params: ModelParams, fields: FitFields | None = None,
-                 outer: int = 0, shift: float | None = None,
+                 outer: int = 0, run: FlowRun | None = None,
                  ) -> tuple[np.ndarray, list[InnerRecord], bool]:
     """Run the RMSAV inner loop from the current g until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
-    `fields` and `shift` are passed to `build_g_context`.
+    `fields` are passed to `build_g_context`. `run` (made here if not given)
+    carries the hand-off between flows; its `entry` must belong to `state.g`.
     """
-    ctx = build_g_context(state, f, alpha, params, fields, shift)
+    run = run or FlowRun.start(f, params)
+    ctx = build_g_context(state, f, alpha, params, fields, run)
     g = np.asarray(state.g, dtype=np.float64)
-    grad = _tv_gradient(g, ctx)
-    e_cur = g_energy(g, ctx, grad)[0]
+    if run.entry is None:
+        e_cur, _, idiv, tv, tv_force = _evaluate(g, ctx)
+    else:       # the same sum as g_energy's, with idiv and tv of the same g
+        tv_force, idiv, tv = run.entry
+        e_cur = _fit_energy(g, ctx) + idiv + tv
+    run.entry = None
     z = float(np.sqrt(e_cur + ctx.shift))
     records: list[InnerRecord] = []
     err2 = np.inf
     while err2 > params.tol2 and len(records) < params.max_inner:
-        step = rmsav_step(g, z, ctx, e_cur=e_cur, grad=grad,
+        step = rmsav_step(g, z, ctx, e_cur=e_cur, tv_force=tv_force,
                           outer=outer, inner=len(records))
         err2 = abs(step.e_next - e_cur) / max(abs(step.e_next), np.finfo(float).tiny)
         records.append(InnerRecord(
@@ -421,7 +456,9 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
             fit=step.fit, idiv=step.idiv, tv=step.tv,
             z=step.z_next, z_tilde=step.z_tilde, xi=step.xi,
             g_val=step.g_val, err2=float(err2), floored=step.floored))
-        g, e_cur, grad, z = step.g_next, step.e_next, step.grad, step.z_next
+        g, e_cur, tv_force, z = step.g_next, step.e_next, step.tv_force, step.z_next
+        idiv, tv = step.idiv, step.tv
+    run.entry = (tv_force, idiv, tv)
     hit_cap = err2 > params.tol2
     return g, records, hit_cap
 
@@ -429,20 +466,30 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
 # --------------------------------------------------------------------------
 # partition subproblem: thresholding
 
-def threshold(phis: np.ndarray) -> IndicatorSet:
-    """Assign each pixel to the phase of least cost; ties take the lowest
-    index. The result is the exact binary minimizer of sum_i <u_i, phi_i>
-    over the partition simplex: np.argmin(phis, axis=0) for finite costs, by
-    a scan with one contiguous strict comparison per phase (faster than the
-    strided argmin)."""
-    if phis.ndim != 3 or phis.shape[0] < 2:
+def threshold(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
+              mu: float, time_px: float) -> IndicatorSet:
+    """Assign each pixel to the phase of least cost
+
+        phi_i = lam_i e_i + 2 mu sqrt(pi/t) potentials_i,
+
+    clamped at 0 against roundoff; ties take the lowest index: the exact binary
+    minimizer of sum_i <u_i, phi_i> over the partition simplex, np.argmin of
+    the stacked costs. The scan forms each cost as it compares it, with one
+    contiguous strict comparison per phase (faster than a strided argmin)."""
+    if e_fields.ndim != 3 or len(e_fields) < 2:
         raise ValueError("need at least two phase cost fields")
-    least = phis[0].copy()
+    pref = 2.0 * mu * np.sqrt(np.pi / time_px)
+    least, phi = np.empty((2,) + e_fields.shape[1:])
     labels = np.zeros(least.shape, dtype=np.intp)
-    for i in range(1, len(phis)):
-        np.copyto(labels, i, where=phis[i] < least)
-        np.minimum(least, phis[i], out=least)
-    return IndicatorSet.from_labels(labels, len(phis))
+    for i, (lam, e, p) in enumerate(zip(lambdas, e_fields, potentials)):
+        cost = phi if i else least
+        np.multiply(lam, e, out=cost)
+        cost += pref * p
+        np.maximum(cost, 0.0, out=cost)
+        if i:
+            np.copyto(labels, i, where=cost < least)
+            np.minimum(least, cost, out=least)
+    return IndicatorSet.from_labels(labels, len(e_fields))
 
 
 # --------------------------------------------------------------------------
@@ -486,12 +533,12 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fields = fit_fields(state.b, fit_kernel)
     potentials = length_potentials(state.u, length_kernel)
 
-    shift = energy_shift(f, params)
+    run = FlowRun.start(f, params)
     log = IterationLog(header={
         "n_phases": params.n_phases, **asdict(params),
         "dt_effective": params.time_step,
         "heat_time_pixels": time_px,
-        "energy_shift": shift,
+        "energy_shift": run.shift,
     })
 
     err1 = np.inf
@@ -504,21 +551,16 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             state.b = update_bias(state, params, fit_kernel)
             fields = fit_fields(state.b, fit_kernel)
         state.g, inner_records, hit_cap = update_image(
-            state, f, alpha, params, fields, outer=k, shift=shift)
+            state, f, alpha, params, fields, outer=k, run=run)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
-        if inner_records:    # the last step's parts are those of state.g
-            idiv, tv = inner_records[-1].idiv, inner_records[-1].tv
-        else:
-            idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
-            tv = tv_energy(state.g, alpha, params.nu, params.eps_tv)
+        idiv, tv = run.entry[1:]    # of state.g; binds no second ref to its TV force
 
         e_fields = residual_fields(state.g, state.c, fields)
         eu_before = (fit_term(e_fields, state.u, params.lambdas)
                      + length_term(state.u, potentials, params.mu, time_px))
-        u_new = threshold(phase_costs(e_fields, potentials, params.lambdas,
-                                      params.mu, time_px))
+        u_new = threshold(e_fields, potentials, params.lambdas, params.mu, time_px)
         fit_new = fit_term(e_fields, u_new, params.lambdas)
         del e_fields, potentials     # one n-stack, the new potentials, lives across the flow
         potentials = length_potentials(u_new, length_kernel)

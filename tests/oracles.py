@@ -5,17 +5,21 @@ defining sums, with reflective (symmetric) boundary extension done by
 explicit index folding, and stays independent of the library's fast paths.
 `rmsav_step_reference` is the exception: it is the RMSAV step written out
 term by term from the library's force and energy, without the reuse the
-library's step makes. `threshold_fields` and `partition_energy` compose the
-library's partition terms for a given partition, as the solver loop does.
+library's step makes. The energy terms below `assemble_implicit_matrix`
+(`fit_residual` to `total_energy`, and `phase_costs`) compose the library's
+fields and partition terms for a given state, as the solver loop does; the
+solver itself fuses them and never forms the cost stack.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from ictmseg.energy import fit_term, length_energy, length_potentials, phase_costs
+from ictmseg.energy import (EnergyBreakdown, fit_fields, fit_term, idiv_energy,
+                            length_potentials, length_term, residual_fields, tv_energy)
 from ictmseg.errors import NumericalFailure
-from ictmseg.field import biharmonic, heat_kernel_pixels, inner_product, solve_implicit
+from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, inner_product,
+                           solve_implicit)
 from ictmseg.solve import StepResult, force, g_energy, relaxation_coefficient
 
 
@@ -123,6 +127,79 @@ def assemble_implicit_matrix(shape: tuple[int, int], dt: float) -> np.ndarray:
         basis[k] = 1.0
         mat[:, k] = (basis + dt * biharmonic_direct(basis.reshape(h, w)).ravel())
     return mat
+
+
+def gradient_zero_filled(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences written into zero-filled arrays."""
+    gx = np.zeros_like(field)
+    gy = np.zeros_like(field)
+    gx[:, :-1] = field[:, 1:] - field[:, :-1]
+    gy[:-1, :] = field[1:, :] - field[:-1, :]
+    return gx, gy
+
+
+def divergence_zero_filled(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence accumulated into a zero-filled array."""
+    out = np.zeros_like(px)
+    if px.shape[1] > 1:
+        out[:, 0] += px[:, 0]
+        out[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+        out[:, -1] += -px[:, -2]
+    if py.shape[0] > 1:
+        out[0, :] += py[0, :]
+        out[1:-1, :] += py[1:-1, :] - py[:-2, :]
+        out[-1, :] += -py[-2, :]
+    return out
+
+
+def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float, kernel) -> np.ndarray:
+    """The residual field e_i of one mean c_i (see `residual_fields`)."""
+    return residual_fields(g, [c_i], fit_fields(b, kernel))[0]
+
+
+def fitting_energy(state, params, kernel=None) -> float:
+    """sum_i lam_i * <u_i, e_i>."""
+    fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
+    return fit_term(residual_fields(state.g, state.c, fields), state.u, params.lambdas)
+
+
+def length_energy(u, mu: float, time_px: float, kernel=None) -> float:
+    """Heat-kernel contour-length term, in pixel units.
+
+    mu * sqrt(pi/t) * sum_i sum_{j != i} <u_i, K_t * u_j>. Each interface is
+    counted once per adjacent phase, so a straight edge of length N in a
+    two-phase partition contributes 2N (the sum of both phase perimeters).
+    """
+    if time_px <= 0:
+        raise ValueError("heat time must be positive")
+    kernel = kernel or heat_kernel_pixels(time_px)
+    return length_term(u, length_potentials(u, kernel), mu, time_px)
+
+
+def total_energy(state, f: np.ndarray, alpha: np.ndarray, params,
+                 fit_kernel=None, length_kernel=None) -> EnergyBreakdown:
+    """All four terms of the joint objective, plus their sum."""
+    time_px = params.heat_time_pixels(state.g.shape)
+    fit = fitting_energy(state, params, fit_kernel)
+    length = length_energy(state.u, params.mu, time_px, length_kernel)
+    idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
+    tv = tv_energy(state.g, alpha, params.nu, params.eps_tv)
+    return EnergyBreakdown.build(fit, length, idiv, tv)
+
+
+def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
+                mu: float, time_px: float) -> np.ndarray:
+    """Stacked per-phase pointwise costs
+
+        phi_i = lam_i e_i + 2 mu sqrt(pi/t) potentials_i,
+
+    nonnegative by construction (clamped against roundoff). Their pixelwise
+    minimizer is the thresholding step of the partition energy."""
+    pref = 2.0 * mu * np.sqrt(np.pi / time_px)
+    phis = np.empty_like(e_fields)
+    for i in range(len(phis)):
+        phis[i] = lambdas[i] * e_fields[i] + pref * potentials[i]
+    return np.maximum(phis, 0.0, out=phis)
 
 
 def threshold_fields(e_fields: np.ndarray, u, params, time_px: float,

@@ -15,10 +15,7 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
-    fit_residual,
-    fitting_energy,
     gray_indicator,
-    length_energy,
 )
 from ictmseg.field import (
     biharmonic,
@@ -45,7 +42,10 @@ from oracles import (
     assemble_implicit_matrix,
     bias_direct,
     conv2d_direct,
+    fit_residual,
     fit_residual_direct,
+    fitting_energy,
+    length_energy,
     means_direct,
     phi_direct,
     threshold_fields,

@@ -9,19 +9,16 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
-    fit_residual,
-    fitting_energy,
     gray_indicator,
     idiv_energy,
-    length_energy,
     length_potentials,
-    total_energy,
     tv_energy,
 )
 from ictmseg.errors import ConfigError, DegenerateInputError
 from ictmseg.field import convolve, gaussian_kernel, heat_kernel_pixels, inner_product
 
-from oracles import conv2d_direct, fit_residual_direct, partition_energy
+from oracles import (conv2d_direct, fit_residual, fit_residual_direct, fitting_energy,
+                     length_energy, partition_energy, total_energy)
 
 rng = np.random.default_rng(99)
 

@@ -26,7 +26,8 @@ from ictmseg.field import (
     solve_implicit,
 )
 
-from oracles import assemble_implicit_matrix, biharmonic_direct, conv2d_direct
+from oracles import (assemble_implicit_matrix, biharmonic_direct, conv2d_direct,
+                     divergence_zero_filled, gradient_zero_filled)
 
 rng = np.random.default_rng(20240811)
 
@@ -163,6 +164,24 @@ def test_convolve_self_adjoint(shape, std, seed):
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, std=st.floats(0.5, 20.0), dt=st.floats(1e-3, 1.0), seed=seeds)
+def test_transforms_leave_their_input_unchanged(shape, std, dt, seed):
+    # the spectra are scaled and inverted in their own buffers, never in the
+    # caller's array, and the cached multipliers are not scaled with them
+    field = np.random.default_rng(seed).random(shape)
+    k = gaussian_kernel(std)
+    calls = [(field, lambda a: convolve(a, k)), (field < 0.5, lambda a: convolve(a, k)),
+             (field, lambda a: solve_implicit(a, dt)),
+             (field, lambda a: solve_implicit(a, dt, implicit_symbol(shape, dt)))]
+    for arg, call in calls:
+        before = arg.copy()
+        out = call(arg)
+        assert np.array_equal(arg, before) and arg.dtype == before.dtype
+        assert not np.shares_memory(out, arg)
+        assert np.array_equal(call(arg), out)
+
+
 def test_run_imports_no_heavy_scipy_module():
     # Convolution needs scipy.fft only and phase matching no scipy at all.
     # Importing scipy.signal made the first heat-kernel convolution of a 256^2
@@ -209,6 +228,21 @@ def test_gradient_divergence_exact_adjoint():
         lhs = inner_product(gx, p) + inner_product(gy, q)
         rhs = -inner_product(f, divergence(p, q))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, seed=seeds)
+def test_gradient_and_divergence_equal_zero_filled_formulas(shape, seed):
+    # bit for bit, signed zeros included. Exact zeros are drawn on purpose;
+    # -0.0 is not: a flux of g >= g_floor > 0 never holds one.
+    r = np.random.default_rng(seed)
+    f, px, py = 2.0 * r.random((3,) + shape) - 1.0
+    for a in (f, px, py):
+        a[r.random(shape) < 0.3] = 0.0
+    for got, ref in zip(gradient(f), gradient_zero_filled(f)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    got, ref = divergence(px, py), divergence_zero_filled(px, py)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_divergence_shape_mismatch():

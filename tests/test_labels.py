@@ -11,7 +11,7 @@ from ictmseg.energy import IndicatorSet, ModelParams, SegState, fit_term, length
 from ictmseg.field import gaussian_kernel, inner_product
 from ictmseg.solve import threshold, update_means
 
-from oracles import means_direct
+from oracles import means_direct, phase_costs
 
 # few distinct values, so that equal costs and equal labels are common
 TIED = st.sampled_from([0.0, 0.25, 1.0, 3.0])
@@ -35,9 +35,17 @@ def partition_and_stack(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 5).flatmap(
-    lambda n: arrays(np.float64, (n, 6, 5), elements=VALUES)))
-def test_threshold_labels_equal_argmin(phis):
-    assert np.array_equal(threshold(phis).labels(), np.argmin(phis, axis=0))
+    lambda n: arrays(np.float64, (2, n, 6, 5), elements=VALUES)),
+    st.data())
+def test_threshold_labels_equal_argmin(fields, data):
+    # the scan forms each phase's cost itself: its labels are the argmin of
+    # the stacked costs, ties included
+    e_fields, potentials = fields
+    lambdas = data.draw(st.lists(VALUES, min_size=len(e_fields), max_size=len(e_fields)))
+    mu, time_px = data.draw(VALUES), data.draw(st.floats(0.5, 50.0))
+    phis = phase_costs(e_fields, potentials, lambdas, mu, time_px)
+    labels = threshold(e_fields, potentials, lambdas, mu, time_px).labels()
+    assert np.array_equal(labels, np.argmin(phis, axis=0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 and the thresholding step."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,6 @@ from ictmseg.energy import (
     ModelParams,
     SegState,
     fit_fields,
-    fit_residual,
-    fitting_energy,
     gray_indicator,
     idiv_energy,
     tv_energy,
@@ -36,8 +35,8 @@ from ictmseg.solve import (
     update_image,
     update_means,
 )
-from oracles import (bias_direct, means_direct, phi_direct, rmsav_step_reference,
-                     threshold_fields)
+from oracles import (bias_direct, fit_residual, fitting_energy, means_direct, phi_direct,
+                     rmsav_step_reference, threshold_fields)
 
 rng = np.random.default_rng(777)
 
@@ -321,16 +320,16 @@ def unit_scale_context(near_floor: bool, n=32):
 
 @pytest.mark.parametrize("near_floor", [False, True])
 def test_rmsav_step_matches_reference(near_floor):
-    # the fused step (energy and TV gradient handed forward, closed-form G,
+    # the fused step (energy and TV force term handed forward, closed-form G,
     # in-place update and floor) follows the unfused reference step
     g, ctx = unit_scale_context(near_floor)
     e = g_energy(g, ctx)[0]
     z = float(np.sqrt(e + ctx.shift))
     g_ref, z_ref, e_ref = g.copy(), z, e
-    grad = None
+    tv_force = None
     floored = 0
     for _ in range(50):
-        step = rmsav_step(g, z, ctx, e_cur=e, grad=grad)
+        step = rmsav_step(g, z, ctx, e_cur=e, tv_force=tv_force)
         ref = rmsav_step_reference(g_ref, z_ref, ctx, e_cur=e_ref)
         assert step.floored == ref.floored
         floored += step.floored
@@ -338,7 +337,7 @@ def test_rmsav_step_matches_reference(near_floor):
         for name in ("z_next", "xi", "e_next", "g_val"):
             a, b = getattr(step, name), getattr(ref, name)
             assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300), name
-        g, z, e, grad = step.g_next, step.z_next, step.e_next, step.grad
+        g, z, e, tv_force = step.g_next, step.z_next, step.e_next, step.tv_force
         g_ref, z_ref, e_ref = ref.g_next, ref.z_next, ref.e_next
     assert (floored > 0) == near_floor
     assert g.min() >= ctx.g_floor
@@ -434,6 +433,64 @@ def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
     assert rec.tv == tv_energy(g, alpha, params.nu, params.eps_tv)
 
 
+def test_segment_flows_start_from_last_step(monkeypatch):
+    # each flow after the first starts from the TV force term, fidelity and
+    # TV that the previous flow's last step made from its TV gradient, and the
+    # implicit symbol is a constant of the run: 3 outer iterations of k steps
+    # make 3k + 1 TV gradients
+    import ictmseg.energy
+    import ictmseg.field
+    import ictmseg.solve
+
+    counts = {"gradient": 0, "implicit_symbol": 0}
+
+    def counting(module, name):
+        fn = getattr(ictmseg.field, name)
+
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counting(ictmseg.energy, "gradient")
+    counting(ictmseg.solve, "implicit_symbol")
+    n, steps = 32, 2
+    f = np.full((n, n), 60.0)
+    f[4:14, 4:28] = 190.0
+    f[18:28, 8:24] = 120.0
+    f = f * sample_gamma_field(n, n, 10.0, seed=3)
+    labels = np.zeros((n, n), dtype=np.int64)
+    labels[n // 2:, :] = 1
+    labels[:, n // 2:] = 2
+    params = ModelParams(lambdas=(1.0,) * 3, max_outer=3, tol1=0.0, tol2=0.0,
+                         max_inner=steps)
+    _, log = segment(f, IndicatorSet.from_labels(labels, 3), params)
+    assert len(log.outers) == 3 and len(log.inners) == 3 * steps
+    assert counts == {"gradient": 3 * steps + 1, "implicit_symbol": 1}
+
+
+def test_segment_pinned_three_phase_output():
+    # A fixed three-phase run whose label map and iteration counts were
+    # recorded before the flows reused the previous flow's last step, the
+    # threshold formed its costs in its scan and the convolutions scaled
+    # their spectra in place: none of these may change what the solver finds.
+    n = 64
+    yy, xx = np.mgrid[0:n, 0:n]
+    clean = np.full((n, n), 100.0)
+    clean[8:28, 6:40] = 30.0
+    clean[(yy - 44) ** 2 + (xx - 40) ** 2 <= 14 ** 2] = 200.0
+    bias = 0.9 + 0.2 * xx / (n - 1)
+    f = np.clip(clean * bias * sample_gamma_field(n, n, 10.0, seed=11), 0.0, 255.0)
+    labels = np.zeros((n, n), dtype=np.int64)
+    labels[11:25, 9:37] = 1
+    labels[(yy - 44) ** 2 + (xx - 40) ** 2 <= 10 ** 2] = 2
+    params = ModelParams(lambdas=(1.0,) * 3, tau=8.0, tau_in_pixels=True, max_outer=40)
+    state, log = segment(f, IndicatorSet.from_labels(labels, 3), params)
+    digest = hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest()
+    assert (len(log.outers), len(log.inners)) == (40, 93)
+    assert digest == "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
+
+
 def test_zero_fit_context_matches_zero_fit_arrays():
     # with every lambda zero the context holds no fit arrays and reads no
     # partition or bias; the flow is bit-identical to one whose weight and
@@ -461,8 +518,9 @@ def test_zero_fit_context_matches_zero_fit_arrays():
 def test_segment_peak_memory_in_arrays():
     # Peak of the memory one `segment` call allocates, in H x W float64
     # arrays. The partition is one label map, the residual stack is released
-    # before the next flow and the init is shared, not copied: 23.5 arrays on
-    # this scene, against 28.5 when the partition was n float64 masks.
+    # before the next flow, the init is shared, not copied, and a flow step
+    # hands on one TV force field, not its three-field gradient: 22.6 arrays
+    # on this scene, against 28.5 when the partition was n float64 masks.
     n = 64
     clean = np.full((n, n), 60.0)
     clean[n // 8:n // 2, n // 8:7 * n // 8] = 190.0
@@ -617,18 +675,23 @@ def test_threshold_fields_match_direct_oracle(n_phases):
     assert phis.min() >= 0.0
 
 
+def least_cost(phis: np.ndarray):
+    """`threshold` of nonnegative costs held wholly in the fit term."""
+    return threshold(phis, np.zeros_like(phis), (1.0,) * len(phis), 0.0, 1.0)
+
+
 def test_threshold_picks_minimum_and_breaks_ties_low():
     n = 4
     phis = np.stack([np.full((n, n), 0.1), np.full((n, n), 0.2)])
-    u = threshold(phis)
+    u = least_cost(phis)
     assert u.masks[0].all() and not u.masks[1].any()
     tie = np.stack([np.full((n, n), 0.3), np.full((n, n), 0.3)])
-    assert threshold(tie).masks[0].all()
+    assert least_cost(tie).masks[0].all()
 
 
 def test_threshold_achieves_pointwise_minimum():
     phis = rng.random((3, 9, 9))
-    u = threshold(phis)
+    u = least_cost(phis)
     value = sum(inner_product(u.masks[i], phis[i]) for i in range(3))
     best = float(np.sum(phis.min(axis=0)))
     assert value == pytest.approx(best, rel=1e-12)
@@ -636,8 +699,8 @@ def test_threshold_achieves_pointwise_minimum():
 
 def test_threshold_scale_invariant():
     phis = rng.random((3, 7, 7))
-    a = threshold(phis).labels()
-    b = threshold(2.5 * phis).labels()
+    a = least_cost(phis).labels()
+    b = least_cost(2.5 * phis).labels()
     assert np.array_equal(a, b)
 
 
