@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import Kernel, convolve, gaussian_kernel, gradient
+from .field import Kernel, convolve, convolve_each, gaussian_kernel, gradient
 
 __all__ = [
     "ModelParams",
@@ -118,7 +118,10 @@ class IndicatorSet:
     """A hard partition into n phases, stored as one label per pixel, the form
     thresholding produces. The solver reads the binary masks u_i only through
     gathers and per-phase sums of the labels; the n float64 masks are built
-    when `masks` is read. The labels are read-only, so sets are shared."""
+    when `masks` is read. The labels are read-only, so sets are shared, and so
+    are the boolean masks labels == i, made once when first read."""
+
+    _phase_masks: tuple[np.ndarray, ...] | None = None
 
     def __init__(self, masks: np.ndarray):
         masks = np.asarray(masks, dtype=np.float64)
@@ -151,6 +154,15 @@ class IndicatorSet:
     def labels(self) -> np.ndarray:
         return self._labels
 
+    def phase_masks(self) -> tuple[np.ndarray, ...]:
+        """The n read-only boolean masks labels == i."""
+        if self._phase_masks is None:
+            masks = tuple(self._labels == i for i in range(self.n))
+            for m in masks:
+                m.flags.writeable = False
+            self._phase_masks = masks
+        return self._phase_masks
+
     @property
     def masks(self) -> np.ndarray:
         """The (n, H, W) float64 stack of binary masks."""
@@ -163,8 +175,8 @@ class IndicatorSet:
     def inner_products(self, fields: np.ndarray) -> np.ndarray:
         """(<u_i, F_i>)_i for a stack F of n fields, (<u_i, F>)_i for one field:
         sums over each phase's pixels, faster than a gather or a bincount."""
-        return np.array([np.sum(fields[i] if fields.ndim == 3 else fields,
-                                where=self._labels == i) for i in range(self.n)])
+        return np.array([np.sum(fields[i] if fields.ndim == 3 else fields, where=m)
+                         for i, m in enumerate(self.phase_masks())])
 
     def distance(self, other: "IndicatorSet") -> float:
         """sqrt(sum_i |u_i - v_i|^2): each relabelled pixel changes two masks."""
@@ -224,9 +236,9 @@ class FitFields(NamedTuple):
 
 
 def fit_fields(b: np.ndarray, kernel: Kernel) -> FitFields:
-    """K*b and K*b^2 for the bias `b`."""
+    """K*b and K*b^2 for the bias `b`, side by side."""
     b = np.asarray(b, dtype=np.float64)
-    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
+    return FitFields(*convolve_each((b, b * b), kernel))
 
 
 def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
@@ -262,10 +274,11 @@ def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
     The kernel has unit mass and the phases sum to 1, so the mass outside
     phase i is 1 - K_t*u_i, and that outside the last phase is the sum of
     the others' K_t*u_j: n - 1 convolutions. A one-phase set has a zero
-    field; an empty phase sees the full mass."""
+    field; an empty phase sees the full mass. The n - 1 convolutions run side
+    by side and are summed in phase order."""
     potentials = np.zeros((u.n,) + u.shape)
-    for i in range(u.n - 1):
-        spread = convolve(u.labels() == i, kernel)
+    spreads = convolve_each(u.phase_masks()[:-1], kernel)
+    for i, spread in enumerate(spreads):
         potentials[-1] += spread
         np.subtract(1.0, spread, out=potentials[i])
     return potentials

@@ -11,6 +11,9 @@ the operator and inverting it are exact inverses.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -21,6 +24,7 @@ __all__ = [
     "gaussian_kernel",
     "heat_kernel",
     "convolve",
+    "convolve_each",
     "gradient",
     "divergence",
     "laplacian",
@@ -61,10 +65,12 @@ class Kernel:
 
     def multiplier(self, n: int) -> np.ndarray:
         """The profile's DCT-II eigenvalues on n samples, made once per n."""
-        if n not in self._multipliers:
-            self._multipliers[n] = _multiplier(self.profile, n)
-            self._multipliers[n].flags.writeable = False
-        return self._multipliers[n]
+        m = self._multipliers.get(n)
+        if m is None:     # helpers may race here; both make the same bits
+            m = _multiplier(self.profile, n)
+            m.flags.writeable = False
+            self._multipliers[n] = m
+        return m
 
     @property
     def weights(self) -> np.ndarray:
@@ -144,6 +150,47 @@ def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     spec *= kernel.multiplier(spec.shape[0])[:, None]
     spec *= kernel.multiplier(spec.shape[1])
     return _fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
+
+
+# One single-thread executor per CPU the process may run on, each pinned to
+# its CPU, made on first use and forgotten in a forked child (whose copies
+# of the threads do not run). Pinning matters: an unpinned helper is woken on
+# its caller's CPU and never overlaps with its sibling.
+_helpers: list[ThreadPoolExecutor] | None = None
+
+
+def _pin(cpu: int) -> None:
+    os.sched_setaffinity(0, {cpu})      # pid 0: this helper thread only
+
+
+def _helper_pool() -> list[ThreadPoolExecutor]:
+    global _helpers
+    if _helpers is None:
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        _helpers = [ThreadPoolExecutor(1, initializer=_pin, initargs=(cpu,))
+                    for cpu in cpus] if len(cpus) > 1 else []
+    return _helpers
+
+
+def _forget_helpers() -> None:
+    global _helpers
+    _helpers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def convolve_each(fields: Sequence[np.ndarray], kernel: Kernel) -> list[np.ndarray]:
+    """[convolve(f, kernel) for f in fields], bit for bit, with the fields
+    spread over helper threads pinned one to each CPU while the caller waits.
+    One field, or one CPU, runs in the caller."""
+    pool = _helper_pool() if len(fields) > 1 else []
+    if not pool:
+        return [convolve(f, kernel) for f in fields]
+    jobs = [pool[j % len(pool)].submit(convolve, f, kernel)
+            for j, f in enumerate(fields)]
+    return [job.result() for job in jobs]
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,7 @@ from .energy import (
 from .field import (
     Kernel,
     as_field,
-    convolve,
+    convolve_each,
     divergence,
     gaussian_kernel,
     heat_kernel_pixels,
@@ -176,15 +176,15 @@ def update_bias(state: SegState, params: ModelParams,
         b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y)
              = K*(sum_i lam_i c_i u_i g) / K*(sum_i lam_i c_i^2 u_i),
 
-    two convolutions for any number of phases (K is linear).
+    two convolutions for any number of phases (K is linear), side by side.
     """
     c = np.asarray(state.c, dtype=np.float64)
     if not np.any(c != 0.0):
         raise DegenerateInputError("all region means are zero; bias undefined")
     kernel = kernel or gaussian_kernel(params.rho)
     lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
-    num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
-    den = convolve(state.u.weighted_sum(lam_c * c), kernel)
+    num, den = convolve_each((state.u.weighted_sum(lam_c) * state.g,
+                              state.u.weighted_sum(lam_c * c)), kernel)
     den = np.maximum(den, np.finfo(np.float64).tiny)
     return num / den
 

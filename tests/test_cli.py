@@ -136,8 +136,10 @@ def test_denoise_command(tmp_path):
 
 def test_denoise_makes_no_fit_kernel_pass(tmp_path, monkeypatch):
     # every fit weight is zero: no partition, bias or K*b, K*b^2 is built,
-    # and the gray indicator's K_sigma is the one convolution of the run
+    # and the gray indicator's K_sigma is the one convolution of the run;
+    # `convolve_each` calls `convolve` through the `field` global
     import ictmseg.energy
+    import ictmseg.field
     import ictmseg.solve
     from ictmseg.field import convolve, gaussian_kernel
 
@@ -147,13 +149,27 @@ def test_denoise_makes_no_fit_kernel_pass(tmp_path, monkeypatch):
         radii.append(kernel.radius)
         return convolve(field, kernel)
 
-    for module in (ictmseg.energy, ictmseg.solve):
-        monkeypatch.setattr(module, "convolve", counting)
+    for module in (ictmseg.field, ictmseg.energy, ictmseg.solve):
+        monkeypatch.setattr(module, "convolve", counting, raising=False)
     cfg = write_cfg(tmp_path, "synth.size = 32,32\nsynth.region = rect:8,8,16,16,180\n"
                               "noise.kind = gamma\nnoise.looks = 10\nseed = 5\n")
     out = tmp_path / "dn"
     assert main(["denoise", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert radii == [gaussian_kernel(1.0).radius]
+
+
+def test_denoise_starts_no_thread(tmp_path):
+    # the image flow alone makes no pair of convolutions to run side by side
+    cfg = write_cfg(tmp_path, "synth.size = 32,32\nsynth.region = rect:8,8,16,16,180\n"
+                              "noise.kind = gamma\nnoise.looks = 10\nseed = 5\n")
+    code = ("import sys, threading\n"
+            "from ictmseg.cli import main\n"
+            "code = main(['denoise', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+            "print(code, threading.active_count())\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "dn")],
+                          capture_output=True, text=True, cwd=package_root, check=True)
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_metrics_command_identical_masks(tmp_path, capsys):

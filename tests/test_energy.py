@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ictmseg.energy
+import ictmseg.field
 from ictmseg.energy import (
     EnergyBreakdown,
     IndicatorSet,
@@ -183,7 +184,8 @@ def test_length_potentials_one_phase_set_is_zero(monkeypatch):
     def no_convolution(field, kernel):
         raise AssertionError("a one-phase set needs no convolution")
 
-    monkeypatch.setattr(ictmseg.energy, "convolve", no_convolution)
+    for module in (ictmseg.field, ictmseg.energy):
+        monkeypatch.setattr(module, "convolve", no_convolution)
     u = IndicatorSet(np.ones((1, 9, 7)))
     pots = length_potentials(u, heat_kernel_pixels(2.0))
     assert pots.shape == (1, 9, 7)

@@ -1,7 +1,11 @@
 """Grid-core tests: kernels, convolution, difference operators, solver."""
 
+import hashlib
+import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ictmseg
+import ictmseg.field
 
 from ictmseg.field import (
     DEFAULT_TRUNCATION,
     biharmonic,
     convolve,
+    convolve_each,
     divergence,
     gaussian_kernel,
     gradient,
@@ -196,6 +202,117 @@ def test_run_imports_no_heavy_scipy_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=package_root, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------- side-by-side passes
+
+pinning = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                             reason="no CPU affinity on this platform")
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes, kinds=st.lists(st.booleans(), min_size=1, max_size=4),
+       std=st.floats(0.5, 20.0), seed=seeds)
+def test_convolve_each_equals_convolve_per_field(shape, kinds, std, seed):
+    # bit for bit, in order, for float64 fields and boolean masks alike; no
+    # input is written and no result shares memory with an input or another
+    r = np.random.default_rng(seed)
+    fields = [r.random(shape) < 0.5 if is_mask else r.standard_normal(shape)
+              for is_mask in kinds]
+    before = [f.copy() for f in fields]
+    k = gaussian_kernel(std)
+    out = convolve_each(fields, k)
+    assert len(out) == len(fields)
+    for f, b, o in zip(fields, before, out):
+        assert f.dtype == b.dtype and f.tobytes() == b.tobytes()
+        assert o.dtype == np.float64 and o.tobytes() == convolve(b, k).tobytes()
+    assert not any(np.shares_memory(o, x) for i, o in enumerate(out)
+                   for x in fields + out[:i])
+
+
+@pinning
+def test_convolve_each_helpers_pinned_one_per_cpu():
+    cpus = os.sched_getaffinity(0)
+    convolve_each([np.ones((4, 4))] * 2, gaussian_kernel(1.0))
+    helpers = ictmseg.field._helper_pool()
+    if len(cpus) < 2:
+        assert helpers == []
+        return
+    pinned = [h.submit(os.sched_getaffinity, 0).result() for h in helpers]
+    idents = {h.submit(threading.get_ident).result() for h in helpers}
+    assert all(len(p) == 1 for p in pinned)
+    assert set().union(*pinned) == cpus and len(pinned) == len(cpus)
+    assert len(idents) == len(helpers) and threading.get_ident() not in idents
+
+
+@pinning
+def test_convolve_each_one_cpu_gives_the_same_labels():
+    # A process limited to one CPU runs every pass in the caller and starts no
+    # thread; the default run spreads them over the helpers. Both find
+    # the label map of the pinned three-phase run, and one field alone never
+    # starts a helper.
+    code = (
+        "import hashlib, threading, numpy as np, ictmseg\n"
+        "ictmseg.field.convolve_each([np.ones((8, 8))], ictmseg.gaussian_kernel(1.0))\n"
+        "alone = threading.active_count()\n"
+        "n = 64\n"
+        "yy, xx = np.mgrid[0:n, 0:n]\n"
+        "clean = np.full((n, n), 100.0)\n"
+        "clean[8:28, 6:40] = 30.0\n"
+        "clean[(yy - 44) ** 2 + (xx - 40) ** 2 <= 14 ** 2] = 200.0\n"
+        "f = np.clip(clean * (0.9 + 0.2 * xx / (n - 1))\n"
+        "            * ictmseg.sample_gamma_field(n, n, 10.0, seed=11), 0.0, 255.0)\n"
+        "labels = np.zeros((n, n), dtype=np.int64)\n"
+        "labels[11:25, 9:37] = 1\n"
+        "labels[(yy - 44) ** 2 + (xx - 40) ** 2 <= 10 ** 2] = 2\n"
+        "params = ictmseg.ModelParams(lambdas=(1.0,) * 3, tau=8.0, tau_in_pixels=True,\n"
+        "                             max_outer=40)\n"
+        "state, _ = ictmseg.segment(f, ictmseg.IndicatorSet.from_labels(labels, 3), params)\n"
+        "print(alone, threading.active_count(),\n"
+        "      hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest())\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    cpus = os.sched_getaffinity(0)
+    one_cpu = min(cpus)
+
+    def run(preexec_fn=None):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=package_root, check=True, timeout=120,
+                              preexec_fn=preexec_fn).stdout.split()
+
+    pinned = run(lambda: os.sched_setaffinity(0, {one_cpu}))
+    default = run()
+    digest = "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
+    assert pinned == ["1", "1", digest]
+    # a helper thread starts with its first field; no call has more than two
+    helpers = min(len(cpus), 2) if len(cpus) > 1 else 0
+    assert default == ["1", str(1 + helpers), digest]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_convolve_each_in_forked_child():
+    # helpers started before a fork do not run in the child; the child makes
+    # its own and returns the parent's bits instead of waiting for ever
+    k = gaussian_kernel(2.0)
+    fields = [rng.standard_normal((16, 16)) for _ in range(3)]
+    expected = hashlib.sha256(b"".join(o.tobytes() for o in convolve_each(fields, k)))
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            signal.alarm(20)
+            out = b"".join(o.tobytes() for o in convolve_each(fields, k))
+            os.write(write_end, hashlib.sha256(out).digest())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        digest = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert digest == expected.digest()
 
 
 # ---------------------------------------------------- gradient / divergence

@@ -519,8 +519,9 @@ def test_segment_peak_memory_in_arrays():
     # Peak of the memory one `segment` call allocates, in H x W float64
     # arrays. The partition is one label map, the residual stack is released
     # before the next flow, the init is shared, not copied, and a flow step
-    # hands on one TV force field, not its three-field gradient: 22.6 arrays
-    # on this scene, against 28.5 when the partition was n float64 masks.
+    # hands on one TV force field, not its three-field gradient: 22.9-23.1
+    # arrays on this scene, with pairs of convolutions overlapping on helper
+    # threads, against 28.5 when the partition was n float64 masks.
     n = 64
     clean = np.full((n, n), 60.0)
     clean[n // 8:n // 2, n // 8:7 * n // 8] = 190.0
@@ -816,7 +817,12 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # One outer iteration makes two fit-kernel convolutions in the bias
     # update plus K*b and K*b^2 after it, and n - 1 heat-kernel convolutions
     # for the length potentials of the new partition; K*1 is never made.
+    # Helper threads call `convolve` through the `field` global, so it is
+    # patched there too and counted under a lock.
+    import threading
+
     import ictmseg.energy
+    import ictmseg.field
     import ictmseg.solve
 
     n = 32
@@ -832,15 +838,17 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     kernels = {"fit": gaussian_kernel(params.rho),
                "heat": heat_kernel_pixels(params.heat_time_pixels(f.shape))}
     counts = [{"fit": 0, "heat": 0}]
+    lock = threading.Lock()
 
     def counting(field, kernel):
         for name, ref in kernels.items():
             if kernel.radius == ref.radius and np.array_equal(kernel.profile, ref.profile):
-                counts[-1][name] += 1
+                with lock:
+                    counts[-1][name] += 1
         return convolve(field, kernel)
 
-    for module in (ictmseg.energy, ictmseg.solve):
-        monkeypatch.setattr(module, "convolve", counting)
+    for module in (ictmseg.field, ictmseg.energy, ictmseg.solve):
+        monkeypatch.setattr(module, "convolve", counting, raising=False)
     _, log = segment(f, IndicatorSet.from_labels(labels, n_phases), params,
                      progress=lambda rec: counts.append({"fit": 0, "heat": 0}))
     budget = {"fit": 0 if freeze_bias else 4, "heat": n_phases - 1}
