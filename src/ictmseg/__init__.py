@@ -29,7 +29,6 @@ from .field import (
     divergence,
     gaussian_kernel,
     gradient,
-    heat_kernel,
     heat_kernel_pixels,
     inner_product,
     laplacian,

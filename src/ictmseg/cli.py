@@ -28,7 +28,7 @@ from .fileio import (
 )
 from .metrics import match_phases, multiphase_report, score_masks
 from .noise import corrupt
-from .solve import segment, update_image
+from .solve import FlowRun, segment, update_image
 from .synth import Shape, generate
 
 ENERGY_COLUMNS = ["outer_iter", "inner_iter", "E_fit", "E_len", "E_idiv",
@@ -166,8 +166,7 @@ def cmd_synth(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     clean, truth, bias = generate(cfg.synth)
     write_pgm(out / "clean.pgm", clean)
     write_f64(out / "clean.f64", clean)
-    write_pgm(out / "truth.pgm", truth.labels().astype(np.float64),
-              scale_clamp=True)
+    write_pgm(out / "truth.pgm", truth.labels().astype(np.float64))
     write_f64(out / "bias.f64", bias)
     _write_manifest(out / "manifest.txt", cfg)
     if not quiet:
@@ -239,7 +238,8 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     f_norm = f / params.intensity_scale
     state = SegState(c=None, b=None, g=np.maximum(f_norm, params.g_floor), u=None)
     alpha = gray_indicator(f_norm, params.sigma, params.p)
-    g, records, hit_cap = update_image(state, f_norm, alpha, params)
+    g, records, hit_cap = update_image(state, f_norm, alpha, params, None,
+                                      FlowRun.start(f_norm, params), 0)
     g = g * params.intensity_scale
     write_pgm(out / "denoised.pgm", g)
     write_f64(out / "denoised.f64", g)

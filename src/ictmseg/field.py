@@ -22,7 +22,7 @@ from scipy import fft as _fft
 __all__ = [
     "Kernel",
     "gaussian_kernel",
-    "heat_kernel",
+    "heat_kernel_pixels",
     "convolve",
     "convolve_each",
     "gradient",
@@ -77,11 +77,6 @@ class Kernel:
         """Full 2-D weight stencil, shape (2*radius+1, 2*radius+1)."""
         return np.outer(self.profile, self.profile)
 
-    def std_pixels(self) -> float:
-        """Standard deviation of the (truncated, renormalized) kernel."""
-        x = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
-        return float(np.sqrt(np.sum(self.profile * x * x)))
-
 
 def _profile_from_std(std: float, truncation: float) -> tuple[int, np.ndarray]:
     radius = int(np.ceil(truncation * std))
@@ -103,30 +98,18 @@ def gaussian_kernel(std_dev: float, truncation: float = DEFAULT_TRUNCATION) -> K
     return Kernel(radius=radius, profile=profile)
 
 
-def heat_kernel(time: float, domain_scale: float,
-                truncation: float = DEFAULT_TRUNCATION) -> Kernel:
-    """Heat kernel exp(-|x|^2 / (4*time)) on normalized coordinates.
-
-    Positions are measured in units of `domain_scale` pixels (pass the image
-    long side to make the domain's long side have length 1). The resulting
-    pixel-space standard deviation is sqrt(2*time) * domain_scale.
-    """
-    if time <= 0:
-        raise ValueError(f"time must be positive, got {time}")
-    if domain_scale <= 0:
-        raise ValueError(f"domain_scale must be positive, got {domain_scale}")
-    std_px = np.sqrt(2.0 * time) * domain_scale
-    if truncation * std_px < 1.0:
+def heat_kernel_pixels(time_px: float) -> Kernel:
+    """Heat kernel exp(-|x|^2 / (4*time_px)), the diffusion time in pixel^2
+    units: a Gaussian of standard deviation sqrt(2*time_px) pixels."""
+    if time_px <= 0:
+        raise ValueError(f"time must be positive, got {time_px}")
+    std_px = np.sqrt(2.0 * time_px)
+    if DEFAULT_TRUNCATION * std_px < 1.0:
         raise ValueError(
-            f"heat time {time} gives a sub-pixel kernel (std {std_px:.4f} px); "
-            "increase the time or the domain scale")
-    radius, profile = _profile_from_std(std_px, float(truncation))
+            f"heat time {time_px} gives a sub-pixel kernel (std {std_px:.4f} px); "
+            "increase the time")
+    radius, profile = _profile_from_std(std_px, DEFAULT_TRUNCATION)
     return Kernel(radius=radius, profile=profile)
-
-
-def heat_kernel_pixels(time_px: float, truncation: float = DEFAULT_TRUNCATION) -> Kernel:
-    """Heat kernel with the diffusion time given directly in pixel^2 units."""
-    return heat_kernel(time_px, 1.0, truncation)
 
 
 def _multiplier(stencil, n: int) -> np.ndarray:
@@ -208,20 +191,18 @@ def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def divergence(px: np.ndarray, py: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
+def divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Backward-difference divergence, the exact negative adjoint of gradient.
 
     The closure mirrors the gradient's: first entry passes through, last entry
     contributes only its backward neighbor. <grad f, (p,q)> == -<f, div(p,q)>
-    holds to machine precision for all (p, q). `out`, if given, receives the
-    result; it must not overlap px or py.
+    holds to machine precision for all (p, q). `out` receives the result; it
+    must not overlap px or py.
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     if px.shape != py.shape:
         raise ValueError(f"component shapes differ: {px.shape} vs {py.shape}")
-    out = np.empty_like(px) if out is None else out
     if px.shape[1] > 1:
         out[:, 0] = px[:, 0]
         out[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
@@ -260,18 +241,14 @@ def implicit_symbol(shape: tuple[int, int], dt: float) -> np.ndarray:
     return symbol
 
 
-def solve_implicit(rhs: np.ndarray, dt: float,
-                   symbol: np.ndarray | None = None) -> np.ndarray:
-    """Solve (I + dt * Lap^2) x = rhs by cosine-transform diagonalization.
+def solve_implicit(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Solve (I + dt * Lap^2) x = rhs by cosine-transform diagonalization,
+    `symbol` being `implicit_symbol(rhs.shape, dt)`.
 
     The DCT-II basis diagonalizes the reflected-closure Laplacian, so the
     solve inverts exactly the same operator that `biharmonic` applies.
-    `symbol`, if given, is `implicit_symbol(rhs.shape, dt)`.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if symbol is None:
-        symbol = implicit_symbol(rhs.shape, dt)
-    spec = _fft.dctn(rhs, type=2, norm="ortho")
+    spec = _fft.dctn(np.asarray(rhs, dtype=np.float64), type=2, norm="ortho")
     spec /= symbol
     return _fft.idctn(spec, type=2, norm="ortho", overwrite_x=True)
 

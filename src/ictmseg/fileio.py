@@ -30,12 +30,11 @@ F64_MAGIC = b"FGRID64\x00"
 # --------------------------------------------------------------------------
 # rasters
 
-def write_pgm(path, field: np.ndarray, scale_clamp: bool = True) -> None:
+def write_pgm(path, field: np.ndarray) -> None:
     """8-bit binary PGM. Values are rounded and clamped to [0, 255];
     pass integer-valued data to round-trip exactly."""
     field = np.asarray(field, dtype=np.float64)
-    data = np.clip(np.rint(field), 0, 255).astype(np.uint8) if scale_clamp \
-        else field.astype(np.uint8)
+    data = np.clip(np.rint(field), 0, 255).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -81,8 +80,10 @@ def read_f64(path) -> np.ndarray:
         blob = fh.read()
     if blob[:8] != F64_MAGIC:
         raise ConfigError(f"{path}: bad magic, not a float raster")
-    w = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
-    h = int(np.frombuffer(blob[12:16], dtype="<u4")[0])
+    if len(blob) < 16 or len(blob) % 8:
+        raise ConfigError(f"{path}: {len(blob)} bytes is not a 16-byte header "
+                          "and whole float64 values")
+    w, h = (int(v) for v in np.frombuffer(blob[8:16], dtype="<u4"))
     data = np.frombuffer(blob[16:], dtype="<f8")
     if data.size != w * h:
         raise ConfigError(f"{path}: raster size mismatch")

@@ -142,19 +142,11 @@ def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
     return IndicatorSet.from_labels(_max_overlap_assignment(overlap)[pred.labels()], n)
 
 
-def multiphase_report(pred: IndicatorSet, truth: IndicatorSet,
-                      class_names: list[str] | None = None) -> list[dict]:
+def multiphase_report(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
     """One-vs-rest scores per phase. Phases are compared index to index."""
     if pred.n != truth.n:
         raise ValueError(f"phase count mismatch: {pred.n} vs {truth.n}")
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    names = class_names or [f"phase_{i}" for i in range(pred.n)]
-    if len(names) != pred.n:
-        raise ValueError("one class name per phase required")
-    rows = []
-    for i, name in enumerate(names):
-        row = {"class": name}
-        row.update(score_masks(pred.labels() == i, truth.labels() == i))
-        rows.append(row)
-    return rows
+    return [{"class": f"phase_{i}", **score_masks(pred.labels() == i, truth.labels() == i)}
+            for i in range(pred.n)]

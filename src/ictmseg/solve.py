@@ -147,17 +147,13 @@ class IterationLog:
 # --------------------------------------------------------------------------
 # closed-form subproblems
 
-def update_means(state: SegState, params: ModelParams,
-                 kernel: Kernel | None = None, *,
-                 fields: FitFields | None = None) -> tuple[np.ndarray, list[str]]:
-    """Optimal region means c_i = <u_i * g, K*b> / <u_i, K*b^2>.
+def update_means(state: SegState, fields: FitFields) -> tuple[np.ndarray, list[str]]:
+    """Optimal region means c_i = <u_i * g, K*b> / <u_i, K*b^2>, `fields`
+    being the fit fields of `state.b`.
 
-    `fields`, if given, are the fit fields of `state.b` and replace the
-    kernel passes. An empty phase (zero denominator) keeps its previous mean
-    and is flagged; thresholding may repopulate it later.
+    An empty phase (zero denominator) keeps its previous mean and is flagged;
+    thresholding may repopulate it later.
     """
-    if fields is None:
-        fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
     c = np.array(state.c, dtype=np.float64, copy=True)
     flags = []
     nums = state.u.inner_products(state.g * fields.kb)
@@ -169,8 +165,7 @@ def update_means(state: SegState, params: ModelParams,
     return c, flags
 
 
-def update_bias(state: SegState, params: ModelParams,
-                kernel: Kernel | None = None) -> np.ndarray:
+def update_bias(state: SegState, params: ModelParams, kernel: Kernel) -> np.ndarray:
     """Optimal bias field
 
         b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y)
@@ -181,7 +176,6 @@ def update_bias(state: SegState, params: ModelParams,
     c = np.asarray(state.c, dtype=np.float64)
     if not np.any(c != 0.0):
         raise DegenerateInputError("all region means are zero; bias undefined")
-    kernel = kernel or gaussian_kernel(params.rho)
     lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
     num, den = convolve_each((state.u.weighted_sum(lam_c) * state.g,
                               state.u.weighted_sum(lam_c * c)), kernel)
@@ -253,25 +247,20 @@ def energy_shift(f: np.ndarray, params: ModelParams) -> float:
 
 
 def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                    params: ModelParams, fields: FitFields | None = None,
-                    run: FlowRun | None = None) -> GContext:
-    """`fields` are the fit fields of `state.b`; made from `params.rho` if
-    not given. `run` holds the run's constants `shift` and `symbol`; made
-    here if not given. With every lam_i zero, only `state.g` is read: c, b
-    and u may be None."""
+                    params: ModelParams, fields: FitFields | None,
+                    run: FlowRun) -> GContext:
+    """`fields` are the fit fields of `state.b`, and `run` holds the run's
+    constants `shift` and `symbol`. With every lam_i zero, only `state.g` is
+    read: fields, c, b and u may be None."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    run = run or FlowRun.start(f, params)
     weight, target, fit_const = None, None, 0.0
     if lam.any():
-        if fields is None:
-            fields = fit_fields(state.b, gaussian_kernel(params.rho))
         c = np.asarray(state.c, dtype=np.float64)
         weight = state.u.weighted_sum(lam)
         target = fields.kb * state.u.weighted_sum(lam * c)
         fit_const = inner_product(state.u.weighted_sum(lam * c * c), fields.kb2)
     return GContext(
-        f=f,
+        f=np.asarray(f, dtype=np.float64),
         alpha=np.asarray(alpha, dtype=np.float64),
         weight=weight,
         target=target,
@@ -347,25 +336,20 @@ def force(g: np.ndarray, ctx: GContext,
     return out
 
 
-def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
-               e_cur: float | None = None,
-               outer: int | None = None, inner: int | None = None,
-               tv_force: np.ndarray | None = None) -> StepResult:
-    """One relaxed-SAV step of the g gradient flow.
-
-    `e_cur` (E_g at the incoming iterate) and `tv_force` (the TV part of its
-    force, `_tv_force`) may be supplied to avoid recomputing them; the result
-    carries both for `g_next`. The positivity floor is applied after the
-    update, and the G-functional is that of the pre-floor displacement.
+def rmsav_step(g: np.ndarray, z: float, ctx: GContext, e_cur: float,
+               tv_force: np.ndarray | None, outer: int, inner: int) -> StepResult:
+    """One relaxed-SAV step of the g gradient flow from `g`, whose energy E_g
+    is `e_cur` and the TV part of whose force is `tv_force` (`_tv_force`;
+    `force` makes it when None). The result carries both for `g_next`. The
+    positivity floor is applied after the update, and the G-functional is
+    that of the pre-floor displacement. `outer` and `inner` locate a failure.
     """
     if z <= 0.0:
         raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
                                outer, inner)
-    if e_cur is None:
-        e_cur = g_energy(g, ctx)[0]
     m = force(g, ctx, tv_force)
     m /= np.sqrt(e_cur + ctx.shift)
-    m_hat = solve_implicit(m, ctx.dt, ctx.symbol)
+    m_hat = solve_implicit(m, ctx.symbol)
     ip = inner_product(m, m_hat)
     del m
     z_tilde = z / (1.0 + 0.5 * ctx.dt * ip)
@@ -379,7 +363,8 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
     e_next, fit, idiv, tv, tv_next = _evaluate(g_next, ctx)
     if not (np.isfinite(e_next) and np.isfinite(z_tilde) and np.isfinite(g_val)):
         raise NumericalFailure("non-finite value in SAV step", outer, inner)
-    xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta)
+    xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta,
+                                outer, inner)
     z_next = xi * z_tilde + (1.0 - xi) * np.sqrt(e_next + ctx.shift)
     return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
                       xi=float(xi), g_val=float(g_val), e_next=float(e_next),
@@ -388,31 +373,33 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext,
 
 
 def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
-                           g_val: float, c0: float = 1.0,
-                           eta: float = 0.99) -> float:
+                           g_val: float, shift: float, eta: float,
+                           outer: int, inner: int) -> float:
     """Smallest xi in [0, 1] satisfying the relaxation constraint
 
         q*xi^2 + d*xi + h <= 0,
         q = (z_tilde - r)^2,  d = 2*(z_tilde - r)*r,
-        h = r^2 - z_tilde^2 - (z_tilde - z_prev)^2 - eta*G,  r = sqrt(E+C0),
+        h = r^2 - z_tilde^2 - (z_tilde - z_prev)^2 - eta*G,  r = sqrt(E+shift),
 
     i.e. xi = max{0, (-d - sqrt(d^2 - 4qh)) / (2q)}. xi = 1 is always
     feasible, so a significantly negative discriminant indicates a numerical
-    fault and raises.
+    fault and raises; `outer` and `inner` locate it.
     """
-    if e_next + c0 <= 0.0:
-        raise NumericalFailure("energy fell below -C0; shift C0 is too small")
-    r = np.sqrt(e_next + c0)
+    if e_next + shift <= 0.0:
+        raise NumericalFailure("energy fell below -shift; the shift is too small",
+                               outer, inner)
+    r = np.sqrt(e_next + shift)
     q = (z_tilde - r) ** 2
     d = 2.0 * (z_tilde - r) * r
-    h = e_next + c0 - z_tilde**2 - (z_tilde - z_prev)**2 - eta * g_val
+    h = e_next + shift - z_tilde**2 - (z_tilde - z_prev)**2 - eta * g_val
     if q > 1e-14:
         disc = d * d - 4.0 * q * h
         if disc < 0.0:
             scale = max(d * d, abs(4.0 * q * h), 1.0)
             if disc < -1e-8 * scale:
                 raise NumericalFailure(
-                    f"relaxation discriminant {disc:.3e} negative beyond roundoff")
+                    f"relaxation discriminant {disc:.3e} negative beyond roundoff",
+                    outer, inner)
             disc = 0.0
         xi = (-d - np.sqrt(disc)) / (2.0 * q)
         xi = max(0.0, xi)
@@ -427,15 +414,14 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
 
 
 def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                 params: ModelParams, fields: FitFields | None = None,
-                 outer: int = 0, run: FlowRun | None = None,
-                 ) -> tuple[np.ndarray, list[InnerRecord], bool]:
+                 params: ModelParams, fields: FitFields | None, run: FlowRun,
+                 outer: int) -> tuple[np.ndarray, list[InnerRecord], bool]:
     """Run the RMSAV inner loop from the current g until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
-    `fields` are passed to `build_g_context`. `run` (made here if not given)
-    carries the hand-off between flows; its `entry` must belong to `state.g`.
+    `fields` and `run` are passed to `build_g_context`; `run` also carries
+    the hand-off between flows, and its `entry` must belong to `state.g`.
+    `outer` numbers the records and locates a failure.
     """
-    run = run or FlowRun.start(f, params)
     ctx = build_g_context(state, f, alpha, params, fields, run)
     g = np.asarray(state.g, dtype=np.float64)
     if run.entry is None:
@@ -448,8 +434,7 @@ def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
     records: list[InnerRecord] = []
     err2 = np.inf
     while err2 > params.tol2 and len(records) < params.max_inner:
-        step = rmsav_step(g, z, ctx, e_cur=e_cur, tv_force=tv_force,
-                          outer=outer, inner=len(records))
+        step = rmsav_step(g, z, ctx, e_cur, tv_force, outer, len(records))
         err2 = abs(step.e_next - e_cur) / max(abs(step.e_next), np.finfo(float).tiny)
         records.append(InnerRecord(
             outer=outer, inner=len(records), energy=step.e_next,
@@ -545,13 +530,13 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     k = 0
     while err1 > params.tol1 and k < params.max_outer:
         flags: list[str] = []
-        state.c, mean_flags = update_means(state, params, fields=fields)
+        state.c, mean_flags = update_means(state, fields)
         flags += mean_flags
         if not params.freeze_bias:
             state.b = update_bias(state, params, fit_kernel)
             fields = fit_fields(state.b, fit_kernel)
         state.g, inner_records, hit_cap = update_image(
-            state, f, alpha, params, fields, outer=k, run=run)
+            state, f, alpha, params, fields, run, k)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")

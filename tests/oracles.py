@@ -8,7 +8,8 @@ term by term from the library's force and energy, without the reuse the
 library's step makes. The energy terms below `assemble_implicit_matrix`
 (`fit_residual` to `total_energy`, and `phase_costs`) compose the library's
 fields and partition terms for a given state, as the solver loop does; the
-solver itself fuses them and never forms the cost stack.
+solver itself fuses them and never forms the cost stack. `run_inputs` makes
+the per-run values the solver functions take, as `segment` makes them.
 """
 
 from itertools import permutations
@@ -18,9 +19,9 @@ import numpy as np
 from ictmseg.energy import (EnergyBreakdown, fit_fields, fit_term, idiv_energy,
                             length_potentials, length_term, residual_fields, tv_energy)
 from ictmseg.errors import NumericalFailure
-from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, inner_product,
-                           solve_implicit)
-from ictmseg.solve import StepResult, force, g_energy, relaxation_coefficient
+from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, implicit_symbol,
+                           inner_product, solve_implicit)
+from ictmseg.solve import FlowRun, StepResult, force, g_energy, relaxation_coefficient
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -230,6 +231,14 @@ def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> 
                for perm in permutations(range(n)))
 
 
+def run_inputs(state, f: np.ndarray, params) -> tuple:
+    """What `segment` makes once and hands `build_g_context` and
+    `update_image`: the fit fields of `state.b` (None when every lambda is
+    zero) and a `FlowRun` of `f`."""
+    fields = fit_fields(state.b, gaussian_kernel(params.rho)) if any(params.lambdas) else None
+    return fields, FlowRun.start(f, params)
+
+
 def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = None,
                          outer: int | None = None,
                          inner: int | None = None) -> StepResult:
@@ -243,7 +252,7 @@ def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = Non
         e_cur = g_energy(g, ctx)[0]
     root_cur = np.sqrt(e_cur + ctx.shift)
     m = force(g, ctx) / root_cur
-    m_hat = solve_implicit(m, ctx.dt)
+    m_hat = solve_implicit(m, implicit_symbol(m.shape, ctx.dt))
     ip = inner_product(m, m_hat)
     z_tilde = z / (1.0 + 0.5 * ctx.dt * ip)
     g_raw = g - ctx.dt * z_tilde * m_hat
@@ -255,7 +264,8 @@ def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = Non
     e_next, fit, idiv, tv = g_energy(g_next, ctx)
     if not (np.isfinite(e_next) and np.isfinite(z_tilde) and np.isfinite(g_val)):
         raise NumericalFailure("non-finite value in SAV step", outer, inner)
-    xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta)
+    xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta,
+                                outer, inner)
     z_next = xi * z_tilde + (1.0 - xi) * np.sqrt(e_next + ctx.shift)
     return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
                       xi=float(xi), g_val=float(g_val), e_next=float(e_next),

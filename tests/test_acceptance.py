@@ -15,6 +15,7 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
+    fit_fields,
     gray_indicator,
 )
 from ictmseg.field import (
@@ -22,6 +23,7 @@ from ictmseg.field import (
     convolve,
     gaussian_kernel,
     heat_kernel_pixels,
+    implicit_symbol,
     inner_product,
     solve_implicit,
 )
@@ -48,6 +50,7 @@ from oracles import (
     length_energy,
     means_direct,
     phi_direct,
+    run_inputs,
     threshold_fields,
 )
 
@@ -73,15 +76,16 @@ def sav_run(n_steps=60, n=64, seed=314):
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1, c0=1.0, eta_relax=0.99)
-    state.c, _ = update_means(state, params)
+    fields, run = run_inputs(state, f, params)
+    state.c, _ = update_means(state, fields)
     alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(state, f, alpha, params)
+    ctx = build_g_context(state, f, alpha, params, fields, run)
     g = state.g.copy()
     e = g_energy(g, ctx)[0]
     z = float(np.sqrt(e + ctx.shift))
     steps = []
-    for _ in range(n_steps):
-        step = rmsav_step(g, z, ctx, e_cur=e)
+    for j in range(n_steps):
+        step = rmsav_step(g, z, ctx, e, None, 0, j)
         steps.append((z, step))
         g, z, e = step.g_next, step.z_next, step.e_next
     return steps, ctx
@@ -161,7 +165,7 @@ def test_criterion_04_exact_minimizer_stationarity():
         state = SegState(c=np.array([1.0 + rng.random(), 3.0 + rng.random()]),
                          b=rng.random((16, 16)) + 0.5,
                          g=rng.random((16, 16)) * 5 + 0.5, u=two_phase(mask))
-        state.c, _ = update_means(state, params, k)
+        state.c, _ = update_means(state, fit_fields(state.b, k))
         base = fitting_energy(state, params, k)
         for i in range(2):
             for delta in (1e-3, -1e-3):
@@ -188,7 +192,7 @@ def test_criterion_05_force_matches_finite_differences():
     f = rng.random((n, n)) * 5 + 1
     params = ModelParams(gamma=0.3, nu=0.8)
     alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(state, f, alpha, params)
+    ctx = build_g_context(state, f, alpha, params, *run_inputs(state, f, params))
     g = rng.random((n, n)) * 4 + 2
     grad = force(g, ctx)
     t = 1e-5
@@ -205,12 +209,12 @@ def test_criterion_05_force_matches_finite_differences():
 def test_criterion_06_implicit_operator_correctness():
     field = rng.random((16, 16))
     dt = 0.1
-    back = solve_implicit(field + dt * biharmonic(field), dt)
+    back = solve_implicit(field + dt * biharmonic(field), implicit_symbol(field.shape, dt))
     round_trip = np.abs(back - field).max()
     rhs = rng.random((4, 4))
     dense = np.linalg.solve(assemble_implicit_matrix((4, 4), 0.25),
                             rhs.ravel()).reshape(4, 4)
-    dense_gap = np.abs(solve_implicit(rhs, 0.25) - dense).max()
+    dense_gap = np.abs(solve_implicit(rhs, implicit_symbol((4, 4), 0.25)) - dense).max()
     report("criterion 6 (spectral solve: round trip and dense match)",
            round_trip <= 1e-10 and dense_gap <= 1e-10,
            f"round trip={round_trip:.2e} dense gap={dense_gap:.2e}")
@@ -244,7 +248,7 @@ def test_criterion_08_oracle_equivalence():
     }
     state = SegState(c=c.copy(), b=b, g=g, u=u)
     params = ModelParams(rho=1.2, lambdas=(1.0, 1.0), mu=0.7)
-    c_new, _ = update_means(state, params, k)
+    c_new, _ = update_means(state, fit_fields(b, k))
     gaps["means"] = max(abs(c_new[i] - means_direct(u.masks[i], g, b, k.weights))
                         for i in range(2))
     gaps["bias"] = np.abs(update_bias(state, params, k)

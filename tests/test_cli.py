@@ -215,6 +215,16 @@ def test_exit_code_2_on_contract_violation(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_truncated_float_raster(tmp_path, capsys):
+    # the magic and half a header: an error naming the file, not a traceback
+    path = tmp_path / "short.f64"
+    path.write_bytes(b"FGRID64\x00\x02\x00\x00\x00")
+    cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    assert "short.f64" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch, capsys):
     from ictmseg import cli
     from ictmseg.errors import NumericalFailure

@@ -24,7 +24,6 @@ from ictmseg.field import (
     divergence,
     gaussian_kernel,
     gradient,
-    heat_kernel,
     heat_kernel_pixels,
     implicit_symbol,
     inner_product,
@@ -80,8 +79,10 @@ def test_gaussian_kernel_rejects_bad_params():
 
 def test_heat_kernel_std_and_second_moment():
     # normalized time 0.02 on a 256-long side: std = sqrt(0.04)*256 = 51.2 px
-    k = heat_kernel(0.02, 256.0)
-    assert abs(k.std_pixels() - 51.2) < 0.5 * 51.2 * 0.01
+    k = heat_kernel_pixels(0.02 * 256.0**2)
+    x = np.arange(-k.radius, k.radius + 1, dtype=float)
+    std_pixels = np.sqrt(np.sum(k.profile * x * x))
+    assert abs(std_pixels - 51.2) < 0.5 * 51.2 * 0.01
     # brute-force second moment of the full 2-D stencil along x
     w = k.weights
     r = k.radius
@@ -92,7 +93,7 @@ def test_heat_kernel_std_and_second_moment():
 
 def test_heat_kernel_too_small_time():
     with pytest.raises(ValueError, match="sub-pixel"):
-        heat_kernel(1e-9, 64.0)
+        heat_kernel_pixels(1e-9 * 64.0**2)
 
 
 def test_heat_kernel_impulse_response():
@@ -178,8 +179,7 @@ def test_transforms_leave_their_input_unchanged(shape, std, dt, seed):
     field = np.random.default_rng(seed).random(shape)
     k = gaussian_kernel(std)
     calls = [(field, lambda a: convolve(a, k)), (field < 0.5, lambda a: convolve(a, k)),
-             (field, lambda a: solve_implicit(a, dt)),
-             (field, lambda a: solve_implicit(a, dt, implicit_symbol(shape, dt)))]
+             (field, lambda a: solve_implicit(a, implicit_symbol(shape, dt)))]
     for arg, call in calls:
         before = arg.copy()
         out = call(arg)
@@ -332,7 +332,7 @@ def test_gradient_ramp():
 
 def test_divergence_of_ramp_gradient_zero_interior():
     field = np.tile(np.arange(8.0), (8, 1))
-    div = divergence(*gradient(field))
+    div = divergence(*gradient(field), np.empty_like(field))
     assert np.allclose(div[1:-1, 1:-1], 0.0)
 
 
@@ -343,7 +343,7 @@ def test_gradient_divergence_exact_adjoint():
         q = rng.random((8, 8))
         gx, gy = gradient(f)
         lhs = inner_product(gx, p) + inner_product(gy, q)
-        rhs = -inner_product(f, divergence(p, q))
+        rhs = -inner_product(f, divergence(p, q, np.empty_like(p)))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -358,13 +358,13 @@ def test_gradient_and_divergence_equal_zero_filled_formulas(shape, seed):
         a[r.random(shape) < 0.3] = 0.0
     for got, ref in zip(gradient(f), gradient_zero_filled(f)):
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    got, ref = divergence(px, py), divergence_zero_filled(px, py)
+    got, ref = divergence(px, py, np.empty_like(px)), divergence_zero_filled(px, py)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_divergence_shape_mismatch():
     with pytest.raises(ValueError):
-        divergence(np.zeros((3, 3)), np.zeros((3, 4)))
+        divergence(np.zeros((3, 3)), np.zeros((3, 4)), np.empty((3, 3)))
 
 
 # ------------------------------------------------------------- biharmonic
@@ -384,7 +384,7 @@ def test_biharmonic_matches_direct_stencil():
 # ------------------------------------------------------------------ solver
 
 def test_solve_implicit_constant_passthrough():
-    out = solve_implicit(np.full((6, 10), 3.5), dt=0.3)
+    out = solve_implicit(np.full((6, 10), 3.5), implicit_symbol((6, 10), 0.3))
     assert np.allclose(out, 3.5, atol=1e-12)
 
 
@@ -393,11 +393,11 @@ def test_solve_implicit_constant_passthrough():
 def test_solve_implicit_round_trip(shape, dt, seed):
     field = np.random.default_rng(seed).random(shape)
     rhs = field + dt * biharmonic(field)
-    back = solve_implicit(rhs, dt)
-    assert np.abs(back - field).max() < 1e-10
-    # a symbol built once gives the same bits and cannot be written to
     symbol = implicit_symbol(shape, dt)
-    assert np.array_equal(solve_implicit(rhs, dt, symbol), back)
+    back = solve_implicit(rhs, symbol)
+    assert np.abs(back - field).max() < 1e-10
+    # a symbol reused gives the same bits and cannot be written to
+    assert np.array_equal(solve_implicit(rhs, symbol), back)
     assert not symbol.flags.writeable
 
 
@@ -406,19 +406,19 @@ def test_solve_implicit_matches_dense_solve():
     rhs = rng.random((4, 4))
     mat = assemble_implicit_matrix((4, 4), dt)
     ref = np.linalg.solve(mat, rhs.ravel()).reshape(4, 4)
-    assert np.abs(solve_implicit(rhs, dt) - ref).max() < 1e-10
+    assert np.abs(solve_implicit(rhs, implicit_symbol((4, 4), dt)) - ref).max() < 1e-10
 
 
 def test_solve_implicit_residual_bound():
     rhs = rng.random((12, 17)) * 50
-    x = solve_implicit(rhs, 0.7)
+    x = solve_implicit(rhs, implicit_symbol(rhs.shape, 0.7))
     residual = x + 0.7 * biharmonic(x) - rhs
     assert np.abs(residual).max() <= 1e-8 * np.abs(rhs).max()
 
 
 def test_solve_implicit_rejects_bad_dt():
     with pytest.raises(ValueError):
-        solve_implicit(np.zeros((4, 4)), 0.0)
+        solve_implicit(np.zeros((4, 4)), implicit_symbol((4, 4), 0.0))
 
 
 # ----------------------------------------------------------- inner product

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ictmseg.energy import IndicatorSet, ModelParams, SegState, fit_term, length_term
+from ictmseg.energy import IndicatorSet, SegState, fit_fields, fit_term, length_term
 from ictmseg.field import gaussian_kernel, inner_product
 from ictmseg.solve import threshold, update_means
 
@@ -65,7 +65,7 @@ def test_phase_sum_means_match_direct_quotient(u, seed):
     state = SegState(c=1.0 + r.random(u.n), b=r.random(u.shape) + 0.5,
                      g=r.random(u.shape) * 5 + 0.5, u=u)
     k = gaussian_kernel(1.0, truncation=3)
-    c, flags = update_means(state, ModelParams(lambdas=(1.0,) * u.n, rho=1.0), k)
+    c, flags = update_means(state, fit_fields(state.b, k))
     masks = u.masks
     for i in range(u.n):
         if masks[i].any():

@@ -110,19 +110,6 @@ def test_multiphase_identical():
         assert row["dsc"] == 1.0 and row["iou"] == 1.0
 
 
-def test_multiphase_hand_example():
-    pred = labels_to_set([[0, 0, 1, 2]], 3)
-    truth = labels_to_set([[0, 1, 1, 2]], 3)
-    rows = multiphase_report(pred, truth, class_names=["bg", "a", "b"])
-    # class bg: tp=1 fp=1 fn=0 tn=2 -> DSC 2/3
-    assert rows[0]["class"] == "bg"
-    assert rows[0]["dsc"] == pytest.approx(2.0 / 3.0)
-    # class a: tp=1 fp=0 fn=1 tn=2 -> DSC 2/3, IoU 1/2
-    assert rows[1]["iou"] == pytest.approx(0.5)
-    # class b: exact
-    assert rows[2]["dsc"] == 1.0
-
-
 def test_multiphase_consistent_relabeling_invariant():
     labels_p = rng.integers(0, 3, size=(9, 9))
     labels_t = rng.integers(0, 3, size=(9, 9))

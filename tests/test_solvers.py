@@ -17,11 +17,12 @@ from ictmseg.energy import (
     idiv_energy,
     tv_energy,
 )
-from ictmseg.errors import DegenerateInputError
+from ictmseg.errors import DegenerateInputError, NumericalFailure
 from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
                            inner_product)
 from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
+    FlowRun,
     build_g_context,
     energy_shift,
     fidelity_lower_bound,
@@ -36,7 +37,7 @@ from ictmseg.solve import (
     update_means,
 )
 from oracles import (bias_direct, fit_residual, fitting_energy, means_direct, phi_direct,
-                     rmsav_step_reference, threshold_fields)
+                     rmsav_step_reference, run_inputs, threshold_fields)
 
 rng = np.random.default_rng(777)
 
@@ -62,7 +63,7 @@ def test_update_means_constants_pass_through():
     u = two_phase(np.ones((n, n)))
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.full((n, n), 5.0), u=u)
-    c, flags = update_means(state, ModelParams())
+    c, flags = update_means(state, fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
     assert c[0] == pytest.approx(5.0, rel=1e-12)
     assert any("phase 1" in f for f in flags)  # empty phase keeps previous
     assert c[1] == 0.0
@@ -73,15 +74,14 @@ def test_update_means_constant_bias_scales():
     u = two_phase(np.ones((n, n)))
     state = SegState(c=np.zeros(2), b=np.full((n, n), 2.0),
                      g=np.full((n, n), 5.0), u=u)
-    c, _ = update_means(state, ModelParams())
+    c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
     assert c[0] == pytest.approx(2.5, rel=1e-12)  # (5*2) / (2^2)
 
 
 def test_update_means_matches_direct_quotient():
     state = random_instance()
     k = gaussian_kernel(1.2, truncation=3)
-    params = ModelParams(rho=1.2)
-    c, _ = update_means(state, params, k)
+    c, _ = update_means(state, fit_fields(state.b, k))
     for i in range(2):
         ref = means_direct(state.u.masks[i], state.g, state.b, k.weights)
         assert c[i] == pytest.approx(ref, abs=1e-10, rel=1e-10)
@@ -92,7 +92,7 @@ def test_update_means_is_stationary():
     k = gaussian_kernel(params.rho)
     for _ in range(20):
         state = random_instance(16)
-        c, _ = update_means(state, params, k)
+        c, _ = update_means(state, fit_fields(state.b, k))
         state.c = c
         base = fitting_energy(state, params, k)
         for i in range(2):
@@ -111,7 +111,8 @@ def test_update_bias_recovers_constant():
     masks[0] = 1.0
     state = SegState(c=np.array([1.0, 0.0]), b=np.ones((n, n)),
                      g=np.full((n, n), 7.0), u=IndicatorSet(masks))
-    b = update_bias(state, ModelParams())
+    params = ModelParams()
+    b = update_bias(state, params, gaussian_kernel(params.rho))
     assert np.allclose(b, 7.0, atol=1e-10)
 
 
@@ -157,7 +158,7 @@ def test_update_bias_rejects_all_zero_means():
     state = random_instance()
     state.c = np.zeros(2)
     with pytest.raises(DegenerateInputError):
-        update_bias(state, ModelParams())
+        update_bias(state, ModelParams(), gaussian_kernel(ModelParams().rho))
 
 
 def test_update_bias_is_stationary():
@@ -176,7 +177,7 @@ def test_update_bias_is_stationary():
 
 def make_context(state, f, params):
     alpha = gray_indicator(f, params.sigma, params.p)
-    return build_g_context(state, f, alpha, params)
+    return build_g_context(state, f, alpha, params, *run_inputs(state, f, params))
 
 
 def test_force_zero_at_perfect_fit():
@@ -226,7 +227,7 @@ def noisy_context(n=16, gamma=0.1, nu=1.0, dt=0.1):
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=gamma, nu=nu, dt=dt)
-    state.c, _ = update_means(state, params)
+    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
     ctx = make_context(state, f, params)
     return state.g.copy(), ctx
 
@@ -240,7 +241,7 @@ def test_rmsav_step_fixed_point():
     ctx = make_context(state, g, params)
     e0 = g_energy(g, ctx)[0]
     z0 = float(np.sqrt(e0 + ctx.shift))
-    step = rmsav_step(g, z0, ctx)
+    step = rmsav_step(g, z0, ctx, e0, None, 0, 0)
     assert np.abs(step.g_next - g).max() < 1e-12
     assert step.z_tilde == pytest.approx(z0, rel=1e-12)
     assert step.z_next == pytest.approx(z0, rel=1e-12)
@@ -251,8 +252,8 @@ def test_rmsav_inner_product_identity():
     # G = -2*z_tilde^2 + 2*z_tilde*z holds exactly by construction
     g, ctx = noisy_context()
     z = float(np.sqrt(g_energy(g, ctx)[0] + ctx.shift))
-    for _ in range(20):
-        step = rmsav_step(g, z, ctx)
+    for j in range(20):
+        step = rmsav_step(g, z, ctx, g_energy(g, ctx)[0], None, 0, j)
         assert not step.floored
         ident = -2.0 * step.z_tilde**2 + 2.0 * step.z_tilde * z
         scale = max(abs(step.g_val), abs(ident), 1e-12)
@@ -264,8 +265,8 @@ def test_rmsav_stability_law():
     # z^2 never increases, and the decrease is at least (1-eta)*G
     g, ctx = noisy_context()
     z = float(np.sqrt(g_energy(g, ctx)[0] + ctx.shift))
-    for _ in range(30):
-        step = rmsav_step(g, z, ctx)
+    for j in range(30):
+        step = rmsav_step(g, z, ctx, g_energy(g, ctx)[0], None, 0, j)
         assert not step.floored
         dz2 = (step.z_next - z) * (step.z_next + z)
         assert dz2 <= 1e-10
@@ -281,8 +282,8 @@ def test_rmsav_energy_decreases_on_noisy_field():
     g, ctx = noisy_context()
     e = g_energy(g, ctx)[0]
     z = float(np.sqrt(e + ctx.shift))
-    for _ in range(30):
-        step = rmsav_step(g, z, ctx, e_cur=e)
+    for j in range(30):
+        step = rmsav_step(g, z, ctx, e, None, 0, j)
         g, z, e_new = step.g_next, step.z_next, step.e_next
         assert e_new <= e + 1e-8 * max(1.0, abs(e))
         e = e_new
@@ -293,8 +294,8 @@ def test_rmsav_g_val_matches_definition():
     # definition (1/dt) <delta, (I + dt*Lap^2) delta>, delta = g_next - g
     g, ctx = noisy_context()
     z = float(np.sqrt(g_energy(g, ctx)[0] + ctx.shift))
-    for _ in range(30):
-        step = rmsav_step(g, z, ctx)
+    for j in range(30):
+        step = rmsav_step(g, z, ctx, g_energy(g, ctx)[0], None, 0, j)
         assert not step.floored
         delta = step.g_next - g
         g_def = (inner_product(delta, delta)
@@ -314,7 +315,7 @@ def unit_scale_context(near_floor: bool, n=32):
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1)
-    state.c, _ = update_means(state, params)
+    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
     return state.g.copy(), make_context(state, f, params)
 
 
@@ -328,8 +329,8 @@ def test_rmsav_step_matches_reference(near_floor):
     g_ref, z_ref, e_ref = g.copy(), z, e
     tv_force = None
     floored = 0
-    for _ in range(50):
-        step = rmsav_step(g, z, ctx, e_cur=e, tv_force=tv_force)
+    for j in range(50):
+        step = rmsav_step(g, z, ctx, e, tv_force, 0, j)
         ref = rmsav_step_reference(g_ref, z_ref, ctx, e_cur=e_ref)
         assert step.floored == ref.floored
         floored += step.floored
@@ -369,7 +370,7 @@ def test_rmsav_operator_budget(monkeypatch):
     f = state.g.copy()
     params = ModelParams(tol2=0.0, max_inner=steps)
     alpha = gray_indicator(f, params.sigma, params.p)
-    _, records, _ = update_image(state, f, alpha, params)
+    _, records, _ = update_image(state, f, alpha, params, *run_inputs(state, f, params), 0)
     assert len(records) == steps
     assert counts == {"gradient": steps + 1, "biharmonic": 0, "solve_implicit": steps}
 
@@ -499,7 +500,8 @@ def test_zero_fit_context_matches_zero_fit_arrays():
     f = rng.random((n, n)) * 5 + 0.5
     params = ModelParams(lambdas=(0.0, 0.0), gamma=0.3)
     alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(SegState(c=None, b=None, g=f, u=None), f, alpha, params)
+    ctx = build_g_context(SegState(c=None, b=None, g=f, u=None), f, alpha, params,
+                          None, FlowRun.start(f, params))
     assert ctx.weight is None and ctx.target is None and ctx.fit_const == 0.0
     zeros = dataclasses.replace(ctx, weight=np.zeros((n, n)), target=np.zeros((n, n)))
     assert np.array_equal(force(f, ctx), force(f, zeros))
@@ -508,8 +510,8 @@ def test_zero_fit_context_matches_zero_fit_arrays():
     for c in (ctx, zeros):
         g, e = f.copy(), g_energy(f, c)[0]
         z = float(np.sqrt(e + c.shift))
-        for _ in range(5):
-            step = rmsav_step(g, z, c, e_cur=e)
+        for j in range(5):
+            step = rmsav_step(g, z, c, e, None, 0, j)
             g, z, e = step.g_next, step.z_next, step.e_next
         runs.append((g, z, e))
     assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1:] == runs[1][1:]
@@ -548,12 +550,25 @@ def test_segment_peak_memory_in_arrays():
 
 def test_relaxation_coefficient_degenerate_branch():
     # z_tilde equals the new energy root exactly and h <= 0
-    assert relaxation_coefficient(2.0, 2.0, 3.0, 0.0, c0=1.0, eta=0.99) == 0.0
+    assert relaxation_coefficient(2.0, 2.0, 3.0, 0.0, shift=1.0, eta=0.99,
+                                  outer=0, inner=0) == 0.0
 
 
 def test_relaxation_coefficient_hand_quadratic():
     # z_tilde=0, z_prev=1, E_next=0, G=0, C0=1: q=1, d=-2, h=0 -> xi = 0
-    assert relaxation_coefficient(0.0, 1.0, 0.0, 0.0, c0=1.0, eta=0.99) == 0.0
+    assert relaxation_coefficient(0.0, 1.0, 0.0, 0.0, shift=1.0, eta=0.99,
+                                  outer=0, inner=0) == 0.0
+
+
+@pytest.mark.parametrize("e_next, g_val", [(3.0, -10.0), (-2.0, 0.0)],
+                         ids=["negative-discriminant", "energy-below-shift"])
+def test_relaxation_coefficient_failure_names_iteration(e_next, g_val):
+    # a negative G leaves no feasible xi; E + shift <= 0 leaves no root
+    with pytest.raises(NumericalFailure) as exc:
+        relaxation_coefficient(1.0, 0.5, e_next, g_val, shift=1.0, eta=0.99,
+                               outer=4, inner=2)
+    assert (exc.value.outer, exc.value.inner) == (4, 2)
+    assert "outer iteration 4, inner iteration 2" in str(exc.value)
 
 
 def test_relaxation_coefficient_membership():
@@ -564,7 +579,8 @@ def test_relaxation_coefficient_membership():
         z_tilde = float(z_prev / (1.0 + rng.random() * 2))
         g_val = -2.0 * z_tilde**2 + 2.0 * z_tilde * z_prev
         e_next = float(max(0.0, z_prev**2 * (0.5 + rng.random())) - 1.0)
-        xi = relaxation_coefficient(z_tilde, z_prev, e_next, g_val, c0=1.0, eta=0.99)
+        xi = relaxation_coefficient(z_tilde, z_prev, e_next, g_val, shift=1.0, eta=0.99,
+                                    outer=0, inner=0)
         assert 0.0 <= xi <= 1.0
         r = np.sqrt(e_next + 1.0)
         q = (z_tilde - r) ** 2
@@ -581,7 +597,8 @@ def test_update_image_single_step_when_tol_huge():
     f = state.g.copy()
     params = ModelParams(tol2=1e12)
     alpha = gray_indicator(f, params.sigma, params.p)
-    _, records, hit_cap = update_image(state, f, alpha, params)
+    _, records, hit_cap = update_image(state, f, alpha, params,
+                                       *run_inputs(state, f, params), 0)
     assert len(records) == 1
     assert not hit_cap
 
@@ -593,7 +610,7 @@ def test_update_image_identity_when_force_vanishes():
                      g=np.maximum(f, 1e-3), u=two_phase(np.ones((n, n))))
     params = ModelParams(lambdas=(0.0, 0.0), gamma=0.0, nu=0.0)
     alpha = np.ones((n, n))
-    g, records, _ = update_image(state, f, alpha, params)
+    g, records, _ = update_image(state, f, alpha, params, *run_inputs(state, f, params), 0)
     assert np.array_equal(g, state.g)
     assert len(records) == 1  # first step confirms convergence
 
@@ -603,7 +620,8 @@ def test_update_image_max_inner_zero_disables_flow():
     f = state.g.copy()
     params = ModelParams(max_inner=0)
     alpha = gray_indicator(f, params.sigma, params.p)
-    g, records, hit_cap = update_image(state, f, alpha, params)
+    g, records, hit_cap = update_image(state, f, alpha, params,
+                                       *run_inputs(state, f, params), 0)
     assert np.array_equal(g, state.g)
     assert records == []
     assert hit_cap
@@ -626,9 +644,10 @@ def test_update_image_denoises_gamma_corruption():
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.5, nu=2.0)
-    state.c, _ = update_means(state, params)
+    fields, run = run_inputs(state, f, params)
+    state.c, _ = update_means(state, fields)
     alpha = gray_indicator(f, params.sigma, params.p)
-    g, records, _ = update_image(state, f, alpha, params)
+    g, records, _ = update_image(state, f, alpha, params, fields, run, 0)
     assert idiv_distance(clean, g) < idiv_distance(clean, f)
     assert len(records) >= 1
 
@@ -790,27 +809,7 @@ def test_segment_reaches_fixed_point_and_stays():
     assert len(log2.outers) == 1
 
 
-# ------------------------------------------------------------ fit-field reuse
-
-def test_fit_fields_reuse_is_bit_identical():
-    state = random_instance(16)
-    f = state.g.copy()
-    params = ModelParams(max_inner=3, tol2=0.0)
-    k = gaussian_kernel(params.rho)
-    fields = fit_fields(state.b, k)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    c_a, flags_a = update_means(state, params, k)
-    c_b, flags_b = update_means(state, params, fields=fields)
-    assert np.array_equal(c_a, c_b) and flags_a == flags_b
-    state.c = c_a
-    ctx_a = build_g_context(state, f, alpha, params)
-    ctx_b = build_g_context(state, f, alpha, params, fields=fields)
-    for name in ("weight", "target", "fit_const", "shift"):
-        assert np.array_equal(getattr(ctx_a, name), getattr(ctx_b, name)), name
-    g_a, rec_a, cap_a = update_image(state, f, alpha, params)
-    g_b, rec_b, cap_b = update_image(state, f, alpha, params, fields=fields)
-    assert np.array_equal(g_a, g_b) and rec_a == rec_b and cap_a == cap_b
-
+# ------------------------------------------------------- convolution budget
 
 @pytest.mark.parametrize("n_phases, freeze_bias", [(2, False), (3, False), (3, True)])
 def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):

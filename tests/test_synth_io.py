@@ -123,6 +123,17 @@ def test_f64_rejects_corrupt(tmp_path):
         read_f64(path)
 
 
+@pytest.mark.parametrize("tail", [b"", b"\x02\x00\x00\x00",
+                                  b"\x01\x00\x00\x00\x01\x00\x00\x00" + b"\x00" * 12],
+                         ids=["magic-only", "half-header", "ragged-payload"])
+def test_read_field_rejects_short_or_ragged_f64(tmp_path, tail):
+    # 8 and 12 bytes hold no full header; 16 + 12 bytes no whole float64
+    path = tmp_path / "short.f64"
+    path.write_bytes(b"FGRID64\x00" + tail)
+    with pytest.raises(ConfigError, match="short.f64"):
+        read_field(path)
+
+
 # ----------------------------------------------------------------- config
 
 GOOD = """
