@@ -19,6 +19,8 @@ from .energy import IndicatorSet, SegState, gray_indicator
 from .errors import ConfigError, NumericalFailure
 from .fileio import (
     ExperimentConfig,
+    _parse_floats,
+    _split_spec,
     config_lines,
     load_config,
     read_field,
@@ -80,28 +82,28 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
     """
     if spec_text is None:
         raise ConfigError("segmentation requires an 'init' contour spec")
-    kind, _, args = spec_text.partition(":")
-    kind = kind.strip()
+    kind, args = _split_spec(spec_text)
     h, w = f.shape
     if kind == "mask":
-        labels = read_pgm(args.strip())
+        labels = read_pgm(args)
         if labels.shape != f.shape:
             raise ConfigError("init mask dimensions do not match the image")
         if labels.max() >= n:
             raise ConfigError(f"init mask labels exceed n_phases={n}")
         return IndicatorSet.from_labels(labels.astype(np.int64), n)
     if kind == "checkerboard":
-        cell = int(float(args))
+        cell = int(_parse_floats(args, 1, "init checkerboard")[0])
         if cell < 1:
             raise ConfigError("checkerboard cell must be >= 1")
         yy, xx = np.mgrid[0:h, 0:w]
         return IndicatorSet.from_labels(((yy // cell) + (xx // cell)) % n, n)
-    shape_kinds = {"circle": "disk", "rect": "rect"}
+    shape_kinds = {"circle": ("disk", 3), "rect": ("rect", 4)}
     if kind not in shape_kinds:
         raise ConfigError(f"unknown init kind {kind!r} "
                           "(circle|rect|checkerboard|mask)")
-    values = tuple(float(v) for v in args.split(","))
-    interior = Shape(shape_kinds[kind], values, 0.0).mask(h, w)
+    shape, arity = shape_kinds[kind]
+    values = tuple(_parse_floats(args, arity, f"init {kind}"))
+    interior = Shape(shape, values, 0.0).mask(h, w)
     labels = np.zeros((h, w), dtype=np.int64)
     outside = ~interior
     order = np.argsort(f[outside], kind="stable")
@@ -229,12 +231,13 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     so the flow reads no partition, bias or means.
 
     Unlike segmentation, the flow runs long (default cap 500 steps unless the
-    config sets max_inner) since there is no partition to co-evolve with.
+    config sets max_inner) since there is no partition to co-evolve with; the
+    manifest records the cap the flow ran with.
     """
     f, _, warnings = _resolve_image(cfg)
-    params = replace(cfg.params, lambdas=(0.0,) * cfg.params.n_phases)
     if "max_inner" not in cfg.raw:
-        params = replace(params, max_inner=500)
+        cfg.params = replace(cfg.params, max_inner=500)
+    params = replace(cfg.params, lambdas=(0.0,) * cfg.params.n_phases)
     f_norm = f / params.intensity_scale
     state = SegState(c=None, b=None, g=np.maximum(f_norm, params.g_floor), u=None)
     alpha = gray_indicator(f_norm, params.sigma, params.p)

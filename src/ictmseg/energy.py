@@ -43,7 +43,9 @@ __all__ = [
 
 @dataclass
 class ModelParams:
-    """All tunables of the model and its solver.
+    """All tunables of the model and its solver, in the order the run manifest
+    lists them; the config keys are these names, with `lambdas` read from
+    `n_phases` and `lambda`.
 
     `tau` is the heat time of the length kernel in normalized-domain units
     (image long side = 1) unless `tau_in_pixels` is set; `rho` and `sigma`
@@ -56,19 +58,19 @@ class ModelParams:
     nu: float = 1.0
     rho: float = 3.0
     tau: float = 0.02
-    tau_in_pixels: bool = False
     sigma: float = 1.0
     p: float = 1.3
-    dt: float | None = None
     c0: float = 1.0
     eta_relax: float = 0.99
     eps_tv: float = 1e-2
     g_floor: float = 1e-3
     tol1: float = 1e-8
     tol2: float = 1e-3
+    intensity_scale: float = 255.0
+    dt: float | None = None
+    tau_in_pixels: bool = False
     max_outer: int = 500
     max_inner: int = 5
-    intensity_scale: float = 255.0
     freeze_bias: bool = False
 
     @property
@@ -117,22 +119,14 @@ class ModelParams:
 class IndicatorSet:
     """A hard partition into n phases, stored as one label per pixel, the form
     thresholding produces. The solver reads the binary masks u_i only through
-    gathers and per-phase sums of the labels; the n float64 masks are built
-    when `masks` is read. The labels are read-only, so sets are shared, and so
-    are the boolean masks labels == i, made once when first read."""
+    gathers and per-phase sums of the labels. The labels are read-only, so
+    sets are shared, and so are the boolean masks labels == i, made once when
+    first read. `from_labels` is the one constructor."""
 
     _phase_masks: tuple[np.ndarray, ...] | None = None
 
-    def __init__(self, masks: np.ndarray):
-        masks = np.asarray(masks, dtype=np.float64)
-        if masks.ndim != 3 or masks.shape[0] < 1:
-            raise ValueError(f"masks must be (n, H, W), got {masks.shape}")
-        if not ((masks == 0.0) | (masks == 1.0)).all():
-            raise ValueError("indicator masks must be exactly 0/1")
-        if not (masks.sum(axis=0) == 1.0).all():
-            raise ValueError("masks must partition the grid (sum to 1 pointwise)")
-        self._labels, self.n = np.argmax(masks, axis=0), masks.shape[0]
-        self._labels.flags.writeable = False
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an IndicatorSet with IndicatorSet.from_labels")
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, n: int) -> "IndicatorSet":
@@ -163,14 +157,9 @@ class IndicatorSet:
             self._phase_masks = masks
         return self._phase_masks
 
-    @property
-    def masks(self) -> np.ndarray:
-        """The (n, H, W) float64 stack of binary masks."""
-        return (self._labels == np.arange(self.n)[:, None, None]).astype(np.float64)
-
-    def weighted_sum(self, weights) -> np.ndarray:
+    def weighted_sum(self, w) -> np.ndarray:
         """sum_i w_i u_i: the weight of the phase each pixel belongs to."""
-        return np.asarray(weights, dtype=np.float64)[self._labels]
+        return np.asarray(w, dtype=np.float64)[self._labels]
 
     def inner_products(self, fields: np.ndarray) -> np.ndarray:
         """(<u_i, F_i>)_i for a stack F of n fields, (<u_i, F>)_i for one field:
@@ -192,9 +181,6 @@ class SegState:
     b: np.ndarray
     g: np.ndarray
     u: IndicatorSet
-
-    def copy(self) -> "SegState":
-        return SegState(self.c.copy(), self.b.copy(), self.g.copy(), self.u)
 
 
 @dataclass(frozen=True)
@@ -291,14 +277,16 @@ def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,
 
 
 def idiv_energy(g: np.ndarray, f: np.ndarray, gamma: float, g_floor: float) -> float:
-    """Fidelity gamma * sum(g - f * log g); requires g >= g_floor > 0."""
+    """Fidelity gamma * sum(g - f * log g); requires g >= g_floor > 0.
+    Made with one temporary field."""
     if gamma == 0.0:
         return 0.0
     g = np.asarray(g, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
     if g.min() < g_floor:
         raise ValueError(f"g fell below the positivity floor {g_floor}")
-    return gamma * float(np.sum(g - f * np.log(g)))
+    r = np.log(g)
+    r *= f
+    return gamma * float(np.sum(np.subtract(g, r, out=r)))
 
 
 class TVGradient(NamedTuple):

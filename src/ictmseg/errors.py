@@ -3,6 +3,8 @@
 ConfigError and its causes map to CLI exit code 2, NumericalFailure to 3.
 """
 
+__all__ = ["ConfigError", "DegenerateInputError", "NumericalFailure"]
+
 
 class ConfigError(ValueError):
     """Bad configuration: unknown key, missing file, invalid parameter."""

@@ -35,8 +35,8 @@ __all__ = [
     "as_field",
 ]
 
-# Kernels are truncated at this many standard deviations, then renormalized.
-DEFAULT_TRUNCATION = 4.0
+# Kernels are cut off at this many standard deviations, then renormalized.
+CUTOFF_SDS = 4.0
 
 
 def as_field(values) -> np.ndarray:
@@ -72,30 +72,16 @@ class Kernel:
             self._multipliers[n] = m
         return m
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Full 2-D weight stencil, shape (2*radius+1, 2*radius+1)."""
-        return np.outer(self.profile, self.profile)
 
-
-def _profile_from_std(std: float, truncation: float) -> tuple[int, np.ndarray]:
-    radius = int(np.ceil(truncation * std))
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    p = np.exp(-0.5 * (x / std) ** 2)
-    return radius, p / p.sum()
-
-
-def gaussian_kernel(std_dev: float, truncation: float = DEFAULT_TRUNCATION) -> Kernel:
-    """Sampled Gaussian with standard deviation `std_dev` in pixels.
-
-    Truncated at `truncation` standard deviations and renormalized to unit sum.
-    """
+def gaussian_kernel(std_dev: float) -> Kernel:
+    """Sampled Gaussian with standard deviation `std_dev` in pixels, cut off
+    at `CUTOFF_SDS` standard deviations and renormalized to unit sum."""
     if std_dev <= 0:
         raise ValueError(f"std_dev must be positive, got {std_dev}")
-    if truncation < 2:
-        raise ValueError(f"truncation must be >= 2, got {truncation}")
-    radius, profile = _profile_from_std(float(std_dev), float(truncation))
-    return Kernel(radius=radius, profile=profile)
+    radius = int(np.ceil(CUTOFF_SDS * std_dev))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    p = np.exp(-0.5 * (x / std_dev) ** 2)
+    return Kernel(radius=radius, profile=p / p.sum())
 
 
 def heat_kernel_pixels(time_px: float) -> Kernel:
@@ -104,12 +90,11 @@ def heat_kernel_pixels(time_px: float) -> Kernel:
     if time_px <= 0:
         raise ValueError(f"time must be positive, got {time_px}")
     std_px = np.sqrt(2.0 * time_px)
-    if DEFAULT_TRUNCATION * std_px < 1.0:
+    if CUTOFF_SDS * std_px < 1.0:
         raise ValueError(
             f"heat time {time_px} gives a sub-pixel kernel (std {std_px:.4f} px); "
             "increase the time")
-    radius, profile = _profile_from_std(std_px, DEFAULT_TRUNCATION)
-    return Kernel(radius=radius, profile=profile)
+    return gaussian_kernel(std_px)
 
 
 def _multiplier(stencil, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ height), then width*height float64 values row-major. Configs are flat UTF-8
 from __future__ import annotations
 
 import re
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,7 +57,12 @@ def read_pgm(path) -> np.ndarray:
             tokens.append(tok)
     if tokens[0] != b"P5":
         raise ConfigError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ConfigError(f"{path}: non-integer PGM size or maxval {tokens[1:]}") from None
+    if w < 1 or h < 1:
+        raise ConfigError(f"{path}: PGM size {w}x{h} is not positive")
     if maxval != 255:
         raise ConfigError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     data = np.frombuffer(blob[pos + 1:pos + 1 + w * h], dtype=np.uint8)
@@ -100,17 +106,15 @@ def read_field(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 # configuration
 
-_MODEL_KEYS = {
-    "n_phases": int, "mu": float, "gamma": float, "nu": float,
-    "rho": float, "tau": float, "tau_in_pixels": bool, "sigma": float,
-    "p": float, "dt": float, "c0": float, "eta_relax": float,
-    "eps_tv": float, "g_floor": float, "tol1": float, "tol2": float,
-    "max_outer": int, "max_inner": int, "intensity_scale": float,
-    "freeze_bias": bool,
-}
+# One key per ModelParams field, in its order and typed by its annotation
+# (`float | None` reads as float); `lambdas` is read from `n_phases` and
+# `lambda` instead.
+_MODEL_KEYS = {name: (typing.get_args(hint) or (hint,))[0]
+               for name, hint in typing.get_type_hints(ModelParams).items()
+               if name != "lambdas"}
 
 _OTHER_KEYS = {
-    "input": str, "truth": str, "lambda": str,
+    "input": str, "truth": str, "n_phases": int, "lambda": str,
     "synth.size": str, "synth.background": float, "synth.region": str,
     "synth.bias": str,
     "noise.kind": str, "noise.looks": float,
@@ -167,17 +171,14 @@ class ExperimentConfig:
 
     @staticmethod
     def _build_params(raw: dict) -> ModelParams:
-        kwargs = {k: raw[k] for k in _MODEL_KEYS if k in raw and k != "n_phases"}
+        kwargs = {k: raw[k] for k in _MODEL_KEYS if k in raw}
         n = raw.get("n_phases", 2)
-        if "lambda" in raw:
-            lams = _parse_floats(raw["lambda"], None, "lambda")
-            if len(lams) == 1:
-                lams = lams * n
-            if len(lams) != n:
-                raise ConfigError(f"lambda needs 1 or {n} values, got {len(lams)}")
-            kwargs["lambdas"] = tuple(lams)
-        else:
-            kwargs["lambdas"] = (1.0,) * n
+        lams = _parse_floats(raw.get("lambda", "1"), None, "lambda")
+        if len(lams) == 1:
+            lams = lams * n
+        if len(lams) != n:
+            raise ConfigError(f"lambda needs 1 or {n} values, got {len(lams)}")
+        kwargs["lambdas"] = tuple(lams)
         return ModelParams(**kwargs).validate()
 
 
@@ -190,7 +191,8 @@ def _parse_floats(text: str, count: int | None, what: str) -> list[float]:
     try:
         vals = [float(t) for t in re.split(r"[,\s]+", text.strip()) if t]
     except ValueError as exc:
-        raise ConfigError(f"{what}: cannot parse numbers from {text!r}") from exc
+        expected = "" if count is None else f" (expected {count} values)"
+        raise ConfigError(f"{what}: cannot parse numbers from {text!r}{expected}") from exc
     if count is not None and len(vals) != count:
         raise ConfigError(f"{what}: expected {count} values, got {len(vals)}")
     return vals
@@ -284,15 +286,10 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         lines.append(f"init = {cfg.init}")
     lines.append(f"n_phases = {p.n_phases}")
     lines.append("lambda = " + ",".join(repr(v) for v in p.lambdas))
-    for key in ("mu", "gamma", "nu", "rho", "tau", "sigma", "p", "c0",
-                "eta_relax", "eps_tv", "g_floor", "tol1", "tol2",
-                "intensity_scale"):
-        lines.append(f"{key} = {getattr(p, key)!r}")
-    lines.append(f"dt = {p.time_step!r}")
-    lines.append(f"tau_in_pixels = {str(p.tau_in_pixels).lower()}")
-    lines.append(f"max_outer = {p.max_outer}")
-    lines.append(f"max_inner = {p.max_inner}")
-    lines.append(f"freeze_bias = {str(p.freeze_bias).lower()}")
+    for key in _MODEL_KEYS:     # dt as the run resolves it
+        value = p.time_step if key == "dt" else getattr(p, key)
+        text = str(value).lower() if isinstance(value, bool) else repr(value)
+        lines.append(f"{key} = {text}")
     lines.append(f"seed = {cfg.seed}")
     lines.append(f"out = {cfg.out}")
     return lines

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoiseSpec", "sample_gamma_field", "apply_multiplicative", "apply_poisson"]
+__all__ = ["NoiseSpec", "sample_gamma_field", "apply_multiplicative", "apply_poisson",
+           "corrupt"]
 
 
 @dataclass(frozen=True)

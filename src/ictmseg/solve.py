@@ -154,7 +154,7 @@ def update_means(state: SegState, fields: FitFields) -> tuple[np.ndarray, list[s
     An empty phase (zero denominator) keeps its previous mean and is flagged;
     thresholding may repopulate it later.
     """
-    c = np.array(state.c, dtype=np.float64, copy=True)
+    c = np.array(state.c, dtype=np.float64)
     flags = []
     nums = state.u.inner_products(state.g * fields.kb)
     for i, denom in enumerate(state.u.inner_products(fields.kb2)):
@@ -308,11 +308,7 @@ def g_energy(g: np.ndarray, ctx: GContext,
     # first and the fidelity uses one temporary.
     tv = tv_energy(g, ctx.alpha, ctx.nu, ctx.eps_tv, grad)
     fit = _fit_energy(g, ctx)
-    idiv = 0.0
-    if ctx.gamma > 0.0:
-        r = np.log(g)
-        r *= ctx.f
-        idiv = ctx.gamma * float(np.sum(np.subtract(g, r, out=r)))
+    idiv = idiv_energy(g, ctx.f, ctx.gamma, ctx.g_floor)
     return fit + idiv + tv, fit, idiv, tv
 
 

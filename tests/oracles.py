@@ -9,19 +9,49 @@ library's step makes. The energy terms below `assemble_implicit_matrix`
 (`fit_residual` to `total_energy`, and `phase_costs`) compose the library's
 fields and partition terms for a given state, as the solver loop does; the
 solver itself fuses them and never forms the cost stack. `run_inputs` makes
-the per-run values the solver functions take, as `segment` makes them.
+the per-run values the solver functions take, as `segment` makes them. The
+one-line helpers after the imports give the tests the float forms the
+library does not keep: a kernel's 2-D stencil, a partition's mask stack and
+a state's copy.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from ictmseg.energy import (EnergyBreakdown, fit_fields, fit_term, idiv_energy,
-                            length_potentials, length_term, residual_fields, tv_energy)
+from ictmseg.energy import (EnergyBreakdown, IndicatorSet, SegState, fit_fields, fit_term,
+                            idiv_energy, length_potentials, length_term, residual_fields,
+                            tv_energy)
 from ictmseg.errors import NumericalFailure
 from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, implicit_symbol,
                            inner_product, solve_implicit)
 from ictmseg.solve import FlowRun, StepResult, force, g_energy, relaxation_coefficient
+
+
+def stencil(kernel) -> np.ndarray:
+    """The full (2r+1)^2 weight stencil, the outer product of the profile."""
+    return np.outer(kernel.profile, kernel.profile)
+
+
+def float_masks(u) -> np.ndarray:
+    """The (n, H, W) float64 stack of the binary masks of partition `u`."""
+    return (u.labels() == np.arange(u.n)[:, None, None]).astype(np.float64)
+
+
+def from_masks(masks) -> IndicatorSet:
+    """The partition whose masks are the exact 0/1 partition stack `masks`."""
+    assert ((masks == 0) | (masks == 1)).all() and (masks.sum(axis=0) == 1).all()
+    return IndicatorSet.from_labels(np.argmax(masks, axis=0), len(masks))
+
+
+def two_phase(mask: np.ndarray) -> IndicatorSet:
+    """Phase 0 where the 0/1 `mask` is 1, phase 1 elsewhere."""
+    return from_masks(np.stack([mask, 1.0 - mask]))
+
+
+def copy_state(state) -> SegState:
+    """A copy of c, b and g; the partition is read-only and is shared."""
+    return SegState(state.c.copy(), state.b.copy(), state.g.copy(), state.u)
 
 
 def reflect_index(i: int, n: int) -> int:

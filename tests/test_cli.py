@@ -7,10 +7,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ictmseg
 from ictmseg.cli import ENERGY_COLUMNS, _build_init, main
 from ictmseg.fileio import read_f64, read_pgm, write_f64, write_pgm
+
+from oracles import float_masks
 
 SEG_CFG = """
 synth.size = 48,48
@@ -225,6 +228,65 @@ def test_exit_code_2_on_truncated_float_raster(tmp_path, capsys):
     assert "short.f64" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_bad_pgm_header(tmp_path, capsys):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\nab 2\n255\n" + bytes(4))
+    cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    assert "bad.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, count", [("circle:8,8", 3), ("circle:8,8,a", 3),
+                                         ("circle:", 3), ("rect:1,2,3", 4),
+                                         ("checkerboard:", 1), ("checkerboard:x", 1)])
+def test_exit_code_2_on_malformed_init(tmp_path, capsys, spec, count):
+    cfg = write_cfg(tmp_path, f"synth.size = 16,16\ninit = {spec}\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: init ") and f"expected {count} values" in err, err
+
+
+def test_init_specs_give_their_shapes():
+    f = np.arange(16.0 * 12).reshape(16, 12)
+    yy, xx = np.mgrid[0:16, 0:12]
+    circle = _build_init("circle: 6, 8, 4", f, 2).labels()
+    assert np.array_equal(circle == 0, (xx - 6) ** 2 + (yy - 8) ** 2 <= 16)
+    rect = _build_init("rect:2,3,5,4", f, 2).labels()
+    assert np.array_equal(rect == 0, (xx >= 2) & (xx < 7) & (yy >= 3) & (yy < 7))
+    board = _build_init("checkerboard:3", f, 2).labels()
+    assert np.array_equal(board, ((yy // 3) + (xx // 3)) % 2)
+
+
+DENOISE_CFG = """
+synth.size = 32,32
+synth.background = 80
+synth.region = rect:8,8,16,16,180
+noise.kind = gamma
+noise.looks = 10
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("command, text", [("segment", SEG_CFG), ("denoise", DENOISE_CFG)],
+                         ids=["segment", "denoise"])
+def test_manifest_reruns_as_config(tmp_path, command, text):
+    # the manifest echoes every value the run used, the step cap `denoise`
+    # falls back on included: run as a config, it makes the same bytes
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(first),
+                 "--quiet"]) == 0
+    assert main([command, "--config", str(first / "manifest.txt"), "--out", str(second),
+                 "--quiet"]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        a, b = ([line for line in (d / name).read_bytes().splitlines()
+                 if not line.startswith(b"out = ")] for d in (first, second))
+        assert a == b, name
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, monkeypatch, capsys):
     from ictmseg import cli
     from ictmseg.errors import NumericalFailure
@@ -274,7 +336,7 @@ def test_contour_init_populates_every_phase():
     scene[(xx >= 10) & (xx < 50) & (yy >= 10) & (yy < 110)] = 190.0
     scene[(xx - 90) ** 2 + (yy - 64) ** 2 <= 25 ** 2] = 120.0
     for f in (scene, np.full((n, n), 60.0)):
-        counts = _build_init("circle:64,64,30", f, 3).masks.sum(axis=(1, 2))
+        counts = float_masks(_build_init("circle:64,64,30", f, 3)).sum(axis=(1, 2))
         assert (counts > 0).all(), counts
         assert abs(counts[1] - counts[2]) <= 1, counts
 

@@ -19,13 +19,11 @@ from ictmseg.errors import ConfigError, DegenerateInputError
 from ictmseg.field import convolve, gaussian_kernel, heat_kernel_pixels, inner_product
 
 from oracles import (conv2d_direct, fit_residual, fit_residual_direct, fitting_energy,
-                     length_energy, partition_energy, total_energy)
+                     float_masks, from_masks, length_energy, partition_energy, stencil,
+                     total_energy, two_phase)
 
 rng = np.random.default_rng(99)
 
-
-def two_phase(mask: np.ndarray) -> IndicatorSet:
-    return IndicatorSet(np.stack([mask, 1.0 - mask]))
 
 
 # ------------------------------------------------------------- ModelParams
@@ -52,18 +50,22 @@ def test_heat_time_conversion():
 
 
 def test_indicator_set_contracts():
-    good = np.zeros((2, 3, 3))
-    good[0, :, :2] = 1.0
-    good[1, :, 2:] = 1.0
-    u = IndicatorSet(good)
-    assert u.n == 2 and u.shape == (3, 3)
-    assert np.array_equal(u.labels()[:, 2], [1, 1, 1])
+    # from_labels is the one constructor: it checks, copies and freezes its map
+    labels = np.array([[0, 0, 1], [0, 0, 1], [2, 0, 1]], dtype=np.int32)
+    u = IndicatorSet.from_labels(labels, 3)
+    assert u.n == 3 and u.shape == (3, 3)
+    assert np.array_equal(u.labels(), labels)
+    labels[0, 0] = 2
+    assert u.labels()[0, 0] == 0
+    assert not u.labels().flags.writeable
     with pytest.raises(ValueError):
-        IndicatorSet(np.full((2, 3, 3), 0.5))
-    bad = good.copy()
-    bad[1, 0, 0] = 1.0  # overlaps phase 0
-    with pytest.raises(ValueError):
-        IndicatorSet(bad)
+        u.labels()[0, 0] = 1
+    for bad, n in ((labels.astype(np.float64), 3), (labels[None], 3), (labels[0], 3),
+                   (labels, 2), (labels - 1, 3)):
+        with pytest.raises(ValueError):
+            IndicatorSet.from_labels(bad, n)
+    with pytest.raises(TypeError):
+        IndicatorSet(labels)
 
 
 # ------------------------------------------------------------ gray indicator
@@ -87,7 +89,7 @@ def test_gray_indicator_checkerboard_matches_brute_force():
     yy, xx = np.mgrid[0:4, 0:4]
     f = np.where((yy + xx) % 2 == 0, 200.0, 50.0)
     k = gaussian_kernel(1.0)
-    smoothed = conv2d_direct(f, k.weights)
+    smoothed = conv2d_direct(f, stencil(k))
     ref = (smoothed / smoothed.max()) ** 1.3
     assert np.abs(gray_indicator(f, 1.0, 1.3) - ref).max() < 1e-12
 
@@ -123,10 +125,10 @@ def test_fit_residual_zero_mean_reduces_to_masked_square():
 
 
 def test_fit_residual_matches_defining_integral():
-    k = gaussian_kernel(1.2, truncation=3)
+    k = gaussian_kernel(1.2)
     g = rng.random((8, 8)) * 4
     b = rng.random((8, 8)) + 0.5
-    ref = fit_residual_direct(g, b, 2.0, k.weights)
+    ref = fit_residual_direct(g, b, 2.0, stencil(k))
     assert np.abs(fit_residual(g, b, 2.0, k) - ref).max() < 1e-10
 
 
@@ -164,7 +166,7 @@ def test_fitting_energy_is_sum_of_inner_products():
                      g=rng.random((8, 8)) * 5, u=two_phase(mask))
     params = ModelParams(lambdas=(0.7, 1.3))
     expect = sum(params.lambdas[i]
-                 * inner_product(state.u.masks[i],
+                 * inner_product(float_masks(state.u)[i],
                                  fit_residual(state.g, state.b, state.c[i], k))
                  for i in range(2))
     assert fitting_energy(state, params, k) == pytest.approx(expect, rel=1e-12)
@@ -175,7 +177,7 @@ def test_fitting_energy_is_sum_of_inner_products():
 def test_length_energy_single_phase_zero():
     masks = np.zeros((2, 16, 16))
     masks[0] = 1.0
-    val = length_energy(IndicatorSet(masks), mu=1.0, time_px=4.0)
+    val = length_energy(from_masks(masks), mu=1.0, time_px=4.0)
     assert abs(val) < 1e-10
 
 
@@ -186,7 +188,7 @@ def test_length_potentials_one_phase_set_is_zero(monkeypatch):
 
     for module in (ictmseg.field, ictmseg.energy):
         monkeypatch.setattr(module, "convolve", no_convolution)
-    u = IndicatorSet(np.ones((1, 9, 7)))
+    u = from_masks(np.ones((1, 9, 7)))
     pots = length_potentials(u, heat_kernel_pixels(2.0))
     assert pots.shape == (1, 9, 7)
     assert not pots.any()
@@ -198,11 +200,11 @@ def test_length_potentials_empty_phase_sees_full_mass(empty):
     labels = np.random.default_rng(empty).integers(0, 2, (12, 10))
     labels[labels >= empty] += 1       # phases {0, 1, 2} minus `empty`
     u = IndicatorSet.from_labels(labels, 3)
-    assert not u.masks[empty].any()
+    assert not float_masks(u)[empty].any()
     pots = length_potentials(u, k)
     assert np.abs(pots[empty] - 1.0).max() < 1e-13
     for i in range(3):   # sum_{j != i} K_t*u_j against direct convolutions
-        ref = sum(conv2d_direct(u.masks[j], k.weights) for j in range(3) if j != i)
+        ref = sum(conv2d_direct(float_masks(u)[j], stencil(k)) for j in range(3) if j != i)
         assert np.abs(pots[i] - ref).max() < 1e-12
 
 
@@ -220,7 +222,7 @@ def test_length_energy_straight_edge():
 def test_length_energy_phase_relabeling_invariant():
     mask = (rng.random((20, 20)) > 0.4).astype(float)
     u = two_phase(mask)
-    swapped = IndicatorSet(u.masks[::-1].copy())
+    swapped = from_masks(float_masks(u)[::-1].copy())
     a = length_energy(u, mu=2.0, time_px=3.0)
     b = length_energy(swapped, mu=2.0, time_px=3.0)
     assert a == pytest.approx(b, rel=1e-12)
@@ -333,7 +335,7 @@ def test_partition_energy_matches_parts():
     k = gaussian_kernel(params.rho)
     e_fields = np.stack([fit_residual(state.g, state.b, c, k) for c in state.c])
     val = partition_energy(e_fields, state.u, params, 3.0)
-    expect = (sum(params.lambdas[i] * inner_product(state.u.masks[i], e_fields[i])
+    expect = (sum(params.lambdas[i] * inner_product(float_masks(state.u)[i], e_fields[i])
                   for i in range(2))
               + length_energy(state.u, params.mu, 3.0))
     assert val == pytest.approx(expect, rel=1e-12)

@@ -11,7 +11,7 @@ from ictmseg.energy import IndicatorSet, SegState, fit_fields, fit_term, length_
 from ictmseg.field import gaussian_kernel, inner_product
 from ictmseg.solve import threshold, update_means
 
-from oracles import means_direct, phase_costs
+from oracles import float_masks, means_direct, phase_costs, stencil
 
 # few distinct values, so that equal costs and equal labels are common
 TIED = st.sampled_from([0.0, 0.25, 1.0, 3.0])
@@ -54,7 +54,7 @@ def test_weighted_sum_equals_tensordot_bit_for_bit(u, data):
     # adding 0.0 turns -0.0 into +0.0, which the tensordot cannot return
     weights = data.draw(arrays(np.float64, u.n, elements=st.one_of(
         TIED, st.floats(-1e6, 1e6).map(lambda x: x + 0.0))))
-    ref = np.tensordot(weights, u.masks, axes=1)
+    ref = np.tensordot(weights, float_masks(u), axes=1)
     assert np.array_equal(u.weighted_sum(weights).view(np.int64), ref.view(np.int64))
 
 
@@ -64,12 +64,12 @@ def test_phase_sum_means_match_direct_quotient(u, seed):
     r = np.random.default_rng(seed)
     state = SegState(c=1.0 + r.random(u.n), b=r.random(u.shape) + 0.5,
                      g=r.random(u.shape) * 5 + 0.5, u=u)
-    k = gaussian_kernel(1.0, truncation=3)
+    k = gaussian_kernel(1.0)
     c, flags = update_means(state, fit_fields(state.b, k))
-    masks = u.masks
+    masks = float_masks(u)
     for i in range(u.n):
         if masks[i].any():
-            ref = means_direct(masks[i], state.g, state.b, k.weights)
+            ref = means_direct(masks[i], state.g, state.b, stencil(k))
             assert c[i] == pytest.approx(ref, abs=1e-10, rel=1e-10)
         else:   # an empty phase keeps its mean and is flagged
             assert c[i] == state.c[i] and any(f"phase {i} empty" in f for f in flags)
@@ -80,7 +80,7 @@ def test_phase_sum_means_match_direct_quotient(u, seed):
 def test_gathered_terms_match_per_mask_inner_products(u_stack, data):
     u, stack = u_stack
     lambdas = data.draw(arrays(np.float64, u.n, elements=st.floats(0.0, 5.0)))
-    masks = u.masks
+    masks = float_masks(u)
     fit = sum(lambdas[i] * inner_product(masks[i], stack[i]) for i in range(u.n))
     assert fit_term(stack, u, lambdas) == pytest.approx(fit, rel=1e-12, abs=1e-300)
     length = 0.7 * np.sqrt(np.pi / 2.0) * sum(inner_product(masks[i], stack[i])
@@ -93,5 +93,5 @@ def test_gathered_terms_match_per_mask_inner_products(u_stack, data):
     partitions(n=n, shape=(5, 7)), partitions(n=n, shape=(5, 7)))))
 def test_distance_equals_l2_of_mask_change(pair):
     u, v = pair
-    assert u.distance(v) == float(np.sqrt(np.sum((u.masks - v.masks) ** 2)))
+    assert u.distance(v) == float(np.sqrt(np.sum((float_masks(u) - float_masks(v)) ** 2)))
     assert u.distance(u) == 0.0

@@ -16,7 +16,7 @@ from ictmseg.metrics import (
     score_masks,
 )
 
-from oracles import best_overlap_exhaustive
+from oracles import best_overlap_exhaustive, float_masks
 
 rng = np.random.default_rng(31)
 
@@ -133,7 +133,7 @@ def test_match_phases_repairs_label_swap():
     truth = labels_to_set(labels, 2)
     swapped = labels_to_set(1 - labels, 2)
     fixed = match_phases(swapped, truth)
-    assert np.array_equal(fixed.masks, truth.masks)
+    assert np.array_equal(float_masks(fixed), float_masks(truth))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -142,9 +142,9 @@ def test_match_phases_total_overlap_matches_exhaustive(n):
         pred = labels_to_set(rng.integers(0, n, size=(7, 9)), n)
         truth = labels_to_set(rng.integers(0, n, size=(7, 9)), n)
         matched = match_phases(pred, truth)
-        total = sum(np.count_nonzero((matched.masks[i] > 0) & (truth.masks[i] > 0))
-                    for i in range(n))
-        assert total == best_overlap_exhaustive(pred.masks, truth.masks)
+        got, want = float_masks(matched), float_masks(truth)
+        total = sum(np.count_nonzero((got[i] > 0) & (want[i] > 0)) for i in range(n))
+        assert total == best_overlap_exhaustive(float_masks(pred), float_masks(truth))
 
 
 def test_match_phases_undoes_twelve_phase_relabeling():
@@ -153,4 +153,4 @@ def test_match_phases_undoes_twelve_phase_relabeling():
     perm = rng.permutation(12)
     truth = labels_to_set(labels, 12)
     fixed = match_phases(labels_to_set(perm[labels], 12), truth)
-    assert np.array_equal(fixed.masks, truth.masks)
+    assert np.array_equal(float_masks(fixed), float_masks(truth))

@@ -36,14 +36,12 @@ from ictmseg.solve import (
     update_image,
     update_means,
 )
-from oracles import (bias_direct, fit_residual, fitting_energy, means_direct, phi_direct,
-                     rmsav_step_reference, run_inputs, threshold_fields)
+from oracles import (bias_direct, copy_state, fit_residual, fitting_energy, float_masks,
+                     from_masks, means_direct, phi_direct, rmsav_step_reference,
+                     run_inputs, stencil, threshold_fields, two_phase)
 
 rng = np.random.default_rng(777)
 
-
-def two_phase(mask: np.ndarray) -> IndicatorSet:
-    return IndicatorSet(np.stack([mask, 1.0 - mask]))
 
 
 def random_instance(n=8):
@@ -80,10 +78,10 @@ def test_update_means_constant_bias_scales():
 
 def test_update_means_matches_direct_quotient():
     state = random_instance()
-    k = gaussian_kernel(1.2, truncation=3)
+    k = gaussian_kernel(1.2)
     c, _ = update_means(state, fit_fields(state.b, k))
     for i in range(2):
-        ref = means_direct(state.u.masks[i], state.g, state.b, k.weights)
+        ref = means_direct(float_masks(state.u)[i], state.g, state.b, stencil(k))
         assert c[i] == pytest.approx(ref, abs=1e-10, rel=1e-10)
 
 
@@ -97,7 +95,7 @@ def test_update_means_is_stationary():
         base = fitting_energy(state, params, k)
         for i in range(2):
             for delta in (1e-3, -1e-3):
-                trial = state.copy()
+                trial = copy_state(state)
                 trial.c = c.copy()
                 trial.c[i] += delta
                 assert fitting_energy(trial, params, k) >= base - 1e-9 * max(1, base)
@@ -110,7 +108,7 @@ def test_update_bias_recovers_constant():
     masks = np.zeros((2, n, n))
     masks[0] = 1.0
     state = SegState(c=np.array([1.0, 0.0]), b=np.ones((n, n)),
-                     g=np.full((n, n), 7.0), u=IndicatorSet(masks))
+                     g=np.full((n, n), 7.0), u=from_masks(masks))
     params = ModelParams()
     b = update_bias(state, params, gaussian_kernel(params.rho))
     assert np.allclose(b, 7.0, atol=1e-10)
@@ -124,7 +122,7 @@ def test_update_bias_recovers_smooth_field():
     masks[0] = 1.0
     c1 = 3.0
     state = SegState(c=np.array([c1, 0.0]), b=np.ones((n, n)),
-                     g=c1 * b_true, u=IndicatorSet(masks))
+                     g=c1 * b_true, u=from_masks(masks))
     k = gaussian_kernel(3.0)
     b = update_bias(state, ModelParams(), k)
     ref = convolve(b_true, k) / convolve(np.ones((n, n)), k)
@@ -146,11 +144,11 @@ def test_update_bias_matches_direct_quotient(n_phases):
     # two convolutions of phase-weighted sums against 2n direct ones
     state, lambdas = multiphase_instance(n_phases, seed=n_phases)
     state.c[1] = 0.0   # a zero-mean phase drops out of both sums
-    k = gaussian_kernel(1.2, truncation=3)
+    k = gaussian_kernel(1.2)
     params = ModelParams(lambdas=lambdas, rho=1.2)
     b = update_bias(state, params, k)
-    ref = bias_direct(state.u.masks, state.g, state.c,
-                      np.array(params.lambdas), k.weights)
+    ref = bias_direct(float_masks(state.u), state.g, state.c,
+                      np.array(params.lambdas), stencil(k))
     assert np.abs(b - ref).max() < 1e-10
 
 
@@ -168,7 +166,7 @@ def test_update_bias_is_stationary():
         state = random_instance(16)
         state.b = update_bias(state, params, k)
         base = fitting_energy(state, params, k)
-        trial = state.copy()
+        trial = copy_state(state)
         trial.b = state.b + 1e-3 * (rng.random(state.b.shape) - 0.5)
         assert fitting_energy(trial, params, k) >= base - 1e-9 * max(1, base)
 
@@ -668,7 +666,7 @@ def test_threshold_fields_empty_phase_sees_full_length_cost():
     n = 12
     masks = np.zeros((2, n, n))
     masks[0] = 1.0
-    u = IndicatorSet(masks)
+    u = from_masks(masks)
     params = ModelParams(mu=1.0, lambdas=(1.0, 1.0))
     e = np.zeros((2, n, n))
     time_px = 2.0
@@ -686,11 +684,11 @@ def test_threshold_fields_match_direct_oracle(n_phases):
     params = ModelParams(mu=0.7, lambdas=lambdas)
     time_px = 2.0
     k = heat_kernel_pixels(time_px)
-    kf = gaussian_kernel(1.2, truncation=3)
+    kf = gaussian_kernel(1.2)
     e = np.stack([fit_residual(state.g, state.b, c, kf) for c in state.c])
     phis = threshold_fields(e, state.u, params, time_px, k)
-    ref = phi_direct(e, state.u.masks, np.array(params.lambdas),
-                     params.mu, time_px, k.weights)
+    ref = phi_direct(e, float_masks(state.u), np.array(params.lambdas),
+                     params.mu, time_px, stencil(k))
     assert np.abs(phis - ref).max() < 1e-10
     assert phis.min() >= 0.0
 
@@ -704,15 +702,15 @@ def test_threshold_picks_minimum_and_breaks_ties_low():
     n = 4
     phis = np.stack([np.full((n, n), 0.1), np.full((n, n), 0.2)])
     u = least_cost(phis)
-    assert u.masks[0].all() and not u.masks[1].any()
+    assert float_masks(u)[0].all() and not float_masks(u)[1].any()
     tie = np.stack([np.full((n, n), 0.3), np.full((n, n), 0.3)])
-    assert least_cost(tie).masks[0].all()
+    assert float_masks(least_cost(tie))[0].all()
 
 
 def test_threshold_achieves_pointwise_minimum():
     phis = rng.random((3, 9, 9))
     u = least_cost(phis)
-    value = sum(inner_product(u.masks[i], phis[i]) for i in range(3))
+    value = sum(inner_product(float_masks(u)[i], phis[i]) for i in range(3))
     best = float(np.sum(phis.min(axis=0)))
     assert value == pytest.approx(best, rel=1e-12)
 
@@ -735,7 +733,8 @@ def test_segment_noiseless_two_constant_exact():
     init[n // 4: 3 * n // 4, n // 4: 3 * n // 4] = 1.0
     params = ModelParams(gamma=0.0, nu=0.0, freeze_bias=True, max_inner=0)
     state, log = segment(clean, two_phase(init), params)
-    got = state.u.masks[0] if state.u.masks[0, 20, 30] else state.u.masks[1]
+    masks = float_masks(state.u)
+    got = masks[0] if masks[0, 20, 30] else masks[1]
     assert np.array_equal(got, truth)
     assert log.outers[-1].err1 <= params.tol1
 
@@ -805,7 +804,7 @@ def test_segment_reaches_fixed_point_and_stays():
     params = ModelParams(gamma=0.0, nu=0.0, freeze_bias=True)
     state, _ = segment(clean, two_phase(init), params)
     state2, log2 = segment(clean, state.u, params)
-    assert np.array_equal(state.u.masks, state2.u.masks)
+    assert np.array_equal(float_masks(state.u), float_masks(state2.u))
     assert len(log2.outers) == 1
 
 

@@ -15,6 +15,8 @@ from ictmseg.fileio import (
 )
 from ictmseg.synth import Shape, SynthSpec, generate
 
+from oracles import float_masks
+
 rng = np.random.default_rng(4)
 
 
@@ -26,7 +28,7 @@ def test_disk_area_close_to_analytic():
                      shapes=(Shape("disk", (64.0, 64.0, r), 200.0),))
     clean, truth, bias = generate(spec)
     assert np.allclose(bias, 1.0)
-    area = truth.masks[1].sum()
+    area = float_masks(truth)[1].sum()
     assert abs(area - np.pi * r * r) / (np.pi * r * r) < 0.01
     assert set(np.unique(clean)) == {50.0, 200.0}
 
@@ -56,7 +58,7 @@ def test_generate_deterministic():
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a[0], b[0])
-    assert np.array_equal(a[1].masks, b[1].masks)
+    assert np.array_equal(float_masks(a[1]), float_masks(b[1]))
 
 
 def test_later_shapes_override():
@@ -64,9 +66,9 @@ def test_later_shapes_override():
                      shapes=(Shape("rect", (0, 0, 20, 20), 100.0),
                              Shape("disk", (10.0, 10.0, 4.0), 200.0)))
     clean, truth, _ = generate(spec)
-    assert truth.masks[2][10, 10] == 1.0
+    assert float_masks(truth)[2][10, 10] == 1.0
     assert clean[10, 10] == 200.0
-    assert truth.masks[1][0, 0] == 1.0
+    assert float_masks(truth)[1][0, 0] == 1.0
 
 
 def test_spec_validation():
@@ -131,6 +133,17 @@ def test_read_field_rejects_short_or_ragged_f64(tmp_path, tail):
     path = tmp_path / "short.f64"
     path.write_bytes(b"FGRID64\x00" + tail)
     with pytest.raises(ConfigError, match="short.f64"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("header", [b"ab 2\n255", b"2 x\n255", b"2 2\nzz", b"0 2\n255",
+                                    b"2 -3\n255"],
+                         ids=["width", "height", "maxval", "zero-width", "negative-height"])
+def test_read_field_rejects_bad_pgm_header(tmp_path, header):
+    # a non-integer size or maxval, or a size below 1: an error naming the file
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + header + b"\n" + bytes(4))
+    with pytest.raises(ConfigError, match="bad.pgm"):
         read_field(path)
 
 
