@@ -117,7 +117,10 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
 def _resolve_image(cfg: ExperimentConfig):
     """Produce (f, truth_or_None, warnings) from the configured source, with
     corruption applied and load clamping to [0, 255]. A clamp that changes
-    any pixel is reported as a run warning."""
+    any pixel is reported as a run warning. Unless the config sets
+    `intensity_scale`, it becomes the maximum of the clamped input, in
+    `cfg.params` so that the manifest echoes it: the model is equivariant
+    under scaling only when the scale follows the data."""
     truth = None
     if cfg.synth is not None:
         clean, truth, _ = generate(cfg.synth)
@@ -131,6 +134,12 @@ def _resolve_image(cfg: ExperimentConfig):
     changed = np.count_nonzero(f != raw)
     warnings = [f"input clamped to [0, 255]: {changed} of {f.size} pixels changed "
                 f"(min {raw.min():.6g}, max {raw.max():.6g})"] if changed else []
+    if "intensity_scale" not in cfg.raw:
+        peak = float(f.max())
+        if peak == 0.0:
+            raise ConfigError("input is all zero after the clamp to [0, 255]: "
+                              "no intensity_scale can be taken from it")
+        cfg.params = replace(cfg.params, intensity_scale=peak)
     return f, truth, warnings
 
 

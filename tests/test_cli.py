@@ -362,3 +362,32 @@ def test_input_clamp_is_reported(tmp_path, capsys):
                 assert f"# warning = {line}\n" in manifest
             else:
                 assert "clamped" not in err and "clamped" not in manifest
+
+
+def test_segment_labels_do_not_depend_on_the_input_range(tmp_path):
+    # the intensity scale follows the data, so scaling the input by a power
+    # of two, which is exact, gives the same labels bit for bit; the manifest
+    # echoes the scale each run used
+    yy, xx = np.mgrid[0:32, 0:32]
+    clean = np.where((xx - 15) ** 2 + (yy - 17) ** 2 <= 81, 50.0, 15.0)
+    f = np.minimum(clean * np.random.default_rng(8).gamma(10.0, 0.1, clean.shape), 63.0)
+    labels = {}
+    for k in (0, -3, -1, 2):
+        write_f64(tmp_path / f"f{k}.f64", f * 2.0 ** k)
+        cfg = write_cfg(tmp_path, f"input = {tmp_path / f'f{k}.f64'}\n"
+                                  "init = circle:16,16,8\nmax_outer = 20\n", name=f"{k}.cfg")
+        out = tmp_path / f"out{k}"
+        assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        labels[k] = (out / "labels.pgm").read_bytes()
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"\nintensity_scale = {float(f.max() * 2.0 ** k)!r}\n" in manifest
+    assert labels[-3] == labels[-1] == labels[0] == labels[2]
+
+
+def test_exit_code_2_on_all_zero_input(tmp_path, capsys):
+    write_f64(tmp_path / "zero.f64", np.zeros((8, 8)))
+    for cmd, extra in (("segment", "init = circle:4,4,2\n"), ("denoise", "")):
+        cfg = write_cfg(tmp_path, f"input = {tmp_path / 'zero.f64'}\n" + extra,
+                        name=f"{cmd}.cfg")
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"]) == 2
+        assert "all zero" in capsys.readouterr().err

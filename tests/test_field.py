@@ -187,19 +187,95 @@ def test_transforms_leave_their_input_unchanged(shape, std, dt, seed):
 
 
 def test_run_imports_no_heavy_scipy_module():
-    # Convolution needs scipy.fft only and phase matching no scipy at all.
-    # Importing scipy.signal made the first heat-kernel convolution of a 256^2
-    # run ~0.6 s slower; importing scipy.optimize adds ~20 MB of resident memory.
-    code = ("import sys, numpy as np, ictmseg\n"
+    # Phase matching needs no scipy, and the transforms bind scipy.fft's
+    # compiled extension without importing the scipy.fft package, which pulls
+    # in scipy.special and the array-API layer (0.3 s of every run). Importing
+    # scipy.signal made the first heat-kernel convolution of a 256^2 run
+    # ~0.6 s slower; importing scipy.optimize adds ~20 MB of resident memory.
+    code = ("import sys, numpy as np, ictmseg, ictmseg.cli\n"
             "u = ictmseg.IndicatorSet.from_labels(np.eye(4, dtype=np.int64), 2)\n"
             "ictmseg.match_phases(u, u)\n"
             "ictmseg.convolve(np.ones((8, 8)), ictmseg.field.heat_kernel_pixels(80.0))\n"
-            "heavy = ('scipy.signal', 'scipy.ndimage', 'scipy.optimize')\n"
+            "ictmseg.field.solve_implicit(np.ones((8, 8)),\n"
+            "                             ictmseg.field.implicit_symbol((8, 8), 0.1))\n"
+            "heavy = ('scipy.signal', 'scipy.ndimage', 'scipy.optimize', 'scipy.fft',\n"
+            "         'scipy.special', 'scipy._lib._array_api')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
     package_root = Path(ictmseg.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=package_root, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------- the bound transform
+
+def _scipy_reference(x, dct_type):
+    from scipy import fft
+    return (fft.dctn if dct_type == 2 else fft.idctn)(x, type=2, norm="ortho")
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       step=st.tuples(st.integers(1, 3), st.integers(1, 3)), transpose=st.booleans(),
+       dct_type=st.sampled_from([2, 3]), seed=seeds)
+def test_bound_transform_equals_scipy_fft(shape, step, transpose, dct_type, seed):
+    # byte for byte, as scipy.fft.dctn/idctn(type=2, norm="ortho"), on
+    # C-contiguous arrays and strided or transposed views, into a fresh array
+    # or in place; a fresh-output call leaves its input unchanged
+    big = np.random.default_rng(seed).standard_normal((shape[0] * step[0], shape[1] * step[1]))
+    view = big[::step[0], ::step[1]]
+    x = view.T if transpose else view
+    expected = _scipy_reference(x, dct_type).tobytes()
+    before = big.copy()
+    fresh = ictmseg.field._dct(x, dct_type, None)
+    assert fresh.tobytes() == expected
+    assert big.tobytes() == before.tobytes() and not np.shares_memory(fresh, big)
+    twin = before[::step[0], ::step[1]]
+    twin = twin.T if transpose else twin
+    in_place = ictmseg.field._dct(twin, dct_type, twin)
+    assert np.shares_memory(in_place, before)
+    assert twin.tobytes() == expected
+
+
+def test_scipy_fft_imports_after_the_binding():
+    # the bound extension is kept out of sys.modules; scipy.fft, imported
+    # later in the same process, loads its own and gives the same bits
+    code = ("import sys, numpy as np, ictmseg.field as F\n"
+            "assert F._dct is not F._scipy_fft_dct\n"
+            "x = np.random.default_rng(3).standard_normal((9, 13))\n"
+            "ours = [F._dct(x, t, None).tobytes() for t in (2, 3)]\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import scipy.fft\n"
+            "theirs = [scipy.fft.dctn(x, type=2, norm='ortho').tobytes(),\n"
+            "          scipy.fft.idctn(x, type=2, norm='ortho').tobytes()]\n"
+            "print(ours == theirs, ours == [F._dct(x, t, None).tobytes() for t in (2, 3)])\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=package_root, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_transform_falls_back_to_scipy_fft(monkeypatch, tmp_path):
+    # no scipy found, or an extension file that does not load: the loader
+    # returns the scipy.fft path, and convolve and solve_implicit keep their bits
+    import importlib.machinery
+    import importlib.util
+    x = np.random.default_rng(5).standard_normal((17, 11))
+    k, symbol = gaussian_kernel(2.5), implicit_symbol(x.shape, 0.3)
+    bound = [convolve(x, k).tobytes(), solve_implicit(x, symbol).tobytes()]
+
+    broken = tmp_path / "fft" / "_pocketfft"
+    broken.mkdir(parents=True)
+    (broken / ("pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"\0" * 64)
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    for found in (None, fake):
+        with monkeypatch.context() as m:
+            m.setattr(importlib.util, "find_spec", lambda name, package=None: found)
+            assert ictmseg.field._load_dct() is ictmseg.field._scipy_fft_dct
+
+    monkeypatch.setattr(ictmseg.field, "_dct", ictmseg.field._scipy_fft_dct)
+    assert [convolve(x, k).tobytes(), solve_implicit(x, symbol).tobytes()] == bound
 
 
 # ------------------------------------------------------- side-by-side passes
