@@ -106,19 +106,12 @@ def _multiplier(stencil, n: int) -> np.ndarray:
     return np.fft.rfft(taps)[:n].real
 
 
-def _scipy_fft_dct(x: np.ndarray, type: int, out: np.ndarray | None) -> np.ndarray:
-    """`_dct` through the `scipy.fft` package."""
-    from scipy import fft
-    transform = fft.dctn if type == 2 else fft.idctn
-    return transform(x, type=2, norm="ortho", overwrite_x=out is not None)
-
-
 def _load_dct():
     """The transform `_dct`, bound to the compiled extension that `scipy.fft`
     itself calls. The extension is loaded from its file, without importing the
     `scipy.fft` package (0.3 s and 23 MB of modules this program never uses),
-    and is kept out of `sys.modules`. Falls back to `scipy.fft` when the file
-    is missing or does not load."""
+    and is kept out of `sys.modules`. Raises ImportError when the file is
+    missing, naming every path searched, or when it does not load."""
     name = "scipy.fft._pocketfft.pypocketfft"
     spec = importlib.util.find_spec("scipy")      # locates scipy, imports nothing
     paths = [os.path.join(folder, "fft", "_pocketfft", "pypocketfft" + suffix)
@@ -126,14 +119,12 @@ def _load_dct():
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
-        return _scipy_fft_dct
+        raise ImportError(f"scipy's compiled DCT extension {name} not found; searched: "
+                          f"{', '.join(paths) if paths else 'no scipy installation'}")
     loader = importlib.machinery.ExtensionFileLoader(name, path)
-    try:
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-        loader.exec_module(module)
-        transform = module.dct
-    except (ImportError, AttributeError):
-        return _scipy_fft_dct
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    transform = module.dct
 
     def dct(x, type, out):
         # the call scipy.fft.dctn/idctn(type=2, norm="ortho") make: both axes,

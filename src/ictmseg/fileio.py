@@ -93,6 +93,9 @@ def read_f64(path) -> np.ndarray:
     data = np.frombuffer(blob[16:], dtype="<f8")
     if data.size != w * h:
         raise ConfigError(f"{path}: raster size mismatch")
+    nans = np.count_nonzero(np.isnan(data))
+    if nans:
+        raise ConfigError(f"{path}: {nans} of {data.size} values are NaN")
     return data.reshape(h, w).copy()
 
 

@@ -35,6 +35,8 @@ class NoiseSpec:
 
 
 def _generator(seed: int) -> np.random.Generator:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64) to key Philox, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

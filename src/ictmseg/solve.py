@@ -132,7 +132,6 @@ class OuterRecord:
     eu_before: float          # partition energy of u^k  (same residual fields)
     eu_after: float           # partition energy of u^{k+1}
     err1: float
-    means: tuple
     flags: tuple = ()
 
 
@@ -554,8 +553,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         breakdown = EnergyBreakdown.build(fit=fit_new, length=len_new, idiv=idiv, tv=tv)
         record = OuterRecord(outer=k, energy=breakdown,
                              eu_before=float(eu_before), eu_after=float(eu_after),
-                             err1=float(err1), means=tuple(float(x) for x in state.c),
-                             flags=tuple(flags))
+                             err1=float(err1), flags=tuple(flags))
         log.outers.append(record)
         log.warnings.extend(msg for msg in mean_flags if msg not in log.warnings)
         if progress is not None:

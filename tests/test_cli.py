@@ -391,3 +391,39 @@ def test_exit_code_2_on_all_zero_input(tmp_path, capsys):
                         name=f"{cmd}.cfg")
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"]) == 2
         assert "all zero" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_nan_raster(tmp_path, capsys):
+    # a NaN pixel is refused where the raster is read, before any command
+    # uses it; +-inf stays under the [0, 255] clamp
+    field = np.full((32, 32), 100.0)
+    field[5, 7] = np.nan
+    write_f64(tmp_path / "nan.f64", field)
+    extras = {"segment": "init = circle:16,16,8\n", "denoise": "",
+              "noise": "noise.kind = gamma\n"}
+    for cmd, extra in extras.items():
+        cfg = write_cfg(tmp_path, f"input = {tmp_path / 'nan.f64'}\n" + extra,
+                        name=f"{cmd}.cfg")
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "nan.f64" in err and "1 of 1024 values are NaN" in err
+    assert not (tmp_path / "noise" / "noisy.f64").exists()
+
+
+@pytest.mark.parametrize("seed_line, flag", [
+    ("seed = -1", []),
+    ("seed = 18446744073709551616", []),
+    ("seed = 5", ["--seed", "-3"]),
+], ids=["config-negative", "config-2^64", "flag-negative"])
+def test_exit_code_2_on_seed_outside_philox_range(tmp_path, capsys, seed_line, flag):
+    cfg = write_cfg(tmp_path, "synth.size = 8,8\nsynth.region = disk:4,4,2,200\n"
+                              f"noise.kind = gamma\n{seed_line}\n")
+    assert main(["noise", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet",
+                 *flag]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_seed_no_sampler_uses_is_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, "synth.size = 8,8\nsynth.region = disk:4,4,2,200\n"
+                              "seed = -1\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0

@@ -241,7 +241,6 @@ def test_scipy_fft_imports_after_the_binding():
     # the bound extension is kept out of sys.modules; scipy.fft, imported
     # later in the same process, loads its own and gives the same bits
     code = ("import sys, numpy as np, ictmseg.field as F\n"
-            "assert F._dct is not F._scipy_fft_dct\n"
             "x = np.random.default_rng(3).standard_normal((9, 13))\n"
             "ours = [F._dct(x, t, None).tobytes() for t in (2, 3)]\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -255,27 +254,45 @@ def test_scipy_fft_imports_after_the_binding():
     assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
 
 
-def test_transform_falls_back_to_scipy_fft(monkeypatch, tmp_path):
-    # no scipy found, or an extension file that does not load: the loader
-    # returns the scipy.fft path, and convolve and solve_implicit keep their bits
+def test_binding_after_scipy_fft_import():
+    # scipy.fft imported first, with its own copy of the extension loaded: the
+    # binding still loads from the file and gives scipy.fft's bits
+    code = ("import numpy as np, scipy.fft\n"
+            "import ictmseg.field as F\n"
+            "x = np.random.default_rng(3).standard_normal((9, 13))\n"
+            "ours = [F._dct(x, t, None).tobytes() for t in (2, 3)]\n"
+            "theirs = [scipy.fft.dctn(x, type=2, norm='ortho').tobytes(),\n"
+            "          scipy.fft.idctn(x, type=2, norm='ortho').tobytes()]\n"
+            "print(ours == theirs)\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=package_root, check=True)
+    assert proc.stdout.strip() == "True"
+
+
+def test_transform_load_fails_loudly(monkeypatch, tmp_path):
+    # no scipy found, a scipy without the extension file, or a file that does
+    # not load: the loader raises ImportError, as there is no other DCT path
     import importlib.machinery
     import importlib.util
-    x = np.random.default_rng(5).standard_normal((17, 11))
-    k, symbol = gaussian_kernel(2.5), implicit_symbol(x.shape, 0.3)
-    bound = [convolve(x, k).tobytes(), solve_implicit(x, symbol).tobytes()]
-
-    broken = tmp_path / "fft" / "_pocketfft"
-    broken.mkdir(parents=True)
-    (broken / ("pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"\0" * 64)
     fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     fake.submodule_search_locations = [str(tmp_path)]
-    for found in (None, fake):
+    folder = tmp_path / "fft" / "_pocketfft"
+    searched = [str(folder / ("pypocketfft" + suffix))
+                for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for found, names in ((None, ["pypocketfft"]), (fake, searched)):
         with monkeypatch.context() as m:
             m.setattr(importlib.util, "find_spec", lambda name, package=None: found)
-            assert ictmseg.field._load_dct() is ictmseg.field._scipy_fft_dct
+            with pytest.raises(ImportError) as missing:
+                ictmseg.field._load_dct()
+            assert all(name in str(missing.value) for name in names)
 
-    monkeypatch.setattr(ictmseg.field, "_dct", ictmseg.field._scipy_fft_dct)
-    assert [convolve(x, k).tobytes(), solve_implicit(x, symbol).tobytes()] == bound
+    folder.mkdir(parents=True)
+    Path(searched[0]).write_bytes(b"\0" * 64)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: fake)
+    with pytest.raises(ImportError) as broken:
+        ictmseg.field._load_dct()
+    assert "searched" not in str(broken.value)
 
 
 # ------------------------------------------------------- side-by-side passes
