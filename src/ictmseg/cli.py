@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import IndicatorSet, SegState, gray_indicator
+from .energy import IndicatorSet
 from .errors import ConfigError, NumericalFailure
 from .fileio import (
     ExperimentConfig,
     _parse_floats,
+    _parse_ints,
     _split_spec,
     config_lines,
     load_config,
@@ -92,7 +93,7 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
             raise ConfigError(f"init mask labels exceed n_phases={n}")
         return IndicatorSet.from_labels(labels.astype(np.int64), n)
     if kind == "checkerboard":
-        cell = int(_parse_floats(args, 1, "init checkerboard")[0])
+        cell = _parse_ints(args, 1, "init checkerboard")[0]
         if cell < 1:
             raise ConfigError("checkerboard cell must be >= 1")
         yy, xx = np.mgrid[0:h, 0:w]
@@ -192,6 +193,10 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         clean, _, _ = generate(cfg.synth)
     else:
         clean = read_field(cfg.input)
+        bad = np.count_nonzero(~np.isfinite(clean))
+        if bad:
+            raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite; "
+                              "noise needs a finite clean image")
     noisy = corrupt(clean, cfg.noise)
     write_pgm(out / "noisy.pgm", noisy)      # 8-bit view, clamped
     write_f64(out / "noisy.f64", noisy)      # exact values, unclamped
@@ -236,8 +241,8 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    """Run only the smooth-image subproblem: every fitting weight is zero,
-    so the flow reads no partition, bias or means.
+    """Run only the smooth-image subproblem: the run's flow context, which
+    has no fitting term, so the flow reads no partition, bias or means.
 
     Unlike segmentation, the flow runs long (default cap 500 steps unless the
     config sets max_inner) since there is no partition to co-evolve with; the
@@ -246,12 +251,11 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     f, _, warnings = _resolve_image(cfg)
     if "max_inner" not in cfg.raw:
         cfg.params = replace(cfg.params, max_inner=500)
-    params = replace(cfg.params, lambdas=(0.0,) * cfg.params.n_phases)
+    params = cfg.params
     f_norm = f / params.intensity_scale
-    state = SegState(c=None, b=None, g=np.maximum(f_norm, params.g_floor), u=None)
-    alpha = gray_indicator(f_norm, params.sigma, params.p)
-    g, records, hit_cap = update_image(state, f_norm, alpha, params, None,
-                                      FlowRun.start(f_norm, params), 0)
+    run = FlowRun.start(f_norm, params)
+    g, records, hit_cap = update_image(np.maximum(f_norm, params.g_floor), run.ctx,
+                                       run, params, 0)
     g = g * params.intensity_scale
     write_pgm(out / "denoised.pgm", g)
     write_f64(out / "denoised.f64", g)

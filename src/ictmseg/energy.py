@@ -87,6 +87,9 @@ class ModelParams:
         return 0.05 / max(1.0, self.nu)
 
     def validate(self) -> "ModelParams":
+        for name, value in [*(("lambdas", l) for l in self.lambdas), *vars(self).items()]:
+            if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_phases < 2:
             raise ConfigError("need at least 2 phases")
         if any(l < 0 for l in self.lambdas):
@@ -174,8 +177,7 @@ class IndicatorSet:
 
 @dataclass
 class SegState:
-    """Current iterate: means c, bias b, smooth image g, partition u. With
-    every fit weight zero the image flow reads only g; c, b, u may be None."""
+    """Current iterate: means c, bias b, smooth image g, partition u."""
 
     c: np.ndarray
     b: np.ndarray

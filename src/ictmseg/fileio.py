@@ -198,11 +198,16 @@ def _parse_floats(text: str, count: int | None, what: str) -> list[float]:
         raise ConfigError(f"{what}: cannot parse numbers from {text!r}{expected}") from exc
     if count is not None and len(vals) != count:
         raise ConfigError(f"{what}: expected {count} values, got {len(vals)}")
+    if not all(np.isfinite(vals)):
+        raise ConfigError(f"{what}: numbers must be finite, got {text!r}")
     return vals
 
 
 def _parse_ints(text: str, count: int, what: str) -> list[int]:
-    return [int(v) for v in _parse_floats(text, count, what)]
+    vals = _parse_floats(text, count, what)
+    if any(v != round(v) or abs(v) >= 2.0**63 for v in vals):
+        raise ConfigError(f"{what}: expected whole numbers below 2^63, got {text!r}")
+    return [int(v) for v in vals]
 
 
 def _parse_region(text: str) -> Shape:
@@ -216,6 +221,8 @@ def _parse_region(text: str) -> Shape:
 
 def _coerce(key: str, value: str, line_no: int):
     typ = _ALL_KEYS[key]
+    if typ is float:
+        return _parse_floats(value, 1, f"line {line_no}: {key}")[0]
     try:
         if typ is bool:
             low = value.lower()

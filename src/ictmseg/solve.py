@@ -30,7 +30,7 @@ into the TV part of the force, the next step and the next flow.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -195,7 +195,8 @@ class GContext:
         E_fit(g) = <g^2, weight> - 2 <g, target> + fit_const,
         dE_fit   = 2 (weight * g - target).
 
-    With every lam_i zero there is no fitting term: weight and target are None.
+    The run's context, `FlowRun.ctx`, has no fitting term: weight and target
+    are None and fit_const is 0. `build_g_context` fills them in.
 
     `shift` is the effective positivity offset for the auxiliary variable
     z = sqrt(E_g + shift): the configured margin c0 plus the magnitude of the
@@ -205,9 +206,6 @@ class GContext:
 
     f: np.ndarray
     alpha: np.ndarray
-    weight: np.ndarray | None
-    target: np.ndarray | None
-    fit_const: float
     gamma: float
     nu: float
     eps_tv: float
@@ -216,23 +214,31 @@ class GContext:
     shift: float
     eta: float
     symbol: np.ndarray    # implicit_symbol(f.shape, dt), shared by every step
+    weight: np.ndarray | None = None
+    target: np.ndarray | None = None
+    fit_const: float = 0.0
 
 
 @dataclass
 class FlowRun:
-    """What the image flows of one run share: `shift` (`energy_shift`),
-    `symbol` (`implicit_symbol`) and `entry`, the (TV force term, idiv, tv)
-    of the g the next flow starts from, or None. `update_image` takes `entry`
-    out, so that no second reference keeps the field alive through the flow,
-    and puts in that of the g it returns."""
+    """What the image flows of one run share: `ctx`, the run's `GContext`
+    with no fitting term, made once, and `entry`, the (TV force term, idiv,
+    tv) of the g the next flow starts from, or None. `update_image` takes
+    `entry` out, so that no second reference keeps the field alive through
+    the flow, and puts in that of the g it returns."""
 
-    shift: float
-    symbol: np.ndarray
+    ctx: GContext
     entry: tuple | None = None
 
     @classmethod
     def start(cls, f: np.ndarray, params: ModelParams) -> "FlowRun":
-        return cls(energy_shift(f, params), implicit_symbol(np.shape(f), params.time_step))
+        f = np.asarray(f, dtype=np.float64)
+        return cls(GContext(
+            f=f, alpha=gray_indicator(f, params.sigma, params.p),
+            gamma=params.gamma, nu=params.nu, eps_tv=params.eps_tv,
+            g_floor=params.g_floor, dt=params.time_step,
+            shift=energy_shift(f, params), eta=params.eta_relax,
+            symbol=implicit_symbol(f.shape, params.time_step)))
 
 
 def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
@@ -245,34 +251,15 @@ def energy_shift(f: np.ndarray, params: ModelParams) -> float:
     return params.c0 + max(0.0, -fidelity_lower_bound(f, params.gamma, params.g_floor))
 
 
-def build_g_context(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                    params: ModelParams, fields: FitFields | None,
+def build_g_context(state: SegState, params: ModelParams, fields: FitFields,
                     run: FlowRun) -> GContext:
-    """`fields` are the fit fields of `state.b`, and `run` holds the run's
-    constants `shift` and `symbol`. With every lam_i zero, only `state.g` is
-    read: fields, c, b and u may be None."""
+    """`run.ctx` with the fitting term of (c, b, u) = `state`, `fields` being
+    the fit fields of `state.b`."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
-    weight, target, fit_const = None, None, 0.0
-    if lam.any():
-        c = np.asarray(state.c, dtype=np.float64)
-        weight = state.u.weighted_sum(lam)
-        target = fields.kb * state.u.weighted_sum(lam * c)
-        fit_const = inner_product(state.u.weighted_sum(lam * c * c), fields.kb2)
-    return GContext(
-        f=np.asarray(f, dtype=np.float64),
-        alpha=np.asarray(alpha, dtype=np.float64),
-        weight=weight,
-        target=target,
-        fit_const=fit_const,
-        gamma=params.gamma,
-        nu=params.nu,
-        eps_tv=params.eps_tv,
-        g_floor=params.g_floor,
-        dt=params.time_step,
-        shift=run.shift,
-        eta=params.eta_relax,
-        symbol=run.symbol,
-    )
+    c = np.asarray(state.c, dtype=np.float64)
+    return replace(run.ctx, weight=state.u.weighted_sum(lam),
+                   target=fields.kb * state.u.weighted_sum(lam * c),
+                   fit_const=inner_product(state.u.weighted_sum(lam * c * c), fields.kb2))
 
 
 def _tv_force(grad: TVGradient | None, ctx: GContext) -> np.ndarray | None:
@@ -408,17 +395,14 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
     return float(min(1.0, xi))
 
 
-def update_image(state: SegState, f: np.ndarray, alpha: np.ndarray,
-                 params: ModelParams, fields: FitFields | None, run: FlowRun,
+def update_image(g: np.ndarray, ctx: GContext, run: FlowRun, params: ModelParams,
                  outer: int) -> tuple[np.ndarray, list[InnerRecord], bool]:
-    """Run the RMSAV inner loop from the current g until the relative energy
+    """Run the RMSAV inner loop of `ctx` from `g` until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
-    `fields` and `run` are passed to `build_g_context`; `run` also carries
-    the hand-off between flows, and its `entry` must belong to `state.g`.
+    `run` carries the hand-off between flows: its `entry` must belong to `g`.
     `outer` numbers the records and locates a failure.
     """
-    ctx = build_g_context(state, f, alpha, params, fields, run)
-    g = np.asarray(state.g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if run.entry is None:
         e_cur, _, idiv, tv, tv_force = _evaluate(g, ctx)
     else:       # the same sum as g_energy's, with idiv and tv of the same g
@@ -498,7 +482,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             f"{params.n_phases} phases on image {f.shape}")
     f = f / params.intensity_scale
 
-    alpha = gray_indicator(f, params.sigma, params.p)
+    run = FlowRun.start(f, params)
     fit_kernel = gaussian_kernel(params.rho)
     time_px = params.heat_time_pixels(f.shape)
     length_kernel = heat_kernel_pixels(time_px)
@@ -513,12 +497,11 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fields = fit_fields(state.b, fit_kernel)
     potentials = length_potentials(state.u, length_kernel)
 
-    run = FlowRun.start(f, params)
     log = IterationLog(header={
         "n_phases": params.n_phases, **asdict(params),
         "dt_effective": params.time_step,
         "heat_time_pixels": time_px,
-        "energy_shift": run.shift,
+        "energy_shift": run.ctx.shift,
     })
 
     err1 = np.inf
@@ -531,7 +514,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             state.b = update_bias(state, params, fit_kernel)
             fields = fit_fields(state.b, fit_kernel)
         state.g, inner_records, hit_cap = update_image(
-            state, f, alpha, params, fields, run, k)
+            state.g, build_g_context(state, params, fields, run), run, params, k)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")

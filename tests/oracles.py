@@ -262,11 +262,9 @@ def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> 
 
 
 def run_inputs(state, f: np.ndarray, params) -> tuple:
-    """What `segment` makes once and hands `build_g_context` and
-    `update_image`: the fit fields of `state.b` (None when every lambda is
-    zero) and a `FlowRun` of `f`."""
-    fields = fit_fields(state.b, gaussian_kernel(params.rho)) if any(params.lambdas) else None
-    return fields, FlowRun.start(f, params)
+    """What `segment` hands `build_g_context`: the fit fields of `state.b`
+    and a `FlowRun` of `f`."""
+    return fit_fields(state.b, gaussian_kernel(params.rho)), FlowRun.start(f, params)
 
 
 def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = None,

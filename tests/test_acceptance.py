@@ -15,7 +15,6 @@ from ictmseg.energy import (
     ModelParams,
     SegState,
     fit_fields,
-    gray_indicator,
 )
 from ictmseg.field import (
     biharmonic,
@@ -78,8 +77,7 @@ def sav_run(n_steps=60, n=64, seed=314):
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1, c0=1.0, eta_relax=0.99)
     fields, run = run_inputs(state, f, params)
     state.c, _ = update_means(state, fields)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(state, f, alpha, params, fields, run)
+    ctx = build_g_context(state, params, fields, run)
     g = state.g.copy()
     e = g_energy(g, ctx)[0]
     z = float(np.sqrt(e + ctx.shift))
@@ -191,8 +189,7 @@ def test_criterion_05_force_matches_finite_differences():
                      g=rng.random((n, n)) * 4 + 2, u=two_phase(mask))
     f = rng.random((n, n)) * 5 + 1
     params = ModelParams(gamma=0.3, nu=0.8)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(state, f, alpha, params, *run_inputs(state, f, params))
+    ctx = build_g_context(state, params, *run_inputs(state, f, params))
     g = rng.random((n, n)) * 4 + 2
     grad = force(g, ctx)
     t = 1e-5

@@ -66,8 +66,8 @@ def test_traced_runs_keep_the_tracer_contract(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     for name, run in report.items():
         assert run["code"] == 0 and run["violations"] == [], (name, run)
-        wanted = ["solve.rmsav_step", "field.solve_implicit"]
+        wanted = ["solve.rmsav_step", "field.solve_implicit", "solve.update_image"]
         if name != "denoise":
-            wanted += ["field.convolve_fit", "field.convolve_heat"]
+            wanted += ["field.convolve_fit", "field.convolve_heat", "solve.build_g_context"]
         for span in wanted:
             assert run["counts"].get(span, 0) > 0, (name, span)

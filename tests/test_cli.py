@@ -138,7 +138,7 @@ def test_denoise_command(tmp_path):
 
 
 def test_denoise_makes_no_fit_kernel_pass(tmp_path, monkeypatch):
-    # every fit weight is zero: no partition, bias or K*b, K*b^2 is built,
+    # the flow has no fitting term: no partition, bias or K*b, K*b^2 is built,
     # and the gray indicator's K_sigma is the one convolution of the run;
     # `convolve_each` calls `convolve` through the `field` global
     import ictmseg.energy
@@ -395,7 +395,7 @@ def test_exit_code_2_on_all_zero_input(tmp_path, capsys):
 
 def test_exit_code_2_on_nan_raster(tmp_path, capsys):
     # a NaN pixel is refused where the raster is read, before any command
-    # uses it; +-inf stays under the [0, 255] clamp
+    # uses it; +-inf stays under the [0, 255] clamp of segment and denoise
     field = np.full((32, 32), 100.0)
     field[5, 7] = np.nan
     write_f64(tmp_path / "nan.f64", field)
@@ -427,3 +427,84 @@ def test_seed_no_sampler_uses_is_accepted(tmp_path):
     cfg = write_cfg(tmp_path, "synth.size = 8,8\nsynth.region = disk:4,4,2,200\n"
                               "seed = -1\n")
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("kind", ["gamma", "poisson"])
+def test_noise_refuses_infinite_pixels(tmp_path, capsys, sign, kind):
+    # noise applies no clamp, so an infinite clean pixel is refused, not
+    # written into noisy.f64 or handed to a sampler
+    field = np.full((32, 32), 100.0)
+    field[5, 7] = float(f"{sign}inf")
+    write_f64(tmp_path / "inf.f64", field)
+    cfg = write_cfg(tmp_path, f"input = {tmp_path / 'inf.f64'}\nnoise.kind = {kind}\n")
+    assert main(["noise", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "inf.f64" in err and "1 of 1024 values are infinite" in err, err
+    assert not (tmp_path / "o" / "noisy.f64").exists()
+
+
+SCENE_24 = """synth.size = 24,24
+synth.background = 200
+synth.region = disk:12,12,6,60
+noise.kind = gamma
+seed = 3
+init = circle:12,12,4
+"""
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("segment", "rho", "inf"), ("segment", "sigma", "inf"), ("denoise", "sigma", "inf"),
+    ("segment", "tau", "inf"), ("segment", "gamma", "nan"), ("segment", "dt", "inf"),
+    ("segment", "c0", "inf"), ("segment", "lambda", "nan"), ("segment", "lambda", "inf"),
+    ("segment", "p", "nan"), ("segment", "p", "-inf"), ("segment", "eps_tv", "inf"),
+    ("segment", "g_floor", "inf"), ("segment", "tol1", "nan"), ("denoise", "tol2", "nan"),
+    ("segment", "mu", "inf"),
+])
+def test_exit_code_2_on_non_finite_parameter(tmp_path, capsys, command, key, value):
+    cfg = write_cfg(tmp_path, SCENE_24 + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: numbers must be finite, got '{value}'" in err, err
+    assert not list(out.glob("*"))   # no output written
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("noise", "noise.looks = nan", "noise.looks"),
+    ("noise", "noise.looks = inf", "noise.looks"),
+    ("denoise", "noise.looks = nan", "noise.looks"),
+    ("segment", "init = circle:12,12,nan", "init circle"),
+    ("segment", "synth.region = disk:12,12,inf,60", "synth.region disk"),
+], ids=["looks-nan", "looks-inf", "denoise-looks-nan", "circle-nan", "region-inf"])
+def test_exit_code_2_on_non_finite_spec_number(tmp_path, capsys, command, line, key):
+    cfg = write_cfg(tmp_path, SCENE_24.replace("init = circle:12,12,4\n", "") + line + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: numbers must be finite" in err, err
+    assert not list(out.glob("*"))   # no output written
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("synth", "synth.size = 24.7,24", "synth.size"),
+    ("segment", "init = checkerboard:1e30", "init checkerboard"),
+    ("segment", "init = checkerboard:2.5", "init checkerboard"),
+], ids=["size-fraction", "cell-1e30", "cell-fraction"])
+def test_exit_code_2_on_non_whole_size_or_cell(tmp_path, capsys, command, line, key):
+    text = SCENE_24.replace("init = circle:12,12,4\n", "") + line + "\n"
+    if line.startswith("synth.size"):
+        text = text.replace("synth.size = 24,24\n", "")
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected whole numbers" in err, err
+
+
+def test_whole_sizes_and_cells_written_as_floats_are_accepted(tmp_path):
+    text = SCENE_24.replace("synth.size = 24,24", "synth.size = 24.0,2.4e1")
+    cfg = write_cfg(tmp_path, text.replace("circle:12,12,4", "checkerboard:6.0")
+                    + "max_outer = 2\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert read_pgm(tmp_path / "o" / "labels.pgm").shape == (24, 24)

@@ -43,6 +43,17 @@ def test_params_defaults_and_validation():
         ModelParams(gamma=-0.1).validate()
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("tol1", {"tol1": float("nan")}),
+    ("dt", {"dt": float("inf")}),
+    ("lambdas", {"lambdas": (1.0, float("-inf"))}),
+])
+def test_params_must_be_finite(field, kwargs):
+    # NaN passes every ordering check, and inf every lower bound
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ModelParams(**kwargs).validate()
+
+
 def test_heat_time_conversion():
     p = ModelParams(tau=0.02)
     assert p.heat_time_pixels((256, 128)) == pytest.approx(0.02 * 256**2)

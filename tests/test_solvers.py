@@ -174,8 +174,13 @@ def test_update_bias_is_stationary():
 # ------------------------------------------------------------- force / energy
 
 def make_context(state, f, params):
-    alpha = gray_indicator(f, params.sigma, params.p)
-    return build_g_context(state, f, alpha, params, *run_inputs(state, f, params))
+    return build_g_context(state, params, *run_inputs(state, f, params))
+
+
+def image_flow(state, f, params):
+    """`update_image` from `state.g`, as the first flow of a `segment` run."""
+    fields, run = run_inputs(state, f, params)
+    return update_image(state.g, build_g_context(state, params, fields, run), run, params, 0)
 
 
 def test_force_zero_at_perfect_fit():
@@ -191,10 +196,8 @@ def test_force_zero_at_perfect_fit():
 def test_force_zero_at_idiv_stationary_point():
     n = 8
     f = rng.random((n, n)) * 10 + 1
-    state = SegState(c=np.zeros(2), b=np.ones((n, n)), g=f.copy(),
-                     u=two_phase(np.ones((n, n))))
-    params = ModelParams(lambdas=(0.0, 0.0), gamma=0.7, nu=0.0)
-    ctx = make_context(state, f, params)
+    params = ModelParams(gamma=0.7, nu=0.0)
+    ctx = FlowRun.start(f, params).ctx
     assert np.abs(force(f, ctx)).max() < 1e-12
 
 
@@ -367,8 +370,7 @@ def test_rmsav_operator_budget(monkeypatch):
     state = random_instance(16)
     f = state.g.copy()
     params = ModelParams(tol2=0.0, max_inner=steps)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    _, records, _ = update_image(state, f, alpha, params, *run_inputs(state, f, params), 0)
+    _, records, _ = image_flow(state, f, params)
     assert len(records) == steps
     assert counts == {"gradient": steps + 1, "biharmonic": 0, "solve_implicit": steps}
 
@@ -491,15 +493,12 @@ def test_segment_pinned_three_phase_output():
 
 
 def test_zero_fit_context_matches_zero_fit_arrays():
-    # with every lambda zero the context holds no fit arrays and reads no
-    # partition or bias; the flow is bit-identical to one whose weight and
-    # target are zero fields
+    # the run's context holds no fit arrays and reads no partition or bias;
+    # the flow is bit-identical to one whose weight and target are zero fields
     n = 16
     f = rng.random((n, n)) * 5 + 0.5
-    params = ModelParams(lambdas=(0.0, 0.0), gamma=0.3)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    ctx = build_g_context(SegState(c=None, b=None, g=f, u=None), f, alpha, params,
-                          None, FlowRun.start(f, params))
+    params = ModelParams(gamma=0.3)
+    ctx = FlowRun.start(f, params).ctx
     assert ctx.weight is None and ctx.target is None and ctx.fit_const == 0.0
     zeros = dataclasses.replace(ctx, weight=np.zeros((n, n)), target=np.zeros((n, n)))
     assert np.array_equal(force(f, ctx), force(f, zeros))
@@ -594,9 +593,7 @@ def test_update_image_single_step_when_tol_huge():
     state = random_instance(12)
     f = state.g.copy()
     params = ModelParams(tol2=1e12)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    _, records, hit_cap = update_image(state, f, alpha, params,
-                                       *run_inputs(state, f, params), 0)
+    _, records, hit_cap = image_flow(state, f, params)
     assert len(records) == 1
     assert not hit_cap
 
@@ -606,9 +603,9 @@ def test_update_image_identity_when_force_vanishes():
     f = rng.random((n, n)) * 10 + 1
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(np.ones((n, n))))
-    params = ModelParams(lambdas=(0.0, 0.0), gamma=0.0, nu=0.0)
-    alpha = np.ones((n, n))
-    g, records, _ = update_image(state, f, alpha, params, *run_inputs(state, f, params), 0)
+    params = ModelParams(gamma=0.0, nu=0.0)
+    run = FlowRun.start(f, params)
+    g, records, _ = update_image(state.g, run.ctx, run, params, 0)
     assert np.array_equal(g, state.g)
     assert len(records) == 1  # first step confirms convergence
 
@@ -617,9 +614,7 @@ def test_update_image_max_inner_zero_disables_flow():
     state = random_instance(12)
     f = state.g.copy()
     params = ModelParams(max_inner=0)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    g, records, hit_cap = update_image(state, f, alpha, params,
-                                       *run_inputs(state, f, params), 0)
+    g, records, hit_cap = image_flow(state, f, params)
     assert np.array_equal(g, state.g)
     assert records == []
     assert hit_cap
@@ -642,10 +637,8 @@ def test_update_image_denoises_gamma_corruption():
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.5, nu=2.0)
-    fields, run = run_inputs(state, f, params)
-    state.c, _ = update_means(state, fields)
-    alpha = gray_indicator(f, params.sigma, params.p)
-    g, records, _ = update_image(state, f, alpha, params, fields, run, 0)
+    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
+    g, records, _ = image_flow(state, f, params)
     assert idiv_distance(clean, g) < idiv_distance(clean, f)
     assert len(records) >= 1
 
