@@ -39,7 +39,7 @@ ENERGY_COLUMNS = ["outer_iter", "inner_iter", "E_fit", "E_len", "E_idiv",
 
 
 def _fmt(x) -> str:
-    return "" if x is None else f"{x:.12g}"
+    return f"{x:.12g}"
 
 
 def _write_energy_csv(path, inners, outers=()) -> None:
@@ -115,32 +115,32 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
     return IndicatorSet.from_labels(labels, n)
 
 
-def _read_clean(cfg: ExperimentConfig) -> np.ndarray:
-    """The input image; with noise, which applies no clamp, all finite."""
-    clean = read_field(cfg.input)
-    bad = np.count_nonzero(~np.isfinite(clean)) if cfg.noise.kind != "none" else 0
-    if bad:
-        raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite; "
-                          "noise needs a finite clean image")
-    return clean
+def _source(cfg: ExperimentConfig):
+    """(image, truth): the configured image under the configured noise, not
+    clamped, and the synthetic truth (None for an input file, which noise
+    needs finite)."""
+    if cfg.synth is not None:
+        clean, truth, _ = generate(cfg.synth)
+    else:
+        clean, truth = read_field(cfg.input), None
+        bad = np.count_nonzero(~np.isfinite(clean)) if cfg.noise.kind != "none" else 0
+        if bad:
+            raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite; "
+                              "noise needs a finite clean image")
+    return corrupt(clean, cfg.noise), truth
 
 
 def _resolve_image(cfg: ExperimentConfig):
-    """Produce (f, truth_or_None, warnings) from the configured source, with
-    corruption applied and load clamping to [0, 255]. A clamp that changes
+    """Produce (f, truth_or_None, warnings): the `_source` image clamped to
+    [0, 255], and the synthetic or configured truth. A clamp that changes
     any pixel is reported as a run warning. Unless the config sets
     `intensity_scale`, it becomes the maximum of the clamped input, in
     `cfg.params` so that the manifest echoes it: the model is equivariant
     under scaling only when the scale follows the data."""
-    truth = None
-    if cfg.synth is not None:
-        clean, truth, _ = generate(cfg.synth)
-    else:
-        clean = _read_clean(cfg)
-        if cfg.truth is not None:
-            labels = read_pgm(cfg.truth).astype(np.int64)
-            truth = IndicatorSet.from_labels(labels, int(labels.max()) + 1)
-    raw = corrupt(clean, cfg.noise)
+    raw, truth = _source(cfg)
+    if truth is None and cfg.truth is not None:
+        labels = read_pgm(cfg.truth).astype(np.int64)
+        truth = IndicatorSet.from_labels(labels, int(labels.max()) + 1)
     f = np.clip(raw, 0.0, 255.0)
     changed = np.count_nonzero(f != raw)
     warnings = [f"input clamped to [0, 255]: {changed} of {f.size} pixels changed "
@@ -192,11 +192,7 @@ def cmd_synth(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     if cfg.noise.kind == "none":
         raise ConfigError("noise command requires noise.kind != none")
-    if cfg.synth is not None:
-        clean, _, _ = generate(cfg.synth)
-    else:
-        clean = _read_clean(cfg)
-    noisy = corrupt(clean, cfg.noise)
+    noisy, _ = _source(cfg)
     write_pgm(out / "noisy.pgm", noisy)      # 8-bit view, clamped
     write_f64(out / "noisy.f64", noisy)      # exact values, unclamped
     _write_manifest(out / "manifest.txt", cfg)
@@ -227,7 +223,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     write_f64(out / "bias.f64", state.b)
     corrected = f / np.maximum(state.b, np.finfo(float).tiny)
     write_f64(out / "corrected.f64", corrected)
-    write_pgm(out / "corrected.pgm", np.clip(corrected, 0.0, 255.0))
+    write_pgm(out / "corrected.pgm", corrected)
     _write_energy_csv(out / "energy.csv", log.inners, log.outers)
     if truth is not None:
         write_pgm(out / "truth.pgm", truth.labels().astype(np.float64))
@@ -282,9 +278,8 @@ def cmd_metrics(pred_path: str, truth_path: str, out: Path | None,
     rows = []
     if classes.size <= 2:
         fg = classes[-1]
-        rows.append({"class": "foreground",
-                     **score_masks((pred == fg).astype(float) if fg > 0 else pred,
-                                   (truth == fg).astype(float) if fg > 0 else truth)})
+        rows.append({"class": "foreground", **score_masks((pred == fg).astype(float),
+                                                          (truth == fg).astype(float))})
     else:
         for v in classes:
             rows.append({"class": f"label_{int(v)}",

@@ -194,11 +194,10 @@ class EnergyBreakdown:
     length: float
     idiv: float
     tv: float
-    total: float
 
-    @classmethod
-    def build(cls, fit: float, length: float, idiv: float, tv: float) -> "EnergyBreakdown":
-        return cls(fit, length, idiv, tv, fit + length + idiv + tv)
+    @property
+    def total(self) -> float:
+        return self.fit + self.length + self.idiv + self.tv
 
 
 def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import typing
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,21 +155,10 @@ class ExperimentConfig:
             raise ConfigError("synth source requires synth.size")
         size = _parse_ints(raw["synth.size"], 2, "synth.size")
         shapes = tuple(_parse_region(r) for r in raw.get("synth.region", []))
-        spec = SynthSpec(size=(size[0], size[1]),
-                         background=raw.get("synth.background", 60.0), shapes=shapes)
         kind, args = _split_spec(raw.get("synth.bias", "none"))
-        if kind == "none":
-            return spec
-        if kind == "ramp":
-            lo, hi = _parse_floats(args, 2, "synth.bias ramp")
-            return replace(spec, bias_kind="ramp", bias_lo=lo, bias_hi=hi)
-        if kind == "gaussian":
-            vals = _parse_floats(args, None, "synth.bias gaussian")
-            if len(vals) not in (1, 2):
-                raise ConfigError("synth.bias gaussian takes amplitude[,width]")
-            return replace(spec, bias_kind="gaussian", bias_amplitude=vals[0],
-                           bias_width=vals[1] if len(vals) == 2 else None)
-        raise ConfigError(f"unknown bias kind {kind!r}")
+        return SynthSpec(size=(size[0], size[1]),
+                         background=raw.get("synth.background", 60.0), shapes=shapes,
+                         bias=(kind, *_parse_floats(args, None, "synth.bias")))
 
     @staticmethod
     def _build_params(raw: dict) -> ModelParams:
@@ -282,13 +270,8 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         for sh in s.shapes:
             args = ",".join(repr(v) for v in sh.params)
             lines.append(f"synth.region = {sh.kind}:{args},{sh.intensity!r}")
-        if s.bias_kind == "ramp":
-            lines.append(f"synth.bias = ramp:{s.bias_lo!r},{s.bias_hi!r}")
-        elif s.bias_kind == "gaussian":
-            width = "" if s.bias_width is None else f",{s.bias_width!r}"
-            lines.append(f"synth.bias = gaussian:{s.bias_amplitude!r}{width}")
-        else:
-            lines.append("synth.bias = none")
+        args = ",".join(repr(v) for v in s.bias[1:])
+        lines.append(f"synth.bias = {s.bias[0]}" + (f":{args}" if args else ""))
     lines.append(f"noise.kind = {cfg.noise.kind}")
     if cfg.noise.kind == "gamma":
         lines.append(f"noise.looks = {cfg.noise.looks!r}")

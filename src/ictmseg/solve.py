@@ -30,7 +30,7 @@ into the TV part of the force, the next step and the next flow.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
     "GContext",
     "FlowRun",
     "build_g_context",
-    "fidelity_lower_bound",
     "energy_shift",
     "evaluate",
     "g_energy",
@@ -138,7 +137,6 @@ class OuterRecord:
 
 @dataclass
 class IterationLog:
-    header: dict = dc_field(default_factory=dict)
     outers: list = dc_field(default_factory=list)
     inners: list = dc_field(default_factory=list)
     warnings: list = dc_field(default_factory=list)
@@ -242,14 +240,11 @@ class FlowRun:
             symbol=implicit_symbol(f.shape, params.time_step)))
 
 
-def fidelity_lower_bound(f: np.ndarray, gamma: float, g_floor: float) -> float:
-    """Exact infimum of the I-divergence term over g >= g_floor."""
-    return idiv_energy(np.maximum(f, g_floor), f, gamma, g_floor)
-
-
 def energy_shift(f: np.ndarray, params: ModelParams) -> float:
-    """`GContext.shift`: c0 plus the magnitude of the fidelity's lower bound."""
-    return params.c0 + max(0.0, -fidelity_lower_bound(f, params.gamma, params.g_floor))
+    """`GContext.shift`: c0 plus the magnitude of the fidelity's infimum over
+    g >= g_floor, the I-divergence at g = max(f, g_floor)."""
+    low = idiv_energy(np.maximum(f, params.g_floor), f, params.gamma, params.g_floor)
+    return params.c0 + max(0.0, -low)
 
 
 def build_g_context(state: SegState, params: ModelParams, fields: FitFields,
@@ -485,12 +480,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     fields = fit_fields(state.b, fit_kernel)
     potentials = length_potentials(state.u, length_kernel)
 
-    log = IterationLog(header={
-        "n_phases": params.n_phases, **asdict(params),
-        "dt_effective": params.time_step,
-        "heat_time_pixels": time_px,
-        "energy_shift": run.ctx.shift,
-    })
+    log = IterationLog()
 
     err1 = np.inf
     k = 0
@@ -521,8 +511,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         err1 = u_new.distance(state.u)
         state.u = u_new
 
-        breakdown = EnergyBreakdown.build(fit=fit_new, length=len_new, idiv=idiv, tv=tv)
-        record = OuterRecord(outer=k, energy=breakdown,
+        record = OuterRecord(outer=k, energy=EnergyBreakdown(fit_new, len_new, idiv, tv),
                              eu_before=float(eu_before), eu_after=float(eu_after),
                              err1=float(err1), flags=tuple(flags))
         log.outers.append(record)

@@ -43,14 +43,14 @@ class Shape:
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Shapes on a background under a bias (kind, *params): ('none',);
+    ('ramp', left, right), the values at the edges; ('gaussian', ratio[, std]),
+    a centered bump of max/min ratio and std in pixels (default size/3)."""
+
     size: tuple[int, int]            # (height, width)
     background: float = 60.0
     shapes: tuple = ()
-    bias_kind: str = "none"          # none | ramp | gaussian
-    bias_lo: float = 1.0             # ramp: value at the left edge
-    bias_hi: float = 1.0             # ramp: value at the right edge
-    bias_amplitude: float = 2.0      # gaussian: max/min ratio of the bump
-    bias_width: float | None = None  # gaussian: std in pixels (default size/3)
+    bias: tuple = ("none",)
 
     def validate(self) -> "SynthSpec":
         h, w = self.size
@@ -61,27 +61,30 @@ class SynthSpec:
                 raise ConfigError("region intensities must lie in [0, 255]")
         if not 0.0 <= self.background <= 255.0:
             raise ConfigError("background intensity must lie in [0, 255]")
-        if self.bias_kind not in ("none", "ramp", "gaussian"):
-            raise ConfigError(f"unknown bias kind {self.bias_kind!r}")
-        if self.bias_kind == "ramp" and (self.bias_lo <= 0 or self.bias_hi <= 0):
-            raise ConfigError("ramp bias must be strictly positive")
-        if self.bias_kind == "gaussian" and self.bias_amplitude < 1.0:
-            raise ConfigError("gaussian bias amplitude is a max/min ratio >= 1")
+        kind, *args = self.bias
+        if len(args) not in {"none": (0,), "ramp": (2,), "gaussian": (1, 2)}.get(kind, ()):
+            raise ConfigError(f"synth.bias: {kind!r} with {len(args)} numbers; expected "
+                              "none, ramp:left,right or gaussian:ratio[,std]")
+        if kind == "ramp" and min(args) <= 0:
+            raise ConfigError("synth.bias ramp: values must be strictly positive")
+        if kind == "gaussian" and (args[0] < 1.0 or len(args) == 2 and args[1] <= 0):
+            raise ConfigError("synth.bias gaussian: the ratio must be >= 1 (max/min) "
+                              "and the std > 0")
         return self
 
 
 def _bias_field(spec: SynthSpec) -> np.ndarray:
     h, w = spec.size
-    if spec.bias_kind == "none":
+    kind, *args = spec.bias
+    if kind == "none":
         return np.ones((h, w))
-    if spec.bias_kind == "ramp":
-        ramp = np.linspace(spec.bias_lo, spec.bias_hi, w)
-        return np.tile(ramp, (h, 1))
-    # centered bump, max 1 at the center falling to 1/amplitude
-    std = spec.bias_width if spec.bias_width is not None else max(h, w) / 3.0
+    if kind == "ramp":
+        return np.tile(np.linspace(*args, w), (h, 1))
+    # centered bump, max 1 at the center falling to 1/ratio
+    std = args[1] if len(args) == 2 else max(h, w) / 3.0
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     rr = (xx - (w - 1) / 2.0) ** 2 + (yy - (h - 1) / 2.0) ** 2
-    lo = 1.0 / spec.bias_amplitude
+    lo = 1.0 / args[0]
     return lo + (1.0 - lo) * np.exp(-rr / (2.0 * std * std))
 
 

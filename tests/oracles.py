@@ -215,7 +215,7 @@ def total_energy(state, f: np.ndarray, alpha: np.ndarray, params,
     length = length_energy(state.u, params.mu, time_px, length_kernel)
     idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
     tv = tv_energy(tv_gradient(state.g, params.eps_tv), alpha, params.nu)
-    return EnergyBreakdown.build(fit, length, idiv, tv)
+    return EnergyBreakdown(fit, length, idiv, tv)
 
 
 def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,

@@ -134,7 +134,7 @@ def quality_scene():
     n = 256
     spec = SynthSpec(size=(n, n), background=200.0,
                      shapes=(Shape("disk", (128.0, 128.0, 70.0), 50.0),),
-                     bias_kind="gaussian", bias_amplitude=2.0)
+                     bias=("gaussian", 2.0))
     clean, truth, _ = generate(spec)
     f = np.clip(corrupt(clean, NoiseSpec("gamma", 10.0, seed=42)), 0.0, 255.0)
     yy, xx = np.mgrid[0:n, 0:n]

@@ -185,6 +185,26 @@ def test_metrics_command_identical_masks(tmp_path, capsys):
     assert line.count("1.0000") == 4
 
 
+def test_metrics_command_one_class_and_either_foreground_value(tmp_path, capsys):
+    # an all-zero pair is one class, scored as a perfect match; a mask's
+    # foreground may be 1 or 255
+    write_pgm(tmp_path / "zero.pgm", np.zeros((8, 8)))
+    assert main(["metrics", str(tmp_path / "zero.pgm"), str(tmp_path / "zero.pgm")]) == 0
+    assert capsys.readouterr().out.strip().count("1.0000") == 4
+    pred, truth = np.zeros((8, 8)), np.zeros((8, 8))
+    pred[2:6, 2:6] = 1.0
+    truth[3:7, 2:6] = 1.0
+    dice = []
+    for level in (1.0, 255.0):
+        write_pgm(tmp_path / "p.pgm", pred * level)
+        write_pgm(tmp_path / "t.pgm", truth * level)
+        assert main(["metrics", str(tmp_path / "p.pgm"), str(tmp_path / "t.pgm"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        with open(tmp_path / "metrics.csv") as fh:
+            dice += [row["dsc"] for row in csv.DictReader(fh)]
+    assert dice == ["0.750000", "0.750000"]     # 2 * 12 / (16 + 16)
+
+
 def test_metrics_command_multiclass(tmp_path, capsys):
     a = np.zeros((6, 6))
     a[:2] = 1.0
@@ -362,6 +382,13 @@ def test_input_clamp_is_reported(tmp_path, capsys):
                 assert f"# warning = {line}\n" in manifest
             else:
                 assert "clamped" not in err and "clamped" not in manifest
+            if cmd == "segment":
+                # corrected.pgm is write_pgm's rounding and clamp of
+                # corrected.f64, which exceeds 255 on the hot input
+                corrected = read_f64(out / "corrected.f64")
+                assert name == "cool" or corrected.max() > 255.0
+                assert np.array_equal(read_pgm(out / "corrected.pgm"),
+                                      np.clip(np.rint(corrected), 0.0, 255.0))
 
 
 def test_segment_labels_do_not_depend_on_the_input_range(tmp_path):
@@ -506,6 +533,18 @@ def test_exit_code_2_on_non_finite_spec_number(tmp_path, capsys, command, line, 
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"{key}: numbers must be finite" in err, err
+    assert not list(out.glob("*"))   # no output written
+
+
+@pytest.mark.parametrize("command", ["synth", "segment"])
+@pytest.mark.parametrize("bias", ["gaussian:2,0", "gaussian:2,-5", "none:1"])
+def test_exit_code_2_on_bad_bias_spec(tmp_path, capsys, command, bias):
+    # a Gaussian std must be positive (0 would divide by zero, and only the
+    # square of a negative one enters the bump); `none` takes no numbers
+    cfg = write_cfg(tmp_path, SCENE_24 + f"synth.bias = {bias}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "error: synth.bias" in capsys.readouterr().err
     assert not list(out.glob("*"))   # no output written
 
 

@@ -354,5 +354,5 @@ def test_partition_energy_matches_parts():
 
 
 def test_energy_breakdown_build():
-    bd = EnergyBreakdown.build(1.0, 2.0, 3.0, 4.0)
+    bd = EnergyBreakdown(1.0, 2.0, 3.0, 4.0)
     assert bd.total == 10.0

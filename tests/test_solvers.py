@@ -27,7 +27,6 @@ from ictmseg.solve import (
     build_g_context,
     energy_shift,
     evaluate,
-    fidelity_lower_bound,
     force,
     relaxation_coefficient,
     rmsav_step,
@@ -388,16 +387,16 @@ def test_rmsav_operator_budget(monkeypatch):
 
 def test_segment_computes_energy_shift_once(monkeypatch):
     # the shift of z = sqrt(E_g + shift) is a constant of the run: one
-    # fidelity lower bound for the log header and every image flow
+    # fidelity infimum for every image flow
     import ictmseg.solve
 
     calls = []
 
     def counting(*args):
-        calls.append(1)
-        return fidelity_lower_bound(*args)
+        calls.append(energy_shift(*args))
+        return calls[-1]
 
-    monkeypatch.setattr(ictmseg.solve, "fidelity_lower_bound", counting)
+    monkeypatch.setattr(ictmseg.solve, "energy_shift", counting)
     n = 16
     f = np.full((n, n), 60.0)
     f[4:12, 4:12] = 190.0
@@ -405,8 +404,7 @@ def test_segment_computes_energy_shift_once(monkeypatch):
     init[2:10, 2:10] = 1.0
     _, log = segment(f, two_phase(init), ModelParams(max_outer=3))
     assert len(log.outers) >= 2
-    assert len(calls) == 1
-    assert log.header["energy_shift"] == energy_shift(f / 255.0, ModelParams())
+    assert calls == [energy_shift(f / 255.0, ModelParams())]
 
 
 def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
@@ -742,21 +740,6 @@ def test_segment_noiseless_two_constant_exact():
     got = masks[0] if masks[0, 20, 30] else masks[1]
     assert np.array_equal(got, truth)
     assert log.outers[-1].err1 <= params.tol1
-
-
-def test_segment_header_echoes_defaults():
-    n = 16
-    f = np.full((n, n), 60.0)
-    f[4:12, 4:12] = 170.0
-    init = np.zeros((n, n))
-    init[2:14, 2:14] = 1.0
-    params = ModelParams(max_outer=3)
-    _, log = segment(f, two_phase(init), params)
-    head = log.header
-    assert (head["sigma"], head["p"], head["tau"], head["rho"]) == (1.0, 1.3, 0.02, 3.0)
-    assert (head["tol1"], head["tol2"]) == (1e-8, 1e-3)
-    assert head["eta_relax"] == 0.99
-    assert head["heat_time_pixels"] == pytest.approx(0.02 * n * n)
 
 
 def test_segment_partition_energy_monotone_at_threshold_step():

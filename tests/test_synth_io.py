@@ -6,6 +6,7 @@ import pytest
 from ictmseg.errors import ConfigError
 from ictmseg.fileio import (
     ExperimentConfig,
+    config_lines,
     parse_config,
     read_f64,
     read_field,
@@ -35,7 +36,7 @@ def test_disk_area_close_to_analytic():
 
 def test_linear_ramp_scales_row_means():
     spec = SynthSpec(size=(16, 64), background=100.0,
-                     bias_kind="ramp", bias_lo=0.5, bias_hi=1.5)
+                     bias=("ramp", 0.5, 1.5))
     clean, _, bias = generate(spec)
     expect = 100.0 * np.linspace(0.5, 1.5, 64)
     assert np.allclose(clean.mean(axis=0), expect)
@@ -44,7 +45,7 @@ def test_linear_ramp_scales_row_means():
 
 def test_gaussian_bump_amplitude_ratio():
     spec = SynthSpec(size=(65, 65), background=100.0,
-                     bias_kind="gaussian", bias_amplitude=2.0, bias_width=20.0)
+                     bias=("gaussian", 2.0, 20.0))
     _, _, bias = generate(spec)
     assert bias.max() == pytest.approx(1.0, abs=1e-12)
     assert bias.max() / bias.min() <= 2.0 + 1e-9
@@ -54,7 +55,7 @@ def test_gaussian_bump_amplitude_ratio():
 
 def test_generate_deterministic():
     spec = SynthSpec(size=(32, 32), shapes=(Shape("rect", (4, 4, 10, 12), 180.0),),
-                     bias_kind="gaussian", bias_amplitude=1.5)
+                     bias=("gaussian", 1.5))
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a[0], b[0])
@@ -77,7 +78,19 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         generate(SynthSpec(size=(4, 4), background=300.0))
     with pytest.raises(ConfigError):
-        generate(SynthSpec(size=(4, 4), bias_kind="wavy"))
+        generate(SynthSpec(size=(4, 4), bias=("wavy",)))
+
+
+@pytest.mark.parametrize("text, bias, echo", [
+    ("none", ("none",), "none"),
+    ("ramp: 0.5, 1.5", ("ramp", 0.5, 1.5), "ramp:0.5,1.5"),
+    ("gaussian:2", ("gaussian", 2.0), "gaussian:2.0"),
+    ("gaussian:2,20", ("gaussian", 2.0, 20.0), "gaussian:2.0,20.0"),
+])
+def test_bias_spec_parses_and_echoes(text, bias, echo):
+    cfg = ExperimentConfig(parse_config(f"synth.size = 8,8\nsynth.bias = {text}\n"))
+    assert cfg.synth.bias == bias
+    assert f"synth.bias = {echo}" in config_lines(cfg)
 
 
 # ------------------------------------------------------------------- rasters
