@@ -130,17 +130,20 @@ def _source(cfg: ExperimentConfig):
     return corrupt(clean, cfg.noise), truth
 
 
+def _read_truth(path) -> IndicatorSet:
+    labels = read_pgm(path).astype(np.int64)
+    return IndicatorSet.from_labels(labels, int(labels.max()) + 1)
+
+
 def _resolve_image(cfg: ExperimentConfig):
     """Produce (f, truth_or_None, warnings): the `_source` image clamped to
-    [0, 255], and the synthetic or configured truth. A clamp that changes
-    any pixel is reported as a run warning. Unless the config sets
+    [0, 255], and the synthetic truth (None for an input file; `segment`
+    reads a `truth = ...` file itself). A clamp that changes any pixel is
+    reported as a run warning. Unless the config sets
     `intensity_scale`, it becomes the maximum of the clamped input, in
     `cfg.params` so that the manifest echoes it: the model is equivariant
     under scaling only when the scale follows the data."""
     raw, truth = _source(cfg)
-    if truth is None and cfg.truth is not None:
-        labels = read_pgm(cfg.truth).astype(np.int64)
-        truth = IndicatorSet.from_labels(labels, int(labels.max()) + 1)
     f = np.clip(raw, 0.0, 255.0)
     changed = np.count_nonzero(f != raw)
     warnings = [f"input clamped to [0, 255]: {changed} of {f.size} pixels changed "
@@ -203,6 +206,8 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     f, truth, warnings = _resolve_image(cfg)
+    if truth is None and cfg.truth is not None:     # only segment scores a run
+        truth = _read_truth(cfg.truth)
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     cfg.params.validate(segmentation=True)    # a bad parameter is reported first
     if truth is not None and truth.n != cfg.params.n_phases:
@@ -251,9 +256,10 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     if "max_inner" not in cfg.raw:
         cfg.params = replace(cfg.params, max_inner=500)
     params = cfg.params
-    f_norm = f / params.intensity_scale
-    run = FlowRun.start(f_norm, params)
-    g, records, hit_cap = update_image(np.maximum(f_norm, params.g_floor), run.ctx,
+    f = f / params.intensity_scale
+    run = FlowRun.start(f, params)
+    # the flow reads f as run.ctx.gamma_f: its buffer takes the first iterate
+    g, records, hit_cap = update_image(np.maximum(f, params.g_floor, out=f), run.ctx,
                                        run, params, 0)
     g = g * params.intensity_scale
     write_pgm(out / "denoised.pgm", g)

@@ -280,15 +280,14 @@ def length_term(u: IndicatorSet, potentials: np.ndarray, mu: float,
     return mu * (np.sqrt(np.pi / time_px) * float(u.inner_products(potentials).sum()))
 
 
-def idiv_energy(g: np.ndarray, f: np.ndarray, gamma: float, g_floor: float) -> float:
-    """Fidelity gamma * sum(g - f * log g); requires g >= g_floor > 0.
-    Made with one temporary field."""
+def idiv_energy(g: np.ndarray, gamma_f: np.ndarray, gamma: float, g_floor: float) -> float:
+    """Fidelity gamma * sum(g - f * log g) = gamma * sum(g) - <gamma * f, log g>
+    of g >= g_floor > 0, `gamma_f` being gamma * f, the form the image flow
+    keeps. Made with one temporary field, log g."""
     g = np.asarray(g, dtype=np.float64)
     if g.min() < g_floor:
         raise ValueError(f"g fell below the positivity floor {g_floor}")
-    r = np.log(g)
-    r *= f
-    return gamma * float(np.sum(np.subtract(g, r, out=r)))
+    return gamma * float(g.sum()) - float(np.einsum("ij,ij->", gamma_f, np.log(g)))
 
 
 class TVGradient(NamedTuple):
@@ -307,5 +306,5 @@ def tv_gradient(g: np.ndarray, eps_tv: float) -> TVGradient:
 
 def tv_energy(grad: TVGradient, alpha: np.ndarray, nu: float) -> float:
     """Weighted smoothed total variation nu * sum(alpha * sqrt(|grad g|^2 + eps^2))
-    of the g whose `tv_gradient(g, eps)` is `grad`."""
-    return nu * float(np.sum(alpha * grad.mag))
+    of the g whose `tv_gradient(g, eps)` is `grad`, in one pass."""
+    return nu * float(np.einsum("ij,ij->", alpha, grad.mag))

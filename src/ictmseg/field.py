@@ -200,9 +200,12 @@ def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (gx, gy): gx differences along width (axis 1), gy along height.
     """
     field = np.asarray(field, dtype=np.float64)
-    gx = np.empty_like(field)
-    gy = np.empty_like(field)
-    gx[:, :-1] = field[:, 1:] - field[:, :-1]
+    gx = np.empty(field.shape)
+    gy = np.empty(field.shape)
+    # one contiguous pass over the flattened field: the differences that
+    # straddle a row end land in the last column, which is then zeroed
+    flat = field.ravel()
+    np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
     gx[:, -1] = 0.0
     np.subtract(field[1:], field[:-1], out=gy[:-1])
     gy[-1] = 0.0
@@ -215,15 +218,20 @@ def divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
     The closure mirrors the gradient's: first entry passes through, last entry
     contributes only its backward neighbor. <grad f, (p,q)> == -<f, div(p,q)>
     holds to machine precision for all (p, q). `out` receives the result; it
-    must not overlap px or py.
+    must be C-contiguous, of the components' shape, and not overlap px or py.
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     if px.shape != py.shape:
         raise ValueError(f"component shapes differ: {px.shape} vs {py.shape}")
+    if out.shape != px.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {px.shape} array")
     if px.shape[1] > 1:
+        # one contiguous pass over the flattened fields; the first and last
+        # columns, where it pairs entries of adjacent rows, are then written
+        flat = px.ravel()
+        np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
         out[:, 0] = px[:, 0]
-        out[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
         out[:, -1] = 0.0 - px[:, -2]     # +0.0, not -0.0, where px is zero
     else:
         out.fill(0.0)
@@ -272,9 +280,11 @@ def solve_implicit(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Discrete L2 pairing sum(a * b)."""
+    """Discrete L2 pairing sum(a * b), in one pass with no product field.
+    einsum's own loop sums it in one thread: a BLAS dot may use several, and
+    its bits would then depend on the CPU count."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"field shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))

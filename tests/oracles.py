@@ -183,6 +183,34 @@ def divergence_zero_filled(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return out
 
 
+def gradient_slices(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences written slice by slice, row-wise for gx."""
+    gx = np.empty_like(field)
+    gy = np.empty_like(field)
+    gx[:, :-1] = field[:, 1:] - field[:, :-1]
+    gx[:, -1] = 0.0
+    gy[:-1] = field[1:] - field[:-1]
+    gy[-1] = 0.0
+    return gx, gy
+
+
+def divergence_slices(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Backward-difference divergence written slice by slice, row-wise for
+    the x part, whose last column is 0.0 - px[:, -2] (+0.0 where px is 0)."""
+    out = np.empty_like(px)
+    if px.shape[1] > 1:
+        out[:, 0] = px[:, 0]
+        out[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
+        out[:, -1] = 0.0 - px[:, -2]
+    else:
+        out.fill(0.0)
+    if py.shape[0] > 1:
+        out[0] += py[0]
+        out[1:-1] += py[1:-1] - py[:-2]
+        out[-1] -= py[-2]
+    return out
+
+
 def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float, kernel) -> np.ndarray:
     """The residual field e_i of one mean c_i (see `residual_fields`)."""
     return residual_fields(g, [c_i], fit_fields(b, kernel))[0]
@@ -213,7 +241,7 @@ def total_energy(state, f: np.ndarray, alpha: np.ndarray, params,
     time_px = params.heat_time_pixels(state.g.shape)
     fit = fitting_energy(state, params, fit_kernel)
     length = length_energy(state.u, params.mu, time_px, length_kernel)
-    idiv = idiv_energy(state.g, f, params.gamma, params.g_floor)
+    idiv = idiv_energy(state.g, params.gamma * f, params.gamma, params.g_floor)
     tv = tv_energy(tv_gradient(state.g, params.eps_tv), alpha, params.nu)
     return EnergyBreakdown(fit, length, idiv, tv)
 

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -418,6 +419,29 @@ def test_exit_code_2_on_all_zero_input(tmp_path, capsys):
                         name=f"{cmd}.cfg")
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"]) == 2
         assert "all zero" in capsys.readouterr().err
+
+
+def test_denoise_never_opens_the_truth_file(tmp_path, capsys):
+    # only segment scores a run: denoise ignores a truth file it cannot read,
+    # and writes what it writes without the line; segment refuses the config
+    write_f64(tmp_path / "in.f64",
+              np.where(np.add.outer(np.arange(32), np.arange(32)) < 32, 80.0, 180.0))
+    base = f"input = {tmp_path / 'in.f64'}\nnoise.kind = gamma\nseed = 5\nmax_inner = 20\n"
+    missing = f"truth = {tmp_path / 'missing.pgm'}\n"
+    out, runs = tmp_path / "dn", []
+    for text in (base, base + missing):
+        assert main(["denoise", "--config", str(write_cfg(tmp_path, text)), "--out", str(out),
+                     "--quiet"]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        shutil.rmtree(out)
+    # the echoed config keeps its truth line
+    runs[1]["manifest.txt"] = runs[1]["manifest.txt"].replace(missing.encode(), b"")
+    assert runs[0] == runs[1]
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, base + missing + "init = circle:16,16,8\n", "seg.cfg")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "seg"),
+                 "--quiet"]) == 2
+    assert "missing.pgm" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_nan_raster(tmp_path, capsys):

@@ -245,9 +245,9 @@ def test_length_energy_phase_relabeling_invariant():
 
 def test_idiv_energy_zero_weight_and_unit_image():
     g = np.ones((4, 5))
-    assert idiv_energy(g, g, gamma=0.0, g_floor=1e-3) == 0.0
+    assert idiv_energy(g, 0.0 * g, gamma=0.0, g_floor=1e-3) == 0.0
     # g = f = 1: sum(1 - 1*log 1) = N
-    assert idiv_energy(g, g, gamma=2.0, g_floor=1e-3) == pytest.approx(2.0 * 20)
+    assert idiv_energy(g, 2.0 * g, gamma=2.0, g_floor=1e-3) == pytest.approx(2.0 * 20)
 
 
 def test_idiv_energy_minimized_at_g_equals_f():
@@ -316,7 +316,7 @@ def test_total_energy_is_sum_of_term_ops():
     assert bd.length == pytest.approx(
         length_energy(state.u, params.mu, 3.0), rel=1e-10)
     assert bd.idiv == pytest.approx(
-        idiv_energy(state.g, f, params.gamma, params.g_floor), rel=1e-10)
+        idiv_energy(state.g, params.gamma * f, params.gamma, params.g_floor), rel=1e-10)
     assert bd.tv == pytest.approx(
         tv_energy(tv_gradient(state.g, params.eps_tv), alpha, params.nu), rel=1e-10)
 

@@ -32,7 +32,8 @@ from ictmseg.field import (
 )
 
 from oracles import (assemble_implicit_matrix, biharmonic_direct, conv2d_direct,
-                     divergence_zero_filled, gradient_zero_filled, stencil)
+                     divergence_slices, divergence_zero_filled, gradient_slices,
+                     gradient_zero_filled, stencil)
 
 rng = np.random.default_rng(20240811)
 
@@ -340,8 +341,9 @@ def test_convolve_each_helpers_pinned_one_per_cpu():
 def test_convolve_each_one_cpu_gives_the_same_labels():
     # A process limited to one CPU runs every pass in the caller and starts no
     # thread; the default run spreads them over the helpers. Both find
-    # the label map of the pinned three-phase run, and one field alone never
-    # starts a helper.
+    # the label map of the pinned three-phase run and the same bits of g and
+    # b, and one field alone never starts a helper. A BLAS allowed two
+    # threads changes no bit either: no sum of the solver goes through it.
     code = (
         "import hashlib, threading, numpy as np, ictmseg\n"
         "ictmseg.field.convolve_each([np.ones((8, 8))], ictmseg.gaussian_kernel(1.0))\n"
@@ -360,23 +362,26 @@ def test_convolve_each_one_cpu_gives_the_same_labels():
         "                             max_outer=40)\n"
         "state, _ = ictmseg.segment(f, ictmseg.IndicatorSet.from_labels(labels, 3), params)\n"
         "print(alone, threading.active_count(),\n"
-        "      hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest())\n")
+        "      hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest(),\n"
+        "      hashlib.sha256(state.g.tobytes() + state.b.tobytes()).hexdigest())\n")
     package_root = Path(ictmseg.__file__).resolve().parents[1]
     cpus = os.sched_getaffinity(0)
     one_cpu = min(cpus)
 
-    def run(preexec_fn=None):
+    def run(preexec_fn=None, **env):
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               cwd=package_root, check=True, timeout=120,
-                              preexec_fn=preexec_fn).stdout.split()
+                              preexec_fn=preexec_fn, env={**os.environ, **env}).stdout.split()
 
     pinned = run(lambda: os.sched_setaffinity(0, {one_cpu}))
     default = run()
+    blas2 = run(OPENBLAS_NUM_THREADS="2")
     digest = "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
-    assert pinned == ["1", "1", digest]
+    assert pinned[:3] == ["1", "1", digest]
     # a helper thread starts with its first field; no call has more than two
     helpers = min(len(cpus), 2) if len(cpus) > 1 else 0
-    assert default == ["1", str(1 + helpers), digest]
+    assert default[:3] == ["1", str(1 + helpers), digest]
+    assert blas2 == default and default[3] == pinned[3]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
@@ -453,6 +458,36 @@ def test_gradient_and_divergence_equal_zero_filled_formulas(shape, seed):
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), seed=seeds,
+       transposed=st.booleans())
+def test_gradient_and_divergence_equal_slice_formulas(shape, seed, transposed):
+    # the flattened x passes give the row-wise slices' bytes, on every small
+    # shape (width 1 and 2 and height 1 included), for C-ordered inputs and
+    # transposed views alike; signed zeros are drawn, and the last column of
+    # the divergence stays +0.0 where px[:, -2] is +-0.0
+    r = np.random.default_rng(seed)
+    f, px, py = 2.0 * r.random((3,) + shape) - 1.0
+    for a in (f, px, py):
+        a[r.random(shape) < 0.3] = 0.0
+        a[r.random(shape) < 0.2] = -0.0
+    if transposed:
+        f, px, py = (np.ascontiguousarray(a.T).T for a in (f, px, py))
+    for got, ref in zip(gradient(f), gradient_slices(f)):
+        assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    got = divergence(px, py, np.empty(shape))
+    assert got.tobytes() == divergence_slices(px, py).tobytes()
+    x_only = divergence(px, np.zeros(shape), np.empty(shape))
+    if shape[1] > 1:
+        assert not np.signbit(x_only[:, -1][px[:, -2] == 0.0]).any()
+
+
+def test_divergence_refuses_a_strided_out():
+    px = np.ones((4, 5))
+    with pytest.raises(ValueError):
+        divergence(px, px, np.empty((5, 4)).T)
+
+
 def test_divergence_shape_mismatch():
     with pytest.raises(ValueError):
         divergence(np.zeros((3, 3)), np.zeros((3, 4)), np.empty((3, 3)))
@@ -527,6 +562,20 @@ def test_inner_product_matches_direct_sum():
     b = rng.random((8, 8))
     direct = sum(a[i, j] * b[i, j] for i in range(8) for j in range(8))
     assert abs(inner_product(a, b) - direct) < 1e-12 * max(1.0, abs(direct))
+
+
+def test_inner_product_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot splits a 65536-long sum over the threads it may use, and its
+    # bits then depend on their number; inner_product's own loop does not
+    code = ("import numpy as np\nfrom ictmseg.field import inner_product\n"
+            "a, b = np.random.default_rng(1).standard_normal((2, 256, 256))\n"
+            "print(inner_product(a, b).hex())\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    bits = {n: subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=package_root, check=True, timeout=60,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": n}).stdout
+            for n in ("1", "2")}
+    assert bits["1"] == bits["2"] != ""
 
 
 def test_laplacian_reflective_closure():

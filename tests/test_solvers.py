@@ -438,8 +438,8 @@ def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
     g = np.maximum(f / params.intensity_scale, params.g_floor)
     alpha = gray_indicator(f / params.intensity_scale, params.sigma, params.p)
     rec = log.outers[0].energy
-    assert rec.idiv == idiv_energy(g, f / params.intensity_scale, params.gamma,
-                                   params.g_floor)
+    assert rec.idiv == idiv_energy(g, params.gamma * (f / params.intensity_scale),
+                                   params.gamma, params.g_floor)
     assert rec.tv == tv_energy(tv_gradient(g, params.eps_tv), alpha, params.nu)
 
 
