@@ -11,11 +11,11 @@ the operator and inverting it are exact inverses.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -67,7 +67,7 @@ class Kernel:
     def multiplier(self, n: int) -> np.ndarray:
         """The profile's DCT-II eigenvalues on n samples, made once per n."""
         m = self._multipliers.get(n)
-        if m is None:     # helpers may race here; both make the same bits
+        if m is None:     # caller and helper may race here; both make the same bits
             m = _multiplier(self.profile, n)
             m.flags.writeable = False
             self._multipliers[n] = m
@@ -153,45 +153,37 @@ def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     return _dct(spec, 3, spec)
 
 
-# One single-thread executor per CPU the process may run on, each pinned to
-# its CPU, made on first use and forgotten in a forked child (whose copies
-# of the threads do not run). Pinning matters: an unpinned helper is woken on
-# its caller's CPU and never overlaps with its sibling.
-_helpers: list[ThreadPoolExecutor] | None = None
-
-
-def _pin(cpu: int) -> None:
-    os.sched_setaffinity(0, {cpu})      # pid 0: this helper thread only
-
-
-def _helper_pool() -> list[ThreadPoolExecutor]:
-    global _helpers
-    if _helpers is None:
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        _helpers = [ThreadPoolExecutor(1, initializer=_pin, initargs=(cpu,))
-                    for cpu in cpus] if len(cpus) > 1 else []
-    return _helpers
-
-
-def _forget_helpers() -> None:
-    global _helpers
-    _helpers = None
+# The one single-thread helper, made on first use when the process may run on
+# more than one CPU, else None; a forked child, whose copy of the thread does
+# not run, forgets it. It is not pinned: the caller convolves its own half of
+# each group meanwhile, so the caller's CPU is busy and the helper runs on
+# another one.
+@functools.cache
+def _helper():
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
+    os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 def convolve_each(fields: Sequence[np.ndarray], kernel: Kernel) -> list[np.ndarray]:
-    """[convolve(f, kernel) for f in fields], bit for bit, with the fields
-    spread over helper threads pinned one to each CPU while the caller waits.
-    One field, or one CPU, runs in the caller."""
-    pool = _helper_pool() if len(fields) > 1 else []
-    if not pool:
+    """[convolve(f, kernel) for f in fields], bit for bit: the helper thread
+    convolves the odd-numbered fields while the caller convolves the even
+    ones. One field, or one CPU, runs all in the caller."""
+    helper = _helper() if len(fields) > 1 else None
+    if helper is None:
         return [convolve(f, kernel) for f in fields]
-    jobs = [pool[j % len(pool)].submit(convolve, f, kernel)
-            for j, f in enumerate(fields)]
-    return [job.result() for job in jobs]
+    odd = [helper.submit(convolve, f, kernel) for f in fields[1::2]]
+    out = [None] * len(fields)
+    out[::2] = [convolve(f, kernel) for f in fields[::2]]
+    out[1::2] = [job.result() for job in odd]
+    return out
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -322,25 +322,64 @@ def test_convolve_each_equals_convolve_per_field(shape, kinds, std, seed):
                    for x in fields + out[:i])
 
 
-@pinning
-def test_convolve_each_helpers_pinned_one_per_cpu():
-    cpus = os.sched_getaffinity(0)
-    convolve_each([np.ones((4, 4))] * 2, gaussian_kernel(1.0))
-    helpers = ictmseg.field._helper_pool()
-    if len(cpus) < 2:
-        assert helpers == []
-        return
-    pinned = [h.submit(os.sched_getaffinity, 0).result() for h in helpers]
-    idents = {h.submit(threading.get_ident).result() for h in helpers}
-    assert all(len(p) == 1 for p in pinned)
-    assert set().union(*pinned) == cpus and len(pinned) == len(cpus)
-    assert len(idents) == len(helpers) and threading.get_ident() not in idents
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """convolve_each's helper made afresh under the test's patches of the CPU
+    count, and shut down after the test."""
+    ictmseg.field._helper.cache_clear()
+    yield monkeypatch
+    helper = ictmseg.field._helper()
+    if helper is not None:
+        helper.shutdown()
+    ictmseg.field._helper.cache_clear()
+
+
+def threads_per_field(monkeypatch, fields, kernel):
+    """convolve_each(fields, kernel), checked bit for bit against convolve per
+    field, and the thread that convolved each field."""
+    threads = {}
+
+    def recording(field, k):
+        threads[id(field)] = threading.get_ident()
+        return convolve(field, k)
+
+    monkeypatch.setattr(ictmseg.field, "convolve", recording)
+    out = convolve_each(fields, kernel)
+    monkeypatch.setattr(ictmseg.field, "convolve", convolve)
+    assert [o.tobytes() for o in out] == [convolve(f, kernel).tobytes() for f in fields]
+    return [threads[id(f)] for f in fields]
+
+
+def test_convolve_each_one_helper_takes_the_odd_fields(fresh_helper):
+    # the caller convolves fields 0, 2, 4 and the one helper thread 1 and 3;
+    # a second call hands its odd field to the same helper
+    fresh_helper.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    k = gaussian_kernel(2.0)
+    fields = [rng.standard_normal((16, 12)) for _ in range(5)]
+    caller = threading.get_ident()
+    first = threads_per_field(fresh_helper, fields, k)
+    helper = first[1]
+    assert helper != caller and first == [caller, helper] * 2 + [caller]
+    assert threads_per_field(fresh_helper, fields[:2], k) == [caller, helper]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_convolve_each_without_sched_getaffinity(fresh_helper, cpus):
+    # macOS and Windows have no CPU affinity call: the CPU count decides
+    # whether the second field runs on a helper or in the caller
+    fresh_helper.delattr(os, "sched_getaffinity", raising=False)
+    fresh_helper.setattr(os, "cpu_count", lambda: cpus)
+    k = gaussian_kernel(1.5)
+    fields = [rng.standard_normal((9, 7)), rng.random((9, 7)) < 0.5]
+    caller, second = threads_per_field(fresh_helper, fields, k)
+    assert caller == threading.get_ident()
+    assert (second != caller) == (cpus > 1)
 
 
 @pinning
 def test_convolve_each_one_cpu_gives_the_same_labels():
     # A process limited to one CPU runs every pass in the caller and starts no
-    # thread; the default run spreads them over the helpers. Both find
+    # thread; the default run hands half of each group to the helper. Both find
     # the label map of the pinned three-phase run and the same bits of g and
     # b, and one field alone never starts a helper. A BLAS allowed two
     # threads changes no bit either: no sum of the solver goes through it.
@@ -378,8 +417,8 @@ def test_convolve_each_one_cpu_gives_the_same_labels():
     blas2 = run(OPENBLAS_NUM_THREADS="2")
     digest = "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
     assert pinned[:3] == ["1", "1", digest]
-    # a helper thread starts with its first field; no call has more than two
-    helpers = min(len(cpus), 2) if len(cpus) > 1 else 0
+    # the one helper thread starts with the first pair
+    helpers = 1 if len(cpus) > 1 else 0
     assert default[:3] == ["1", str(1 + helpers), digest]
     assert blas2 == default and default[3] == pinned[3]
 
