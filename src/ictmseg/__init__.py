@@ -32,7 +32,6 @@ from .field import (
     gradient,
     heat_kernel_pixels,
     inner_product,
-    laplacian,
     solve_implicit,
 )
 from .metrics import (

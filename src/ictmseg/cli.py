@@ -130,16 +130,18 @@ def _source(cfg: ExperimentConfig):
     return corrupt(clean, cfg.noise), truth
 
 
-def _read_truth(path) -> IndicatorSet:
+def _read_truth(path, n: int) -> IndicatorSet:
     labels = read_pgm(path).astype(np.int64)
-    return IndicatorSet.from_labels(labels, int(labels.max()) + 1)
+    if labels.max() + 1 != n:     # before any mask is made: a 0/255 map would make 256
+        raise ConfigError(f"{path}: truth has {labels.max() + 1} phases, n_phases = {n}")
+    return IndicatorSet.from_labels(labels, n)
 
 
 def _resolve_image(cfg: ExperimentConfig):
     """Produce (f, truth_or_None, warnings): the `_source` image clamped to
     [0, 255], and the synthetic truth (None for an input file; `segment`
-    reads a `truth = ...` file itself). A clamp that changes any pixel is
-    reported as a run warning. Unless the config sets
+    reads a named `truth = ...` file in its place). A clamp that changes
+    any pixel is reported as a run warning. Unless the config sets
     `intensity_scale`, it becomes the maximum of the clamped input, in
     `cfg.params` so that the manifest echoes it: the model is equivariant
     under scaling only when the scale follows the data."""
@@ -206,10 +208,10 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     f, truth, warnings = _resolve_image(cfg)
-    if truth is None and cfg.truth is not None:     # only segment scores a run
-        truth = _read_truth(cfg.truth)
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     cfg.params.validate(segmentation=True)    # a bad parameter is reported first
+    if cfg.truth is not None:     # only segment scores a run; a named file wins
+        truth = _read_truth(cfg.truth, cfg.params.n_phases)
     if truth is not None and truth.n != cfg.params.n_phases:
         raise ConfigError(f"truth has {truth.n} phases, n_phases = {cfg.params.n_phases}")
     progress = None
@@ -219,10 +221,9 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
                   f"E_u={rec.eu_after:.6e}  err1={rec.err1:.3e}")
     state, log = segment(f, init, cfg.params, progress=progress)
 
-    labels = state.u.labels()
-    for i in range(state.u.n):
-        write_pgm(out / f"mask_{i}.pgm", (labels == i) * 255.0)
-    write_pgm(out / "labels.pgm", labels.astype(np.float64))
+    for i, mask in enumerate(state.u.phase_masks()):
+        write_pgm(out / f"mask_{i}.pgm", mask * 255.0)
+    write_pgm(out / "labels.pgm", state.u.labels().astype(np.float64))
     write_pgm(out / "denoised.pgm", state.g)
     write_f64(out / "denoised.f64", state.g)
     write_f64(out / "bias.f64", state.b)
@@ -332,7 +333,6 @@ def run(argv=None) -> int:
         return cmd_metrics(args.pred, args.truth, out, args.quiet)
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
         cfg.noise = replace(cfg.noise, seed=args.seed)
     if args.out is not None:
         cfg.out = args.out

@@ -124,12 +124,10 @@ class ModelParams:
 
 class IndicatorSet:
     """A hard partition into n phases, stored as one label per pixel, the form
-    thresholding produces. The solver reads the binary masks u_i only through
-    gathers and per-phase sums of the labels. The labels are read-only, so
-    sets are shared, and so are the boolean masks labels == i, made once when
-    first read. `from_labels` is the one constructor."""
-
-    _phase_masks: tuple[np.ndarray, ...] | None = None
+    thresholding produces, with the boolean masks u_i = [labels == i] made
+    once beside it. The solver reads u_i only through gathers and per-phase
+    sums. Labels and masks are read-only, so sets are shared. `from_labels`
+    is the one constructor."""
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build an IndicatorSet with IndicatorSet.from_labels")
@@ -144,7 +142,9 @@ class IndicatorSet:
             raise ValueError(f"labels out of range for {n} phases")
         u = cls.__new__(cls)
         u._labels, u.n = labels.astype(np.intp), n
-        u._labels.flags.writeable = False
+        u._masks = tuple(u._labels == i for i in range(n))
+        for a in (u._labels, *u._masks):
+            a.flags.writeable = False
         return u
 
     @property
@@ -156,12 +156,7 @@ class IndicatorSet:
 
     def phase_masks(self) -> tuple[np.ndarray, ...]:
         """The n read-only boolean masks labels == i."""
-        if self._phase_masks is None:
-            masks = tuple(self._labels == i for i in range(self.n))
-            for m in masks:
-                m.flags.writeable = False
-            self._phase_masks = masks
-        return self._phase_masks
+        return self._masks
 
     def weighted_sum(self, w) -> np.ndarray:
         """sum_i w_i u_i: the weight of the phase each pixel belongs to."""

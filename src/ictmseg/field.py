@@ -28,7 +28,6 @@ __all__ = [
     "convolve_each",
     "gradient",
     "divergence",
-    "laplacian",
     "biharmonic",
     "implicit_symbol",
     "solve_implicit",
@@ -234,16 +233,14 @@ def divergence(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian(field: np.ndarray) -> np.ndarray:
-    """5-point Laplacian with reflective (zero normal derivative) closure."""
-    field = np.asarray(field, dtype=np.float64)
-    p = np.pad(field, 1, mode="symmetric")
-    return p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * field
-
-
 def biharmonic(field: np.ndarray) -> np.ndarray:
-    """Squared Laplacian: the 5-point stencil applied twice."""
-    return laplacian(laplacian(field))
+    """Squared Laplacian: the 5-point stencil with reflective (zero normal
+    derivative) closure, applied twice."""
+    out = np.asarray(field, dtype=np.float64)
+    for _ in range(2):
+        p = np.pad(out, 1, mode="symmetric")
+        out = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * out
+    return out
 
 
 def implicit_symbol(shape: tuple[int, int], dt: float) -> np.ndarray:

@@ -133,7 +133,6 @@ class ExperimentConfig:
         self.raw = raw
         self.input = raw.get("input")
         self.truth = raw.get("truth")
-        self.seed = raw.get("seed", 0)
         self.out = raw.get("out", ".")
         self.init = raw.get("init")
         self.synth = self._build_synth(raw)
@@ -143,7 +142,7 @@ class ExperimentConfig:
         self.noise = NoiseSpec(
             kind=raw.get("noise.kind", "none"),
             looks=raw.get("noise.looks", 10.0),
-            seed=self.seed,
+            seed=raw.get("seed", 0),
         )
         self.params = self._build_params(raw)
 
@@ -283,6 +282,6 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         value = p.time_step if key == "dt" else getattr(p, key)
         text = str(value).lower() if isinstance(value, bool) else repr(value)
         lines.append(f"{key} = {text}")
-    lines.append(f"seed = {cfg.seed}")
+    lines.append(f"seed = {cfg.noise.seed}")
     lines.append(f"out = {cfg.out}")
     return lines

@@ -148,5 +148,5 @@ def multiphase_report(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
         raise ValueError(f"phase count mismatch: {pred.n} vs {truth.n}")
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return [{"class": f"phase_{i}", **score_masks(pred.labels() == i, truth.labels() == i)}
-            for i in range(pred.n)]
+    return [{"class": f"phase_{i}", **score_masks(p, t)}
+            for i, (p, t) in enumerate(zip(pred.phase_masks(), truth.phase_masks()))]

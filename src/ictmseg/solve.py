@@ -32,9 +32,7 @@ evaluation: the gradient of g_{j+1} serves its energy and, turned in place
 into the TV part of the force, the next step and the next flow. Besides the
 two DCTs, a step of the fit-free flow makes 27 passes over the field: force
 3, spectrum 1, <F', x> 1, update and floor 4, gradient 2, |grad g|_eps 5,
-TV sum 1, fidelity 4, flux 3, divergence 3; a fitting term adds 6. At 256^2
-a traced `denoise` step takes about 4.0 ms: 1.9 ms in `solve_implicit`,
-0.16 ms in `force`, 0.47 ms in `g_energy` and 1.45 ms in the rest.
+TV sum 1, fidelity 4, flux 3, divergence 3; a fitting term adds 6.
 """
 
 from __future__ import annotations
@@ -123,9 +121,7 @@ class InnerRecord:
     idiv: float
     tv: float
     z: float
-    z_tilde: float
     xi: float
-    g_val: float
     err2: float
     floored: bool
 
@@ -421,8 +417,7 @@ def update_image(g: np.ndarray, ctx: GContext, run: FlowRun, params: ModelParams
         records.append(InnerRecord(
             outer=outer, inner=len(records), energy=step.e_next,
             fit=step.fit, idiv=step.idiv, tv=step.tv,
-            z=step.z_next, z_tilde=step.z_tilde, xi=step.xi,
-            g_val=step.g_val, err2=float(err2), floored=step.floored))
+            z=step.z_next, xi=step.xi, err2=float(err2), floored=step.floored))
         g, e_cur, tv_force, z = step.g_next, step.e_next, step.tv_force, step.z_next
         idiv, tv = step.idiv, step.tv
     run.entry = (tv_force, idiv, tv)
@@ -456,6 +451,7 @@ def threshold(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
         if i:
             np.copyto(labels, i, where=cost < least)
             np.minimum(least, cost, out=least)
+    del least, phi, cost     # freed first, so the set's masks reuse them: fewer page faults
     return IndicatorSet.from_labels(labels, len(e_fields))
 
 

@@ -604,3 +604,60 @@ def test_segment_checks_truth_phase_count_before_the_solve(tmp_path, capsys):
                  "--quiet"]) == 2
     assert "truth has 2 phases, n_phases = 3" in capsys.readouterr().err
     assert not (tmp_path / "o" / "labels.pgm").exists()
+
+
+@pytest.mark.parametrize("level, message", [(None, "No such file"),
+                                            (255.0, "truth has 256 phases, n_phases = 2")],
+                         ids=["missing", "0-255-mask"])
+def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, level,
+                                                              message):
+    # a named truth file is the truth, a synthetic scene's included: one that
+    # does not exist, or whose labels make another phase count, is refused
+    # (exit 2, named) before the solve
+    path = tmp_path / "named.pgm"
+    if level is not None:
+        truth = np.zeros((24, 24))
+        truth[6:18, 6:18] = level
+        write_pgm(path, truth)
+    cfg = write_cfg(tmp_path, SCENE_24 + f"truth = {path}\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "named.pgm" in err and message in err
+    assert not (tmp_path / "o" / "labels.pgm").exists()
+
+
+def test_segment_of_a_synth_scene_is_scored_against_its_truth_file(tmp_path):
+    # the file's regions (a rectangle) differ from the scene's (a disk):
+    # truth.pgm is the file and metrics.csv scores the labels against it
+    truth = np.zeros((24, 24))
+    truth[2:10, 3:20] = 1.0
+    write_pgm(tmp_path / "rect.pgm", truth)
+    cfg = write_cfg(tmp_path, SCENE_24 + f"truth = {tmp_path / 'rect.pgm'}\n")
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert np.array_equal(read_pgm(out / "truth.pgm"), truth)
+    pred = ictmseg.IndicatorSet.from_labels(read_pgm(out / "labels.pgm").astype(np.int64), 2)
+    t = ictmseg.IndicatorSet.from_labels(truth.astype(np.int64), 2)
+    expected = ictmseg.multiphase_report(ictmseg.match_phases(pred, t), t)
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["class"] for r in rows] == [e["class"] for e in expected]
+    for row, e in zip(rows, expected):
+        for key in ("dsc", "iou", "accuracy", "kappa"):
+            assert row[key] == f"{e[key]:.6f}", key
+    assert float(rows[1]["dsc"]) < 0.5
+
+
+def test_seed_flag_is_echoed_in_the_manifest(tmp_path):
+    # --seed sets the noise seed; the manifest echoes it, and run as a config
+    # it makes the same noisy image
+    cfg = write_cfg(tmp_path, "synth.size = 16,16\nsynth.region = disk:8,8,4,200\n"
+                              "noise.kind = gamma\nseed = 3\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["noise", "--config", str(cfg), "--seed", "9", "--out", str(first),
+                 "--quiet"]) == 0
+    assert "seed = 9" in (first / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert main(["noise", "--config", str(first / "manifest.txt"), "--out", str(second),
+                 "--quiet"]) == 0
+    assert (first / "noisy.f64").read_bytes() == (second / "noisy.f64").read_bytes()

@@ -72,6 +72,17 @@ def test_indicator_set_contracts():
     assert not u.labels().flags.writeable
     with pytest.raises(ValueError):
         u.labels()[0, 0] = 1
+    # the masks u_i = [labels == i] are made with the labels, once, read-only;
+    # phase 3 of a 4-phase set is empty
+    for v in (u, IndicatorSet.from_labels(labels, 4)):
+        masks = v.phase_masks()
+        assert masks is v.phase_masks() and len(masks) == v.n
+        for i, m in enumerate(masks):
+            assert m.dtype == bool and np.array_equal(m, v.labels() == i)
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = not m[0, 0]
+    assert not IndicatorSet.from_labels(labels, 4).phase_masks()[3].any()
     for bad, n in ((labels.astype(np.float64), 3), (labels[None], 3), (labels[0], 3),
                    (labels, 2), (labels - 1, 3)):
         with pytest.raises(ValueError):
