@@ -130,8 +130,11 @@ def _source(cfg: ExperimentConfig):
     return corrupt(clean, cfg.noise), truth
 
 
-def _read_truth(path, n: int) -> IndicatorSet:
+def _read_truth(path, n: int, shape: tuple) -> IndicatorSet:
     labels = read_pgm(path).astype(np.int64)
+    if labels.shape != shape:
+        raise ConfigError(f"{path}: truth shape {labels.shape} differs from "
+                          f"the image shape {shape}")
     if labels.max() + 1 != n:     # before any mask is made: a 0/255 map would make 256
         raise ConfigError(f"{path}: truth has {labels.max() + 1} phases, n_phases = {n}")
     return IndicatorSet.from_labels(labels, n)
@@ -211,7 +214,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     cfg.params.validate(segmentation=True)    # a bad parameter is reported first
     if cfg.truth is not None:     # only segment scores a run; a named file wins
-        truth = _read_truth(cfg.truth, cfg.params.n_phases)
+        truth = _read_truth(cfg.truth, cfg.params.n_phases, f.shape)
     if truth is not None and truth.n != cfg.params.n_phases:
         raise ConfigError(f"truth has {truth.n} phases, n_phases = {cfg.params.n_phases}")
     progress = None

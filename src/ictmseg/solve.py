@@ -10,18 +10,20 @@ A = I + dt*Lap^2:
     g_{j+1} = g_j - dt * z_tilde * m_hat
     z_{j+1} = xi * z_tilde + (1 - xi) * sqrt(E_g(g_{j+1}) + C0)
 
-xi is the smallest value in [0, 1] keeping
+xi is the smallest value in [0, 1] keeping z_{j+1}^2 <= B, where
 
-    z_{j+1}^2 - z_tilde^2 - (z_tilde - z_j)^2 <= eta * G,
-    G = (1/dt) * <g_{j+1} - g_j, A (g_{j+1} - g_j)>,
+    B = z_tilde^2 + (z_tilde - z_j)^2 + eta * G,
+    G = (1/dt) * <g_{j+1} - g_j, A (g_{j+1} - g_j)>.
 
-which yields the unconditional stability law z_{j+1}^2 - z_j^2 <= -(1-eta)*G
-(with equality whenever xi lands strictly inside (0, 1]). Since
-g_{j+1} - g_j = -dt * z_tilde * m_hat and A m_hat = m, the step evaluates
+Since g_{j+1} - g_j = -dt * z_tilde * m_hat and A m_hat = m, the step evaluates
 G = dt * z_tilde^2 * <m, m_hat> from the inner product it already has, with
 no biharmonic; the tests check it against the definition above. The identity
 G = -2*z_tilde^2 + 2*z_tilde*z_j holds exactly by construction and is a
-second cross-check.
+second cross-check; with it, B = z_j^2 - (1-eta)*G. As xi goes from 0 to 1,
+z_{j+1} moves linearly from r = sqrt(E_g(g_{j+1}) + C0) to z_tilde <= sqrt(B),
+so xi is 0 when r <= sqrt(B), and otherwise the weight at which z_{j+1} meets
+sqrt(B). Then z_{j+1} = min(r, sqrt(B)), which is the unconditional stability
+law z_{j+1}^2 - z_j^2 <= -(1-eta)*G, with equality whenever xi > 0.
 
 The step never forms m: it solves A x = F'(g_j) and carries the
 normalisation in scalars, <m, m_hat> = <F', x> / (E_g + C0) and
@@ -356,42 +358,26 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext, e_cur: float,
 def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
                            g_val: float, shift: float, eta: float,
                            outer: int, inner: int) -> float:
-    """Smallest xi in [0, 1] satisfying the relaxation constraint
+    """Smallest xi in [0, 1] with z(xi)^2 <= B, where
 
-        q*xi^2 + d*xi + h <= 0,
-        q = (z_tilde - r)^2,  d = 2*(z_tilde - r)*r,
-        h = r^2 - z_tilde^2 - (z_tilde - z_prev)^2 - eta*G,  r = sqrt(E+shift),
+        z(xi) = xi*z_tilde + (1 - xi)*r,  r = sqrt(E + shift),
+        B = z_tilde^2 + (z_tilde - z_prev)^2 + eta*G.
 
-    i.e. xi = max{0, (-d - sqrt(d^2 - 4qh)) / (2q)}. xi = 1 is always
-    feasible, so a significantly negative discriminant indicates a numerical
-    fault and raises; `outer` and `inner` locate it.
+    z(xi) moves linearly from r to z_tilde, so xi is 0 when
+    r <= max(sqrt(B), z_tilde), and otherwise the weight at which z meets
+    sqrt(B), at most 1. E + shift <= 0 leaves no r and B < 0 no xi: both
+    raise, and `outer` and `inner` locate the failure.
     """
     if e_next + shift <= 0.0:
         raise NumericalFailure("energy fell below -shift; the shift is too small",
                                outer, inner)
-    r = np.sqrt(e_next + shift)
-    q = (z_tilde - r) ** 2
-    d = 2.0 * (z_tilde - r) * r
-    h = e_next + shift - z_tilde**2 - (z_tilde - z_prev)**2 - eta * g_val
-    if q > 1e-14:
-        disc = d * d - 4.0 * q * h
-        if disc < 0.0:
-            scale = max(d * d, abs(4.0 * q * h), 1.0)
-            if disc < -1e-8 * scale:
-                raise NumericalFailure(
-                    f"relaxation discriminant {disc:.3e} negative beyond roundoff",
-                    outer, inner)
-            disc = 0.0
-        xi = (-d - np.sqrt(disc)) / (2.0 * q)
-        xi = max(0.0, xi)
-    elif h <= 0.0:
-        xi = 0.0
-    elif d < 0.0:
-        xi = h / -d
-    else:
-        # q ~ 0, d >= 0, h > 0 is pure roundoff; xi = 1 is feasible exactly.
-        xi = 1.0
-    return float(min(1.0, xi))
+    bound = z_tilde**2 + (z_tilde - z_prev)**2 + eta * g_val
+    if bound < 0.0:
+        raise NumericalFailure(f"relaxation bound {bound:.3e} is negative", outer, inner)
+    r, root = np.sqrt(e_next + shift), np.sqrt(bound)
+    if r <= max(root, z_tilde):
+        return 0.0
+    return float(min(1.0, (r - root) / (r - z_tilde)))
 
 
 def update_image(g: np.ndarray, ctx: GContext, run: FlowRun, params: ModelParams,

@@ -5,7 +5,9 @@ defining sums, with reflective (symmetric) boundary extension done by
 explicit index folding, and stays independent of the library's fast paths.
 `rmsav_step_reference` is the exception: it is the RMSAV step written out
 term by term from the library's force and energy, without the reuse the
-library's step makes. The energy terms below `assemble_implicit_matrix`
+library's step makes. `relaxation_quadratic_root` finds the relaxation
+weight as the root of the quadratic in xi that the library's closed form
+solves. The energy terms below `assemble_implicit_matrix`
 (`fit_residual` to `total_energy`, and `phase_costs`) compose the library's
 fields and partition terms for a given state, as the solver loop does; the
 solver itself fuses them and never forms the cost stack. `run_inputs` makes
@@ -293,6 +295,35 @@ def run_inputs(state, f: np.ndarray, params) -> tuple:
     """What `segment` hands `build_g_context`: the fit fields of `state.b`
     and a `FlowRun` of `f`."""
     return fit_fields(state.b, gaussian_kernel(params.rho)), FlowRun.start(f, params)
+
+
+def relaxation_quadratic_root(z_tilde: float, z_prev: float, e_next: float,
+                              g_val: float, shift: float, eta: float) -> float:
+    """Smallest xi in [0, 1] with q*xi^2 + d*xi + h <= 0,
+
+        q = (z_tilde - r)^2,  d = 2*(z_tilde - r)*r,
+        h = r^2 - z_tilde^2 - (z_tilde - z_prev)^2 - eta*G,  r = sqrt(E+shift),
+
+    i.e. xi = max{0, (-d - sqrt(d^2 - 4qh)) / (2q)}, with the q ~ 0 cases
+    taken apart. A discriminant negative beyond roundoff raises."""
+    r = np.sqrt(e_next + shift)
+    q = (z_tilde - r) ** 2
+    d = 2.0 * (z_tilde - r) * r
+    h = e_next + shift - z_tilde**2 - (z_tilde - z_prev)**2 - eta * g_val
+    if q > 1e-14:
+        disc = d * d - 4.0 * q * h
+        if disc < 0.0:
+            if disc < -1e-8 * max(d * d, abs(4.0 * q * h), 1.0):
+                raise NumericalFailure(f"relaxation discriminant {disc:.3e} negative")
+            disc = 0.0
+        xi = max(0.0, (-d - np.sqrt(disc)) / (2.0 * q))
+    elif h <= 0.0:
+        xi = 0.0
+    elif d < 0.0:
+        xi = h / -d
+    else:
+        xi = 1.0      # q ~ 0, d >= 0, h > 0 is roundoff; xi = 1 is feasible
+    return float(min(1.0, xi))
 
 
 def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = None,

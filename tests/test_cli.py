@@ -96,6 +96,29 @@ def test_segment_command_full_run(tmp_path):
     assert not ((m0 > 127) & (m1 > 127)).any()
 
 
+DENOISE_CFG = ("synth.size = 32,32\nsynth.background = 80\n"
+               "synth.region = rect:8,8,16,16,180\n"
+               "noise.kind = gamma\nnoise.looks = 10\n"
+               "gamma = 0.5\nnu = 2.0\nseed = 5\n")
+
+
+@pytest.mark.parametrize("command, text", [("segment", SEG_CFG), ("denoise", DENOISE_CFG)],
+                         ids=["segment", "denoise"])
+def test_energy_csv_keeps_the_sav_stability_law(tmp_path, command, text):
+    # criterion 1 on the written file: z_sq never rises between consecutive
+    # steps of one outer iteration, and every xi lies in [0, 1]
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out),
+                 "--quiet"]) == 0
+    with open(out / "energy.csv", newline="") as fh:
+        steps = [r for r in csv.DictReader(fh) if r["inner_iter"] != ""]
+    pairs = [(a, b) for a, b in zip(steps, steps[1:]) if a["outer_iter"] == b["outer_iter"]]
+    assert len(pairs) >= 5
+    for prev, row in pairs:
+        assert float(row["z_sq"]) <= float(prev["z_sq"]), (prev, row)
+    assert all(0.0 <= float(r["xi"]) <= 1.0 for r in steps)
+
+
 def test_segment_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SEG_CFG)
     for d in ("a", "b"):
@@ -124,10 +147,7 @@ def test_segment_noiseless_exact_via_cli(tmp_path):
 
 
 def test_denoise_command(tmp_path):
-    cfg = write_cfg(tmp_path, "synth.size = 32,32\nsynth.background = 80\n"
-                              "synth.region = rect:8,8,16,16,180\n"
-                              "noise.kind = gamma\nnoise.looks = 10\n"
-                              "gamma = 0.5\nnu = 2.0\nseed = 5\n")
+    cfg = write_cfg(tmp_path, DENOISE_CFG)
     out = tmp_path / "dn"
     assert main(["denoise", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     g = read_f64(out / "denoised.f64")
@@ -606,17 +626,18 @@ def test_segment_checks_truth_phase_count_before_the_solve(tmp_path, capsys):
     assert not (tmp_path / "o" / "labels.pgm").exists()
 
 
-@pytest.mark.parametrize("level, message", [(None, "No such file"),
-                                            (255.0, "truth has 256 phases, n_phases = 2")],
-                         ids=["missing", "0-255-mask"])
-def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, level,
+@pytest.mark.parametrize("size, level, message", [
+    (24, None, "No such file"), (24, 255.0, "truth has 256 phases, n_phases = 2"),
+    (20, 1.0, "truth shape (20, 20) differs from the image shape (24, 24)"),
+], ids=["missing", "0-255-mask", "20x20"])
+def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, size, level,
                                                               message):
     # a named truth file is the truth, a synthetic scene's included: one that
-    # does not exist, or whose labels make another phase count, is refused
-    # (exit 2, named) before the solve
+    # does not exist, whose labels make another phase count or whose shape is
+    # not the image's is refused (exit 2, named) before the solve
     path = tmp_path / "named.pgm"
     if level is not None:
-        truth = np.zeros((24, 24))
+        truth = np.zeros((size, size))
         truth[6:18, 6:18] = level
         write_pgm(path, truth)
     cfg = write_cfg(tmp_path, SCENE_24 + f"truth = {path}\n")
@@ -624,7 +645,7 @@ def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, l
                  "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "named.pgm" in err and message in err
-    assert not (tmp_path / "o" / "labels.pgm").exists()
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_segment_of_a_synth_scene_is_scored_against_its_truth_file(tmp_path):

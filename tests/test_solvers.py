@@ -37,8 +37,9 @@ from ictmseg.solve import (
     update_means,
 )
 from oracles import (bias_direct, copy_state, fit_residual, fitting_energy, float_masks,
-                     from_masks, means_direct, phi_direct, rmsav_step_reference,
-                     run_inputs, stencil, threshold_fields, two_phase)
+                     from_masks, means_direct, phi_direct, relaxation_quadratic_root,
+                     rmsav_step_reference, run_inputs, stencil, threshold_fields,
+                     two_phase)
 
 rng = np.random.default_rng(777)
 
@@ -595,6 +596,45 @@ def test_relaxation_coefficient_membership():
         h = e_next + 1.0 - z_tilde**2 - (z_tilde - z_prev) ** 2 - 0.99 * g_val
         val = q * xi * xi + d * xi + h
         assert val <= 1e-10 * max(1.0, abs(h), q, abs(d))
+
+
+def relaxation_triples(count: int):
+    """(z_tilde, z_prev, e_next, g_val) for shift 1 and eta 0.99, drawn as
+    the membership test draws them, each followed by its near-degenerate
+    neighbours: r = sqrt(e_next + 1) within a relative 1e-9 of z_tilde or
+    of sqrt(B), and the zero-force step G = 0, z_tilde = z_prev."""
+    gen = np.random.default_rng(2201)
+    for _ in range(count):
+        z_prev = float(gen.random() * 10 + 0.1)
+        z_tilde = float(z_prev / (1.0 + gen.random() * 2))
+        g_val = -2.0 * z_tilde**2 + 2.0 * z_tilde * z_prev
+        yield z_tilde, z_prev, float(max(0.0, z_prev**2 * (0.5 + gen.random())) - 1.0), g_val
+        root = np.sqrt(z_tilde**2 + (z_tilde - z_prev) ** 2 + 0.99 * g_val)
+        for rel in (-1e-9, -1e-13, -1e-16, 0.0, 1e-16, 1e-13, 1e-9):
+            for r in (z_tilde * (1.0 + rel), root * (1.0 + rel)):
+                yield z_tilde, z_prev, float(r * r - 1.0), g_val
+            yield z_prev, z_prev, float((z_prev * (1.0 + rel)) ** 2 - 1.0), 0.0
+
+
+def test_relaxation_coefficient_closed_form_meets_the_bound():
+    # the clamp gives the quadratic root's z(xi) = xi*z_tilde + (1-xi)*r; z
+    # is compared, not xi, which is ill-conditioned when r ~ z_tilde
+    for z_tilde, z_prev, e_next, g_val in relaxation_triples(2000):
+        xi = relaxation_coefficient(z_tilde, z_prev, e_next, g_val, shift=1.0, eta=0.99,
+                                    outer=0, inner=0)
+        xi_ref = relaxation_quadratic_root(z_tilde, z_prev, e_next, g_val, 1.0, 0.99)
+        r = np.sqrt(e_next + 1.0)
+        z = xi * z_tilde + (1.0 - xi) * r
+        z_ref = xi_ref * z_tilde + (1.0 - xi_ref) * r
+        bound = z_tilde**2 + (z_tilde - z_prev) ** 2 + 0.99 * g_val
+        assert 0.0 <= xi <= 1.0
+        if g_val == 0.0 and z_tilde == z_prev and r > z_tilde:
+            assert xi == 1.0      # zero force: r is pulled all the way back to z_tilde
+        assert abs(z - z_ref) <= 1e-12 * z_ref
+        if xi > 0.0:
+            assert abs(z * z - bound) <= 1e-12 * bound
+        else:
+            assert r * r <= bound * (1.0 + 1e-12)
 
 
 # ------------------------------------------------------------- image update
