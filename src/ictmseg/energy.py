@@ -258,14 +258,14 @@ def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:
 
     The kernel has unit mass and the phases sum to 1, so the mass outside
     phase i is 1 - K_t*u_i, and that outside the last phase is the sum of
-    the others' K_t*u_j: n - 1 convolutions. A one-phase set has a zero
-    field; an empty phase sees the full mass. The n - 1 convolutions run side
-    by side and are summed in phase order."""
+    the others' K_t*u_j: n - 1 convolutions, made in turn in the calling
+    thread (`segment` runs this on the helper) and summed in phase order. A
+    one-phase set has a zero field; an empty phase sees the full mass."""
     potentials = np.zeros((u.n,) + u.shape)
-    spreads = convolve_each(u.phase_masks()[:-1], kernel)
-    for i, spread in enumerate(spreads):
-        potentials[-1] += spread
-        np.subtract(1.0, spread, out=potentials[i])
+    for i, mask in enumerate(u.phase_masks()[:-1]):
+        potentials[i] = convolve(mask, kernel)      # copied; its own buffer goes at once
+        potentials[-1] += potentials[i]
+        np.subtract(1.0, potentials[i], out=potentials[i])
     return potentials
 
 

@@ -15,7 +15,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "heat_kernel_pixels",
     "convolve",
     "convolve_each",
+    "on_helper",
     "gradient",
     "divergence",
     "biharmonic",
@@ -154,9 +155,8 @@ def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
 
 # The one single-thread helper, made on first use when the process may run on
 # more than one CPU, else None; a forked child, whose copy of the thread does
-# not run, forgets it. It is not pinned: the caller convolves its own half of
-# each group meanwhile, so the caller's CPU is busy and the helper runs on
-# another one.
+# not run, forgets it. It is not pinned: the caller works meanwhile, so the
+# caller's CPU is busy and the helper runs on another one.
 @functools.cache
 def _helper():
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -171,17 +171,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
+def on_helper(fn, *args) -> Callable[[], object]:
+    """Start fn(*args) on the helper thread and return a callable that waits
+    for its result (or raises its exception). With one CPU, fn runs now, in
+    the caller. Jobs run one at a time, in the order given: fn must not call
+    `convolve_each` or wait on another job, or the helper would wait on
+    itself."""
+    helper = _helper()
+    if helper is None:
+        result = fn(*args)
+        return lambda: result
+    return helper.submit(fn, *args).result
+
+
 def convolve_each(fields: Sequence[np.ndarray], kernel: Kernel) -> list[np.ndarray]:
     """[convolve(f, kernel) for f in fields], bit for bit: the helper thread
     convolves the odd-numbered fields while the caller convolves the even
     ones. One field, or one CPU, runs all in the caller."""
-    helper = _helper() if len(fields) > 1 else None
-    if helper is None:
-        return [convolve(f, kernel) for f in fields]
-    odd = [helper.submit(convolve, f, kernel) for f in fields[1::2]]
+    odd = [on_helper(convolve, f, kernel) for f in fields[1::2]]
     out = [None] * len(fields)
     out[::2] = [convolve(f, kernel) for f in fields[::2]]
-    out[1::2] = [job.result() for job in odd]
+    out[1::2] = [result() for result in odd]
     return out
 
 

@@ -64,12 +64,13 @@ from .energy import (
 from .field import (
     Kernel,
     as_field,
-    convolve_each,
+    convolve,
     divergence,
     gaussian_kernel,
     heat_kernel_pixels,
     implicit_symbol,
     inner_product,
+    on_helper,
     solve_implicit,
 )
 
@@ -170,22 +171,27 @@ def update_means(state: SegState, fields: FitFields) -> tuple[np.ndarray, list[s
     return c, flags
 
 
-def update_bias(state: SegState, params: ModelParams, kernel: Kernel) -> np.ndarray:
-    """Optimal bias field
+def update_bias(state: SegState, params: ModelParams,
+                kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal bias field and its denominator den, (b, den):
 
         b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y)
              = K*(sum_i lam_i c_i u_i g) / K*(sum_i lam_i c_i^2 u_i),
 
-    two convolutions for any number of phases (K is linear), side by side.
+    two convolutions for any number of phases (K is linear): the helper
+    thread makes den while the caller makes the numerator, so a helper job
+    must not call this. den gives the fitting term's constant: K is
+    self-adjoint, so <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>.
     """
     c = np.asarray(state.c, dtype=np.float64)
     if not np.any(c != 0.0):
         raise DegenerateInputError("all region means are zero; bias undefined")
     lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
-    num, den = convolve_each((state.u.weighted_sum(lam_c) * state.g,
-                              state.u.weighted_sum(lam_c * c)), kernel)
-    den = np.maximum(den, np.finfo(np.float64).tiny)
-    return num / den
+    den_job = on_helper(lambda: convolve(state.u.weighted_sum(lam_c * c), kernel))
+    num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
+    den = den_job()
+    np.maximum(den, np.finfo(np.float64).tiny, out=den)
+    return np.divide(num, den, out=num), den
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +266,14 @@ def energy_shift(f: np.ndarray, params: ModelParams) -> float:
     return params.c0 + max(0.0, -low)
 
 
-def build_g_context(state: SegState, params: ModelParams, fields: FitFields,
-                    run: FlowRun) -> GContext:
-    """`run.ctx` with the fitting term of (c, b, u) = `state`, `fields` being
-    the fit fields of `state.b`."""
+def build_g_context(state: SegState, params: ModelParams, kb: np.ndarray,
+                    fit_const: float, run: FlowRun) -> GContext:
+    """`run.ctx` with the fitting term of (c, b, u) = `state`, `kb` being
+    K*b and `fit_const` <sum_i lam_i c_i^2 u_i, K*b^2>."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
     c = np.asarray(state.c, dtype=np.float64)
     return replace(run.ctx, weight=state.u.weighted_sum(lam),
-                   target=fields.kb * state.u.weighted_sum(lam * c),
-                   fit_const=inner_product(state.u.weighted_sum(lam * c * c), fields.kb2))
+                   target=kb * state.u.weighted_sum(lam * c), fit_const=fit_const)
 
 
 def evaluate(g: np.ndarray, ctx: GContext) -> tuple:
@@ -452,8 +457,15 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     Intensities are divided by `params.intensity_scale` for the run (the
     default weights balance the fitting and denoising forces at unit scale)
     and the returned means and smooth image are scaled back to input units.
-    `progress`, if given, is called with each OuterRecord as it is produced;
+    `progress`, if given, is called with each OuterRecord as it is logged;
     logged energies are in normalized units.
+
+    Each iteration runs in two lanes. The caller runs the chain each step
+    waits on; the helper thread (`on_helper`) makes the bias denominator,
+    K*b^2, which the flow does not read, and the current partition's
+    potentials and length term, through the flow. So record k is logged
+    after iteration k + 1's flow, or as that iteration fails, and the last
+    one after the loop.
     """
     params.validate(segmentation=True)
     f = as_field(f)
@@ -477,49 +489,71 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         u=init,
     )
     del f       # the flow reads it as run.ctx.gamma_f
-    # K*b, K*b^2 change only with the bias; the length potentials only with u.
-    fields = fit_fields(state.b, fit_kernel)
-    potentials = length_potentials(state.u, length_kernel)
+
+    def length_of(u):     # a helper job: it must not use convolve_each
+        potentials = length_potentials(u, length_kernel)
+        return potentials, length_term(u, potentials, params.mu, time_px)
 
     log = IterationLog()
+
+    def emit(outer, fit, eu_before, idiv, tv, err1, flags, length):
+        record = OuterRecord(outer=outer, energy=EnergyBreakdown(fit, length, idiv, tv),
+                             eu_before=float(eu_before), eu_after=float(fit + length),
+                             err1=float(err1), flags=flags)
+        log.outers.append(record)
+        if progress is not None:
+            progress(record)
+
+    # K*b, K*b^2 change only with the bias; the length potentials only with u.
+    fields = fit_fields(state.b, fit_kernel)
+    last = None     # emit's arguments for the last iteration, but its length term
 
     err1 = np.inf
     k = 0
     while err1 > params.tol1 and k < params.max_outer:
-        flags: list[str] = []
-        state.c, mean_flags = update_means(state, fields)
-        flags += mean_flags
-        if not params.freeze_bias:
-            state.b = update_bias(state, params, fit_kernel)
-            fields = fit_fields(state.b, fit_kernel)
-        state.g, inner_records, hit_cap = update_image(
-            state.g, build_g_context(state, params, fields, run), run, params, k)
+        lengths = None
+        try:
+            state.c, flags = update_means(state, fields)
+            log.warnings.extend(msg for msg in flags if msg not in log.warnings)
+            if params.freeze_bias:
+                kb = fields.kb
+                lam_c2 = np.multiply(params.lambdas, state.c) * state.c
+                fit_const = inner_product(state.u.weighted_sum(lam_c2), fields.kb2)
+            else:
+                del fields      # the old bias's; update_means was their last reader
+                state.b, den = update_bias(state, params, fit_kernel)
+                # K*b^2 is first read after the flow: the helper makes it meanwhile
+                kb2 = on_helper(lambda b: convolve(b * b, fit_kernel), state.b)
+                # <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>: K is self-adjoint
+                fit_const = float(np.einsum("ij,ij,ij->", den, state.b, state.b))
+                del den
+                kb = convolve(state.b, fit_kernel)
+            # the helper makes u's potentials and length term through the flow
+            lengths = on_helper(length_of, state.u)
+            state.g, inner_records, hit_cap = update_image(
+                state.g, build_g_context(state, params, kb, fit_const, run), run, params, k)
+        finally:        # the last record, even when this iteration fails early
+            potentials, length = lengths() if lengths else length_of(state.u)
+            if last is not None:
+                emit(*last, length)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
         idiv, tv = run.entry[1:]    # of state.g; binds no second ref to its TV force
+        if not params.freeze_bias:
+            fields = FitFields(kb, kb2())
+        del kb
 
         e_fields = residual_fields(state.g, state.c, fields)
-        eu_before = (fit_term(e_fields, state.u, params.lambdas)
-                     + length_term(state.u, potentials, params.mu, time_px))
+        eu_before = fit_term(e_fields, state.u, params.lambdas) + length
         u_new = threshold(e_fields, potentials, params.lambdas, params.mu, time_px)
         fit_new = fit_term(e_fields, u_new, params.lambdas)
-        del e_fields, potentials     # one n-stack, the new potentials, lives across the flow
-        potentials = length_potentials(u_new, length_kernel)
-        len_new = length_term(u_new, potentials, params.mu, time_px)
-        eu_after = fit_new + len_new
-
+        del e_fields, potentials, lengths   # lengths holds them too
         err1 = u_new.distance(state.u)
         state.u = u_new
-
-        record = OuterRecord(outer=k, energy=EnergyBreakdown(fit_new, len_new, idiv, tv),
-                             eu_before=float(eu_before), eu_after=float(eu_after),
-                             err1=float(err1), flags=tuple(flags))
-        log.outers.append(record)
-        log.warnings.extend(msg for msg in mean_flags if msg not in log.warnings)
-        if progress is not None:
-            progress(record)
+        last = (k, fit_new, eu_before, idiv, tv, err1, tuple(flags))
         k += 1
+    emit(*last, length_of(state.u)[1])
 
     if err1 > params.tol1:
         log.warnings.append(f"stopped at max_outer={params.max_outer} "

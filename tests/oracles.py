@@ -11,7 +11,9 @@ solves. The energy terms below `assemble_implicit_matrix`
 (`fit_residual` to `total_energy`, and `phase_costs`) compose the library's
 fields and partition terms for a given state, as the solver loop does; the
 solver itself fuses them and never forms the cost stack. `run_inputs` makes
-the per-run values the solver functions take, as `segment` makes them. The
+the per-run values the solver functions take, as `segment` makes them, and
+`g_context` the g-subproblem's context of a state from the definition of its
+fit constant, which `segment` evaluates as <den, b^2> instead. The
 one-line helpers after the imports give the tests the float forms the
 library does not keep: a kernel's 2-D stencil, a partition's mask stack and
 a state's copy.
@@ -27,7 +29,8 @@ from ictmseg.energy import (EnergyBreakdown, IndicatorSet, SegState, fit_fields,
 from ictmseg.errors import NumericalFailure
 from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, implicit_symbol,
                            inner_product, solve_implicit)
-from ictmseg.solve import FlowRun, StepResult, evaluate, force, relaxation_coefficient
+from ictmseg.solve import (FlowRun, StepResult, build_g_context, evaluate, force,
+                           relaxation_coefficient)
 
 
 def stencil(kernel) -> np.ndarray:
@@ -295,6 +298,19 @@ def run_inputs(state, f: np.ndarray, params) -> tuple:
     """What `segment` hands `build_g_context`: the fit fields of `state.b`
     and a `FlowRun` of `f`."""
     return fit_fields(state.b, gaussian_kernel(params.rho)), FlowRun.start(f, params)
+
+
+def fit_constant(state, params, kb2: np.ndarray) -> float:
+    """<sum_i lam_i c_i^2 u_i, K*b^2>, the fitting term's constant by its
+    definition, `kb2` being K*b^2."""
+    lam_c2 = np.asarray(params.lambdas) * np.asarray(state.c) ** 2
+    return inner_product(state.u.weighted_sum(lam_c2), kb2)
+
+
+def g_context(state, params, fields, run):
+    """`build_g_context` of `state` from its fit fields (`run_inputs`)."""
+    return build_g_context(state, params, fields.kb,
+                           fit_constant(state, params, fields.kb2), run)
 
 
 def relaxation_quadratic_root(z_tilde: float, z_prev: float, e_next: float,

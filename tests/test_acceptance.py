@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ictmseg.energy import (
+    IndicatorSet,
     ModelParams,
     SegState,
     fit_fields,
@@ -28,7 +29,6 @@ from ictmseg.field import (
 from ictmseg.metrics import ConfusionCounts, accuracy, dsc, iou, kappa, match_phases, score_masks
 from ictmseg.noise import NoiseSpec, apply_poisson, corrupt, sample_gamma_field
 from ictmseg.solve import (
-    build_g_context,
     evaluate,
     force,
     rmsav_step,
@@ -43,10 +43,12 @@ from oracles import (
     bias_direct,
     conv2d_direct,
     copy_state,
+    fit_constant,
     fit_residual,
     fit_residual_direct,
     fitting_energy,
     float_masks,
+    g_context,
     length_energy,
     means_direct,
     phi_direct,
@@ -77,7 +79,7 @@ def sav_run(n_steps=60, n=64, seed=314):
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1, c0=1.0, eta_relax=0.99)
     fields, run = run_inputs(state, f, params)
     state.c, _ = update_means(state, fields)
-    ctx = build_g_context(state, params, fields, run)
+    ctx = g_context(state, params, fields, run)
     g = state.g.copy()
     e = evaluate(g, ctx)[0]
     z = float(np.sqrt(e + ctx.shift))
@@ -171,7 +173,7 @@ def test_criterion_04_exact_minimizer_stationarity():
                 trial.c = state.c.copy()
                 trial.c[i] += delta
                 worst_c = max(worst_c, base - fitting_energy(trial, params, k))
-        state.b = update_bias(state, params, k)
+        state.b, _ = update_bias(state, params, k)
         base = fitting_energy(state, params, k)
         trial = copy_state(state)
         trial.b = state.b + 1e-3 * (rng.random((16, 16)) - 0.5)
@@ -189,7 +191,7 @@ def test_criterion_05_force_matches_finite_differences():
                      g=rng.random((n, n)) * 4 + 2, u=two_phase(mask))
     f = rng.random((n, n)) * 5 + 1
     params = ModelParams(gamma=0.3, nu=0.8)
-    ctx = build_g_context(state, params, *run_inputs(state, f, params))
+    ctx = g_context(state, params, *run_inputs(state, f, params))
     g = rng.random((n, n)) * 4 + 2
     grad = force(g, ctx, evaluate(g, ctx)[4])
     t = 1e-5
@@ -248,7 +250,7 @@ def test_criterion_08_oracle_equivalence():
     c_new, _ = update_means(state, fit_fields(b, k))
     gaps["means"] = max(abs(c_new[i] - means_direct(float_masks(u)[i], g, b, stencil(k)))
                         for i in range(2))
-    gaps["bias"] = np.abs(update_bias(state, params, k)
+    gaps["bias"] = np.abs(update_bias(state, params, k)[0]
                           - bias_direct(float_masks(u), g, c, lambdas, stencil(k))).max()
     tk = heat_kernel_pixels(2.0)
     e_fields = np.stack([fit_residual(g, b, ci, k) for ci in c])
@@ -258,6 +260,30 @@ def test_criterion_08_oracle_equivalence():
     worst = max(gaps.values())
     report("criterion 8 (brute-force oracle equivalence)", worst <= 1e-10,
            " ".join(f"{k}={v:.1e}" for k, v in gaps.items()))
+
+
+def test_criterion_08_fit_constant_through_the_bias_denominator():
+    # `segment` takes the fitting term's constant <sum_i lam_i c_i^2 u_i, K*b^2>
+    # as <den, b^2>, den = K*(sum_i lam_i c_i^2 u_i) from the bias update: every
+    # convolution is C^T M C with C the orthonormal DCT, so K is self-adjoint
+    # and the two agree to roundoff, on any partition and any shape
+    r = np.random.default_rng(808)
+    worst = 0.0
+    for shape, n_phases, rho in [((37, 53), 2, 3.0), ((37, 53), 3, 1.7), ((53, 37), 4, 6.0),
+                                 ((16, 16), 3, 3.0)]:
+        for _ in range(5):
+            params = ModelParams(lambdas=tuple(0.5 + r.random(n_phases)), rho=rho)
+            state = SegState(c=1.0 + 3.0 * r.random(n_phases), b=np.ones(shape),
+                             g=r.random(shape) * 5 + 0.5,
+                             u=IndicatorSet.from_labels(r.integers(0, n_phases, shape),
+                                                        n_phases))
+            k = gaussian_kernel(rho)
+            state.b, den = update_bias(state, params, k)
+            via_den = inner_product(den, state.b * state.b)
+            by_definition = fit_constant(state, params, convolve(state.b * state.b, k))
+            worst = max(worst, abs(via_den - by_definition) / abs(by_definition))
+    report("criterion 8 (fit constant through the bias denominator)", worst <= 1e-12,
+           f"worst relative gap={worst:.1e}")
 
 
 def test_criterion_09_heat_kernel_length():

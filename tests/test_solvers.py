@@ -3,6 +3,8 @@ and the thresholding step."""
 
 import dataclasses
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,16 +17,18 @@ from ictmseg.energy import (
     fit_fields,
     gray_indicator,
     idiv_energy,
+    length_potentials,
+    length_term,
     tv_energy,
     tv_gradient,
 )
 from ictmseg.errors import DegenerateInputError, NumericalFailure
 from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
-                           inner_product)
+                           inner_product, on_helper)
 from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
     FlowRun,
-    build_g_context,
+    IterationLog,
     energy_shift,
     evaluate,
     force,
@@ -37,7 +41,7 @@ from ictmseg.solve import (
     update_means,
 )
 from oracles import (bias_direct, copy_state, fit_residual, fitting_energy, float_masks,
-                     from_masks, means_direct, phi_direct, relaxation_quadratic_root,
+                     from_masks, g_context, means_direct, phi_direct, relaxation_quadratic_root,
                      rmsav_step_reference, run_inputs, stencil, threshold_fields,
                      two_phase)
 
@@ -111,7 +115,7 @@ def test_update_bias_recovers_constant():
     state = SegState(c=np.array([1.0, 0.0]), b=np.ones((n, n)),
                      g=np.full((n, n), 7.0), u=from_masks(masks))
     params = ModelParams()
-    b = update_bias(state, params, gaussian_kernel(params.rho))
+    b, _ = update_bias(state, params, gaussian_kernel(params.rho))
     assert np.allclose(b, 7.0, atol=1e-10)
 
 
@@ -125,7 +129,7 @@ def test_update_bias_recovers_smooth_field():
     state = SegState(c=np.array([c1, 0.0]), b=np.ones((n, n)),
                      g=c1 * b_true, u=from_masks(masks))
     k = gaussian_kernel(3.0)
-    b = update_bias(state, ModelParams(), k)
+    b, _ = update_bias(state, ModelParams(), k)
     ref = convolve(b_true, k) / convolve(np.ones((n, n)), k)
     assert np.abs(b - ref).max() < 1e-10
 
@@ -147,7 +151,7 @@ def test_update_bias_matches_direct_quotient(n_phases):
     state.c[1] = 0.0   # a zero-mean phase drops out of both sums
     k = gaussian_kernel(1.2)
     params = ModelParams(lambdas=lambdas, rho=1.2)
-    b = update_bias(state, params, k)
+    b, _ = update_bias(state, params, k)
     ref = bias_direct(float_masks(state.u), state.g, state.c,
                       np.array(params.lambdas), stencil(k))
     assert np.abs(b - ref).max() < 1e-10
@@ -165,7 +169,7 @@ def test_update_bias_is_stationary():
     k = gaussian_kernel(params.rho)
     for _ in range(20):
         state = random_instance(16)
-        state.b = update_bias(state, params, k)
+        state.b, _ = update_bias(state, params, k)
         base = fitting_energy(state, params, k)
         trial = copy_state(state)
         trial.b = state.b + 1e-3 * (rng.random(state.b.shape) - 0.5)
@@ -175,13 +179,13 @@ def test_update_bias_is_stationary():
 # ------------------------------------------------------------- force / energy
 
 def make_context(state, f, params):
-    return build_g_context(state, params, *run_inputs(state, f, params))
+    return g_context(state, params, *run_inputs(state, f, params))
 
 
 def image_flow(state, f, params):
     """`update_image` from `state.g`, as the first flow of a `segment` run."""
     fields, run = run_inputs(state, f, params)
-    return update_image(state.g, build_g_context(state, params, fields, run), run, params, 0)
+    return update_image(state.g, g_context(state, params, fields, run), run, params, 0)
 
 
 def test_force_zero_at_perfect_fit():
@@ -480,11 +484,8 @@ def test_segment_flows_start_from_last_step(monkeypatch):
     assert counts == {"gradient": 3 * steps + 1, "implicit_symbol": 1}
 
 
-def test_segment_pinned_three_phase_output():
-    # A fixed three-phase run whose label map and iteration counts were
-    # recorded before the flows reused the previous flow's last step, the
-    # threshold formed its costs in its scan and the convolutions scaled
-    # their spectra in place: none of these may change what the solver finds.
+def pinned_three_phase():
+    """The pinned three-phase scene: image, init partition and parameters."""
     n = 64
     yy, xx = np.mgrid[0:n, 0:n]
     clean = np.full((n, n), 100.0)
@@ -496,10 +497,107 @@ def test_segment_pinned_three_phase_output():
     labels[11:25, 9:37] = 1
     labels[(yy - 44) ** 2 + (xx - 40) ** 2 <= 10 ** 2] = 2
     params = ModelParams(lambdas=(1.0,) * 3, tau=8.0, tau_in_pixels=True, max_outer=40)
-    state, log = segment(f, IndicatorSet.from_labels(labels, 3), params)
+    return f, IndicatorSet.from_labels(labels, 3), params
+
+
+def test_segment_pinned_three_phase_output():
+    # A fixed three-phase run whose label map and iteration counts were
+    # recorded before the flows reused the previous flow's last step, the
+    # threshold formed its costs in its scan and the convolutions scaled
+    # their spectra in place: none of these may change what the solver finds.
+    state, log = segment(*pinned_three_phase())
     digest = hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest()
     assert (len(log.outers), len(log.inners)) == (40, 93)
     assert digest == "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
+
+
+def test_segment_bits_do_not_depend_on_thread_timing(monkeypatch):
+    # The helper's jobs (the bias denominator, K*b^2, the partition's
+    # potentials and length term) run while the caller works on. With the
+    # interpreter switching threads every microsecond, and with no helper at
+    # all, the run makes the same records, labels, g and b, bit for bit, and
+    # no job is waited for in vain: the switching run must end within its
+    # time bound.
+    import ictmseg.field
+
+    def bits(state, log):
+        return (log.outers, log.inners, state.u.labels().tobytes(), state.g.tobytes(),
+                state.b.tobytes())
+
+    out = []
+    worker = threading.Thread(target=lambda: out.append(bits(*segment(*pinned_three_phase()))),
+                              daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(out) == 1
+    monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
+    alone = bits(*segment(*pinned_three_phase()))
+    assert len(alone[0]) == 40 and len(alone[1]) == 93
+    assert out[0] == alone
+
+
+def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
+    # The helper makes a partition's potentials and length term while the
+    # next iteration runs; record k still carries the length term of the
+    # partition iteration k made, and eu_after its fit plus that length.
+    import ictmseg.solve
+
+    partitions = []
+
+    def thresholding(*args):
+        partitions.append(threshold(*args))
+        return partitions[-1]
+
+    monkeypatch.setattr(ictmseg.solve, "threshold", thresholding)
+    f, init, params = pinned_three_phase()
+    params = dataclasses.replace(params, max_outer=6)
+    _, log = segment(f, init, params)
+    time_px = params.heat_time_pixels(f.shape)
+    kernel = heat_kernel_pixels(time_px)
+    assert len(log.outers) == len(partitions) == 6
+    for rec, u in zip(log.outers, partitions):
+        length = length_term(u, length_potentials(u, kernel), params.mu, time_px)
+        assert rec.energy.length == length
+        assert rec.eu_after == float(rec.energy.fit + length)
+
+
+@pytest.mark.parametrize("helper", [True, False], ids=["helper", "no-helper"])
+@pytest.mark.parametrize("failing", ["update_image", "update_bias"])
+def test_segment_reports_records_before_a_later_failure(monkeypatch, helper, failing):
+    # Record k is emitted after iteration k + 1's flow, once the helper has
+    # its length term. When iteration 2 fails, in the flow or in the bias
+    # update before that job is handed over, records 0 and 1 have already
+    # reached `progress` and the log, and the failure propagates.
+    import ictmseg.field
+    import ictmseg.solve
+
+    if not helper:
+        monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
+    logs, reported, calls = [], [], []
+    original = getattr(ictmseg.solve, failing)
+
+    def failing_at_outer_2(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalFailure("injected", outer=2, inner=0)
+        return original(*args)
+
+    def recording_log():
+        logs.append(IterationLog())
+        return logs[-1]
+
+    monkeypatch.setattr(ictmseg.solve, failing, failing_at_outer_2)
+    monkeypatch.setattr(ictmseg.solve, "IterationLog", recording_log)
+    f, init, params = pinned_three_phase()
+    with pytest.raises(NumericalFailure, match="injected"):
+        segment(f, init, params, progress=reported.append)
+    assert [r.outer for r in reported] == [0, 1]
+    assert len(logs) == 1 and logs[0].outers == reported
 
 
 def test_zero_fit_context_matches_zero_fit_arrays():
@@ -529,9 +627,10 @@ def test_segment_peak_memory_in_arrays():
     # Peak of the memory one `segment` call allocates, in H x W float64
     # arrays. The partition is one label map, the residual stack is released
     # before the next flow, the init is shared, not copied, and a flow step
-    # hands on one TV force field, not its three-field gradient: 22.9-23.1
-    # arrays on this scene, with pairs of convolutions overlapping on helper
-    # threads, against 28.5 when the partition was n float64 masks.
+    # hands on one TV force field, not its three-field gradient: 21.8 arrays
+    # on this scene with no helper thread, up to 24.0 when a helper job's
+    # convolution overlaps the peak of a flow step, against 28.5 when the
+    # partition was n float64 masks.
     n = 64
     clean = np.full((n, n), 60.0)
     clean[n // 8:n // 2, n // 8:7 * n // 8] = 190.0
@@ -841,12 +940,17 @@ def test_segment_reaches_fixed_point_and_stays():
 @pytest.mark.parametrize("n_phases, freeze_bias", [(2, False), (3, False), (3, True)])
 def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # One outer iteration makes two fit-kernel convolutions in the bias
-    # update plus K*b and K*b^2 after it, and n - 1 heat-kernel convolutions
-    # for the length potentials of the new partition; K*1 is never made.
-    # Helper threads call `convolve` through the `field` global, so it is
-    # patched there too and counted under a lock.
-    import threading
-
+    # update plus K*b and K*b^2 after it; each partition the run holds, the
+    # init and one per iteration, gets n - 1 heat-kernel convolutions for its
+    # length potentials; K*1 is made once, before the loop. A run of K
+    # iterations so makes 2 + 4K fit and (n - 1)(K + 1) heat convolutions.
+    # A fit convolution is counted under the iteration that asked for it:
+    # the caller's under the one running, a helper job's under the one that
+    # submitted it; a heat convolution under the partition whose mask it
+    # convolves. So the counts do not depend on when the helper runs; the run
+    # is made with the helper and with none. Everything calls `convolve`
+    # through a module global, so it is patched in each module; the counts
+    # are kept under a lock.
     import ictmseg.energy
     import ictmseg.field
     import ictmseg.solve
@@ -861,25 +965,62 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     labels[:, n // 2:] = n_phases - 1
     params = ModelParams(lambdas=(1.0,) * n_phases, max_outer=4, tol1=0.0,
                          freeze_bias=freeze_bias)
-    kernels = {"fit": gaussian_kernel(params.rho),
-               "heat": heat_kernel_pixels(params.heat_time_pixels(f.shape))}
-    counts = [{"fit": 0, "heat": 0}]
+    fit_kernel = gaussian_kernel(params.rho)
+    heat_kernel = heat_kernel_pixels(params.heat_time_pixels(f.shape))
+    outer = [-1]                    # the caller's iteration; -1 before the loop
+    job = threading.local()         # the iteration that submitted a helper job
+    partitions = []                 # kept alive, so that no mask id is reused
+    fits, heats = {}, {}
     lock = threading.Lock()
 
+    def same(kernel, ref):
+        return kernel.radius == ref.radius and np.array_equal(kernel.profile, ref.profile)
+
     def counting(field, kernel):
-        for name, ref in kernels.items():
-            if kernel.radius == ref.radius and np.array_equal(kernel.profile, ref.profile):
-                with lock:
-                    counts[-1][name] += 1
+        with lock:
+            if same(kernel, fit_kernel):
+                k = getattr(job, "outer", outer[0])
+                fits[k] = fits.get(k, 0) + 1
+            elif same(kernel, heat_kernel):
+                p = next(i for i, u in enumerate(partitions)
+                         if any(m is field for m in u.phase_masks()))
+                heats[p] = heats.get(p, 0) + 1
         return convolve(field, kernel)
+
+    def tagged(fn, *args):
+        k = outer[0]
+
+        def run(*a):
+            job.outer = k
+            try:
+                return fn(*a)
+            finally:
+                del job.outer
+        return on_helper(run, *args)
+
+    def means(*args):
+        outer[0] += 1
+        return update_means(*args)
+
+    def thresholding(*args):
+        partitions.append(threshold(*args))
+        return partitions[-1]
 
     for module in (ictmseg.field, ictmseg.energy, ictmseg.solve):
         monkeypatch.setattr(module, "convolve", counting, raising=False)
-    _, log = segment(f, IndicatorSet.from_labels(labels, n_phases), params,
-                     progress=lambda rec: counts.append({"fit": 0, "heat": 0}))
-    budget = {"fit": 0 if freeze_bias else 4, "heat": n_phases - 1}
-    assert len(log.outers) >= 3
-    # K*b, K*b^2 and the first partition's potentials before the loop
-    assert counts[0] == {"fit": 2 + budget["fit"], "heat": 2 * budget["heat"]}
-    assert counts[1:-1] == [budget] * (len(log.outers) - 1)
-    assert counts[-1] == {"fit": 0, "heat": 0}
+    monkeypatch.setattr(ictmseg.solve, "on_helper", tagged)
+    monkeypatch.setattr(ictmseg.solve, "update_means", means)
+    monkeypatch.setattr(ictmseg.solve, "threshold", thresholding)
+    # K*b and K*b^2 of b = 1 before the loop
+    fit_budget = {-1: 2} if freeze_bias else {-1: 2, **{k: 4 for k in range(4)}}
+    for no_helper in (False, True):
+        if no_helper:
+            monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
+        outer[0] = -1
+        fits.clear()
+        heats.clear()
+        partitions[:] = [IndicatorSet.from_labels(labels, n_phases)]
+        _, log = segment(f, partitions[0], params)
+        assert len(log.outers) == 4 and len(partitions) == 5
+        assert fits == fit_budget, no_helper
+        assert heats == {p: n_phases - 1 for p in range(5)}, no_helper
