@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import Kernel, convolve, convolve_each, gaussian_kernel, gradient
+from .field import Kernel, convolve, gaussian_kernel, gradient
 
 __all__ = [
     "ModelParams",
@@ -196,7 +196,7 @@ class EnergyBreakdown:
 
 
 def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:
-    """Adaptive diffusion weight ((K_sigma*f)/max)^p, values in (0, 1].
+    """Adaptive diffusion weight ((K_sigma*f)/max)^p, values in [0, 1].
 
     Bright regions (where signal-dependent noise is strongest) get weight 1;
     darker regions smaller, slowing diffusion there.
@@ -205,6 +205,8 @@ def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:
     if f.min() < 0:
         raise ValueError("image must be nonnegative")
     smoothed = convolve(f, gaussian_kernel(sigma))
+    # K_sigma*f >= 0: clear the transform's roundoff below 0, NaN under ** p
+    np.maximum(smoothed, 0.0, out=smoothed)
     m = smoothed.max()
     if m <= 0:
         raise DegenerateInputError("all-zero image has no gray-level scale")
@@ -221,9 +223,9 @@ class FitFields(NamedTuple):
 
 
 def fit_fields(b: np.ndarray, kernel: Kernel) -> FitFields:
-    """K*b and K*b^2 for the bias `b`, side by side."""
+    """K*b and K*b^2 for the bias `b`."""
     b = np.asarray(b, dtype=np.float64)
-    return FitFields(*convolve_each((b, b * b), kernel))
+    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
 
 
 def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:

@@ -15,7 +15,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "gaussian_kernel",
     "heat_kernel_pixels",
     "convolve",
-    "convolve_each",
     "on_helper",
     "gradient",
     "divergence",
@@ -174,25 +173,14 @@ if hasattr(os, "register_at_fork"):
 def on_helper(fn, *args) -> Callable[[], object]:
     """Start fn(*args) on the helper thread and return a callable that waits
     for its result (or raises its exception). With one CPU, fn runs now, in
-    the caller. Jobs run one at a time, in the order given: fn must not call
-    `convolve_each` or wait on another job, or the helper would wait on
-    itself."""
+    the caller, and its exception comes from `on_helper` itself. Jobs run one
+    at a time, in the order given: fn must not call `on_helper` or wait on
+    another job, or the helper would wait on itself."""
     helper = _helper()
     if helper is None:
         result = fn(*args)
         return lambda: result
     return helper.submit(fn, *args).result
-
-
-def convolve_each(fields: Sequence[np.ndarray], kernel: Kernel) -> list[np.ndarray]:
-    """[convolve(f, kernel) for f in fields], bit for bit: the helper thread
-    convolves the odd-numbered fields while the caller convolves the even
-    ones. One field, or one CPU, runs all in the caller."""
-    odd = [on_helper(convolve, f, kernel) for f in fields[1::2]]
-    out = [None] * len(fields)
-    out[::2] = [convolve(f, kernel) for f in fields[::2]]
-    out[1::2] = [result() for result in odd]
-    return out
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

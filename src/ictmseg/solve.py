@@ -490,7 +490,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     )
     del f       # the flow reads it as run.ctx.gamma_f
 
-    def length_of(u):     # a helper job: it must not use convolve_each
+    def length_of(u):     # a helper job: it must not call on_helper
         potentials = length_potentials(u, length_kernel)
         return potentials, length_term(u, potentials, params.mu, time_px)
 

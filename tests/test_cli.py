@@ -102,14 +102,23 @@ DENOISE_CFG = ("synth.size = 32,32\nsynth.background = 80\n"
                "gamma = 0.5\nnu = 2.0\nseed = 5\n")
 
 
-@pytest.mark.parametrize("command, text", [("segment", SEG_CFG), ("denoise", DENOISE_CFG)],
-                         ids=["segment", "denoise"])
+# A black background, where the gray indicator's K_sigma*f has roundoff below
+# 0: the weight and so the first SAV step must stay finite.
+BLACK_SCENE = "synth.size = 48,48\nsynth.background = 0\nsynth.region = disk:24,24,12,180\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("segment", SEG_CFG), ("denoise", DENOISE_CFG),
+    ("segment", BLACK_SCENE + "noise.kind = none\ninit = circle:24,24,8\n"),
+    ("denoise", BLACK_SCENE + "noise.kind = poisson\nseed = 5\n"),
+], ids=["segment", "denoise", "segment-black", "denoise-black"])
 def test_energy_csv_keeps_the_sav_stability_law(tmp_path, command, text):
     # criterion 1 on the written file: z_sq never rises between consecutive
     # steps of one outer iteration, and every xi lies in [0, 1]
     out = tmp_path / "o"
     assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out),
                  "--quiet"]) == 0
+    assert np.isfinite(read_f64(out / "denoised.f64")).all()
     with open(out / "energy.csv", newline="") as fh:
         steps = [r for r in csv.DictReader(fh) if r["inner_iter"] != ""]
     pairs = [(a, b) for a, b in zip(steps, steps[1:]) if a["outer_iter"] == b["outer_iter"]]
@@ -161,7 +170,7 @@ def test_denoise_command(tmp_path):
 def test_denoise_makes_no_fit_kernel_pass(tmp_path, monkeypatch):
     # the flow has no fitting term: no partition, bias or K*b, K*b^2 is built,
     # and the gray indicator's K_sigma is the one convolution of the run;
-    # `convolve_each` calls `convolve` through the `field` global
+    # each module calls `convolve` through its own global, so each is patched
     import ictmseg.energy
     import ictmseg.field
     import ictmseg.solve

@@ -100,12 +100,16 @@ def test_gray_indicator_constant_image_is_one():
 
 
 def test_gray_indicator_dark_region_below_one():
-    f = np.full((24, 24), 30.0)
-    f[:, 12:] = 200.0
-    alpha = gray_indicator(f, sigma=1.0, p=1.3)
-    assert alpha.max() == pytest.approx(1.0)
-    assert (alpha[:, :8] < 1.0).all()
-    assert alpha[0, 0] < alpha[0, -1]
+    # a black half too: the transform leaves K_sigma*f slightly below 0 there
+    # on the 32^2 grid (not on 24^2), which the power p must not make NaN
+    for n, dark in ((24, 30.0), (32, 0.0)):
+        f = np.full((n, n), dark)
+        f[:, n // 2:] = 200.0
+        alpha = gray_indicator(f, sigma=1.0, p=1.3)
+        assert np.isfinite(alpha).all() and alpha.min() >= 0.0 and alpha.max() <= 1.0
+        assert alpha.max() == pytest.approx(1.0)
+        assert (alpha[:, :8] < 1.0).all()
+        assert alpha[0, 0] < alpha[0, -1]
 
 
 def test_gray_indicator_checkerboard_matches_brute_force():

@@ -20,13 +20,13 @@ from ictmseg.field import (
     CUTOFF_SDS,
     biharmonic,
     convolve,
-    convolve_each,
     divergence,
     gaussian_kernel,
     gradient,
     heat_kernel_pixels,
     implicit_symbol,
     inner_product,
+    on_helper,
     solve_implicit,
 )
 
@@ -295,35 +295,15 @@ def test_transform_load_fails_loudly(monkeypatch, tmp_path):
     assert "searched" not in str(broken.value)
 
 
-# ------------------------------------------------------- side-by-side passes
+# ------------------------------------------------------------ helper thread
 
 pinning = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                              reason="no CPU affinity on this platform")
 
 
-@settings(max_examples=40, deadline=None)
-@given(shape=shapes, kinds=st.lists(st.booleans(), min_size=1, max_size=4),
-       std=st.floats(0.5, 20.0), seed=seeds)
-def test_convolve_each_equals_convolve_per_field(shape, kinds, std, seed):
-    # bit for bit, in order, for float64 fields and boolean masks alike; no
-    # input is written and no result shares memory with an input or another
-    r = np.random.default_rng(seed)
-    fields = [r.random(shape) < 0.5 if is_mask else r.standard_normal(shape)
-              for is_mask in kinds]
-    before = [f.copy() for f in fields]
-    k = gaussian_kernel(std)
-    out = convolve_each(fields, k)
-    assert len(out) == len(fields)
-    for f, b, o in zip(fields, before, out):
-        assert f.dtype == b.dtype and f.tobytes() == b.tobytes()
-        assert o.dtype == np.float64 and o.tobytes() == convolve(b, k).tobytes()
-    assert not any(np.shares_memory(o, x) for i, o in enumerate(out)
-                   for x in fields + out[:i])
-
-
 @pytest.fixture
 def fresh_helper(monkeypatch):
-    """convolve_each's helper made afresh under the test's patches of the CPU
+    """on_helper's helper made afresh under the test's patches of the CPU
     count, and shut down after the test."""
     ictmseg.field._helper.cache_clear()
     yield monkeypatch
@@ -333,58 +313,75 @@ def fresh_helper(monkeypatch):
     ictmseg.field._helper.cache_clear()
 
 
-def threads_per_field(monkeypatch, fields, kernel):
-    """convolve_each(fields, kernel), checked bit for bit against convolve per
-    field, and the thread that convolved each field."""
-    threads = {}
-
-    def recording(field, k):
-        threads[id(field)] = threading.get_ident()
-        return convolve(field, k)
-
-    monkeypatch.setattr(ictmseg.field, "convolve", recording)
-    out = convolve_each(fields, kernel)
-    monkeypatch.setattr(ictmseg.field, "convolve", convolve)
-    assert [o.tobytes() for o in out] == [convolve(f, kernel).tobytes() for f in fields]
-    return [threads[id(f)] for f in fields]
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def test_convolve_each_one_helper_takes_the_odd_fields(fresh_helper):
-    # the caller convolves fields 0, 2, 4 and the one helper thread 1 and 3;
-    # a second call hands its odd field to the same helper
-    fresh_helper.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_on_helper_runs_jobs_in_order_on_one_thread(fresh_helper):
+    # with two CPUs every job runs on the one helper thread, not the caller,
+    # one at a time in the order given, and a later batch on the same thread;
+    # each result is the bits fn(*args) gives in the caller
+    two_cpus(fresh_helper)
     k = gaussian_kernel(2.0)
     fields = [rng.standard_normal((16, 12)) for _ in range(5)]
-    caller = threading.get_ident()
-    first = threads_per_field(fresh_helper, fields, k)
-    helper = first[1]
-    assert helper != caller and first == [caller, helper] * 2 + [caller]
-    assert threads_per_field(fresh_helper, fields[:2], k) == [caller, helper]
+    ran = []
+
+    def job(i, field):
+        ran.append((i, threading.get_ident()))
+        return convolve(field, k)
+
+    first = [on_helper(job, i, f) for i, f in enumerate(fields[:4])]
+    out = [result() for result in first]
+    out.append(on_helper(job, 4, fields[4])())
+    assert [i for i, _ in ran] == list(range(5))
+    threads = {thread for _, thread in ran}
+    assert len(threads) == 1 and threading.get_ident() not in threads
+    assert [o.tobytes() for o in out] == [convolve(f, k).tobytes() for f in fields]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_convolve_each_without_sched_getaffinity(fresh_helper, cpus):
+def test_on_helper_without_sched_getaffinity(fresh_helper, cpus):
     # macOS and Windows have no CPU affinity call: the CPU count decides
-    # whether the second field runs on a helper or in the caller
+    # whether a job runs on a helper or in the caller
     fresh_helper.delattr(os, "sched_getaffinity", raising=False)
     fresh_helper.setattr(os, "cpu_count", lambda: cpus)
+    field = rng.random((9, 7)) < 0.5
     k = gaussian_kernel(1.5)
-    fields = [rng.standard_normal((9, 7)), rng.random((9, 7)) < 0.5]
-    caller, second = threads_per_field(fresh_helper, fields, k)
-    assert caller == threading.get_ident()
-    assert (second != caller) == (cpus > 1)
+    thread, out = on_helper(lambda f: (threading.get_ident(), convolve(f, k)), field)()
+    assert (thread != threading.get_ident()) == (cpus > 1)
+    assert out.tobytes() == convolve(field, k).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_on_helper_reraises_a_jobs_exception(fresh_helper, cpus):
+    # the result callable re-raises the job's exception, or with one CPU
+    # on_helper itself does; either way the next job runs
+    fresh_helper.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                         raising=False)
+
+    def fail():
+        raise ZeroDivisionError("in the job")
+
+    if cpus == 1:
+        with pytest.raises(ZeroDivisionError, match="in the job"):
+            on_helper(fail)
+    else:
+        result = on_helper(fail)
+        with pytest.raises(ZeroDivisionError, match="in the job"):
+            result()
+    thread = on_helper(threading.get_ident)()
+    assert (thread != threading.get_ident()) == (cpus > 1)
 
 
 @pinning
-def test_convolve_each_one_cpu_gives_the_same_labels():
-    # A process limited to one CPU runs every pass in the caller and starts no
-    # thread; the default run hands half of each group to the helper. Both find
+def test_one_cpu_gives_the_same_labels():
+    # A process limited to one CPU runs every helper job in the caller and
+    # starts no thread; the default run hands jobs to the helper. Both find
     # the label map of the pinned three-phase run and the same bits of g and
-    # b, and one field alone never starts a helper. A BLAS allowed two
+    # b, and importing the package starts no thread. A BLAS allowed two
     # threads changes no bit either: no sum of the solver goes through it.
     code = (
         "import hashlib, threading, numpy as np, ictmseg\n"
-        "ictmseg.field.convolve_each([np.ones((8, 8))], ictmseg.gaussian_kernel(1.0))\n"
         "alone = threading.active_count()\n"
         "n = 64\n"
         "yy, xx = np.mgrid[0:n, 0:n]\n"
@@ -416,19 +413,26 @@ def test_convolve_each_one_cpu_gives_the_same_labels():
     blas2 = run(OPENBLAS_NUM_THREADS="2")
     digest = "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
     assert pinned[:3] == ["1", "1", digest]
-    # the one helper thread starts with the first pair
+    # the one helper thread starts with the first bias update
     helpers = 1 if len(cpus) > 1 else 0
     assert default[:3] == ["1", str(1 + helpers), digest]
     assert blas2 == default and default[3] == pinned[3]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_convolve_each_in_forked_child():
-    # helpers started before a fork do not run in the child; the child makes
-    # its own and returns the parent's bits instead of waiting for ever
+def test_on_helper_in_forked_child(fresh_helper):
+    # a helper started before a fork does not run in the child; the child
+    # makes its own and returns the parent's bits instead of waiting for ever
+    two_cpus(fresh_helper)
     k = gaussian_kernel(2.0)
     fields = [rng.standard_normal((16, 16)) for _ in range(3)]
-    expected = hashlib.sha256(b"".join(o.tobytes() for o in convolve_each(fields, k)))
+
+    def bits():
+        results = [on_helper(convolve, f, k) for f in fields]
+        return hashlib.sha256(b"".join(result().tobytes() for result in results)).digest()
+
+    expected = bits()
+    assert ictmseg.field._helper() is not None
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -436,8 +440,7 @@ def test_convolve_each_in_forked_child():
         try:
             os.close(read_end)
             signal.alarm(20)
-            out = b"".join(o.tobytes() for o in convolve_each(fields, k))
-            os.write(write_end, hashlib.sha256(out).digest())
+            os.write(write_end, bits())
             code = 0
         finally:
             os._exit(code)
@@ -446,7 +449,9 @@ def test_convolve_each_in_forked_child():
         digest = pipe.read()
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
-    assert digest == expected.digest()
+    assert digest == expected
+    assert expected == hashlib.sha256(
+        b"".join(convolve(f, k).tobytes() for f in fields)).digest()
 
 
 # ---------------------------------------------------- gradient / divergence

@@ -942,8 +942,9 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # One outer iteration makes two fit-kernel convolutions in the bias
     # update plus K*b and K*b^2 after it; each partition the run holds, the
     # init and one per iteration, gets n - 1 heat-kernel convolutions for its
-    # length potentials; K*1 is made once, before the loop. A run of K
-    # iterations so makes 2 + 4K fit and (n - 1)(K + 1) heat convolutions.
+    # length potentials; fit_fields makes K*b and K*b^2 of b = 1 in the
+    # caller, once, before the loop. A run of K iterations so makes 2 + 4K
+    # fit and (n - 1)(K + 1) heat convolutions.
     # A fit convolution is counted under the iteration that asked for it:
     # the caller's under the one running, a helper job's under the one that
     # submitted it; a heat convolution under the partition whose mask it
