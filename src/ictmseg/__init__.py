@@ -16,7 +16,6 @@ from .energy import (
     IndicatorSet,
     ModelParams,
     SegState,
-    fit_fields,
     gray_indicator,
     idiv_energy,
     tv_energy,

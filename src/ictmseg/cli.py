@@ -73,6 +73,18 @@ def _write_manifest(path, cfg: ExperimentConfig, extras: dict | None = None,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_partition(path, what: str, shape: tuple, n: int) -> IndicatorSet:
+    """The n-phase partition of the label map in the PGM at `path`, refused
+    unless it has the image's shape and no label of n or more."""
+    labels = read_pgm(path).astype(np.int64)
+    if labels.shape != shape:
+        raise ConfigError(f"{path}: {what} shape {labels.shape} differs from "
+                          f"the image shape {shape}")
+    if labels.max() >= n:     # before any mask is made: a 0/255 map would make 256
+        raise ConfigError(f"{path}: {what} has {labels.max() + 1} phases, n_phases = {n}")
+    return IndicatorSet.from_labels(labels, n)
+
+
 def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
     """Initial partition from a contour spec.
 
@@ -86,12 +98,7 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
     kind, args = _split_spec(spec_text)
     h, w = f.shape
     if kind == "mask":
-        labels = read_pgm(args)
-        if labels.shape != f.shape:
-            raise ConfigError("init mask dimensions do not match the image")
-        if labels.max() >= n:
-            raise ConfigError(f"init mask labels exceed n_phases={n}")
-        return IndicatorSet.from_labels(labels.astype(np.int64), n)
+        return _read_partition(args, "init mask", f.shape, n)
     if kind == "checkerboard":
         cell = _parse_ints(args, 1, "init checkerboard")[0]
         if cell < 1:
@@ -128,16 +135,6 @@ def _source(cfg: ExperimentConfig):
             raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite; "
                               "noise needs a finite clean image")
     return corrupt(clean, cfg.noise), truth
-
-
-def _read_truth(path, n: int, shape: tuple) -> IndicatorSet:
-    labels = read_pgm(path).astype(np.int64)
-    if labels.shape != shape:
-        raise ConfigError(f"{path}: truth shape {labels.shape} differs from "
-                          f"the image shape {shape}")
-    if labels.max() + 1 != n:     # before any mask is made: a 0/255 map would make 256
-        raise ConfigError(f"{path}: truth has {labels.max() + 1} phases, n_phases = {n}")
-    return IndicatorSet.from_labels(labels, n)
 
 
 def _resolve_image(cfg: ExperimentConfig):
@@ -214,7 +211,10 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     cfg.params.validate(segmentation=True)    # a bad parameter is reported first
     if cfg.truth is not None:     # only segment scores a run; a named file wins
-        truth = _read_truth(cfg.truth, cfg.params.n_phases, f.shape)
+        truth = _read_partition(cfg.truth, "truth", f.shape, cfg.params.n_phases)
+        if not truth.phase_masks()[-1].any():
+            raise ConfigError(f"{cfg.truth}: truth has {truth.labels().max() + 1} phases, "
+                              f"n_phases = {truth.n}")
     if truth is not None and truth.n != cfg.params.n_phases:
         raise ConfigError(f"truth has {truth.n} phases, n_phases = {cfg.params.n_phases}")
     progress = None

@@ -32,7 +32,6 @@ __all__ = [
     "EnergyBreakdown",
     "FitFields",
     "gray_indicator",
-    "fit_fields",
     "residual_fields",
     "idiv_energy",
     "TVGradient",
@@ -97,8 +96,8 @@ class ModelParams:
             raise ConfigError("lambda weights must be nonnegative")
         if segmentation and min(self.lambdas) == 0:
             raise ConfigError("segmentation requires strictly positive lambda weights")
-        if self.mu < 0 or self.gamma < 0 or self.nu < 0:
-            raise ConfigError("mu, gamma, nu must be nonnegative")
+        if min(self.mu, self.gamma, self.nu, self.p) < 0:
+            raise ConfigError("mu, gamma, nu, p must be nonnegative")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.intensity_scale <= 0:
@@ -220,12 +219,6 @@ class FitFields(NamedTuple):
 
     kb: np.ndarray
     kb2: np.ndarray
-
-
-def fit_fields(b: np.ndarray, kernel: Kernel) -> FitFields:
-    """K*b and K*b^2 for the bias `b`."""
-    b = np.asarray(b, dtype=np.float64)
-    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
 
 
 def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:

@@ -51,7 +51,6 @@ from .energy import (
     ModelParams,
     SegState,
     TVGradient,
-    fit_fields,
     fit_term,
     gray_indicator,
     idiv_energy,
@@ -505,7 +504,8 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             progress(record)
 
     # K*b, K*b^2 change only with the bias; the length potentials only with u.
-    fields = fit_fields(state.b, fit_kernel)
+    # b = 1 and K*1 = 1: b is its own K*b and K*b^2; nothing writes into them.
+    fields = FitFields(state.b, state.b)
     last = None     # emit's arguments for the last iteration, but its length term
 
     err1 = np.inf

@@ -18,13 +18,19 @@ __all__ = ["Shape", "SynthSpec", "generate"]
 class Shape:
     """One region primitive: kind in {'disk', 'rect', 'ring'}.
 
-    params: disk (cx, cy, r); rect (x, y, w, h); ring (cx, cy, r_in, r_out).
-    Later shapes paint over earlier ones.
+    params: disk (cx, cy, r); rect (x, y, w, h); ring (cx, cy, r_in, r_out),
+    with sizes >= 0 and r_in <= r_out. Later shapes paint over earlier ones.
     """
 
     kind: str
     params: tuple
     intensity: float
+
+    def __post_init__(self):
+        sizes = self.params[2:]
+        if min(sizes, default=0) < 0 or self.kind == "ring" and sizes[0] > sizes[1]:
+            raise ConfigError(f"{self.kind}:{','.join(f'{v:g}' for v in self.params)}: "
+                              "sizes must be nonnegative, and a ring's r_in at most its r_out")
 
     def mask(self, height: int, width: int) -> np.ndarray:
         yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)

@@ -15,20 +15,21 @@ the per-run values the solver functions take, as `segment` makes them, and
 `g_context` the g-subproblem's context of a state from the definition of its
 fit constant, which `segment` evaluates as <den, b^2> instead. The
 one-line helpers after the imports give the tests the float forms the
-library does not keep: a kernel's 2-D stencil, a partition's mask stack and
-a state's copy.
+library does not keep: a kernel's 2-D stencil, a partition's mask stack, a
+state's copy and the fit fields of any bias (`segment` starts from b = 1,
+whose fit fields are b itself, and convolves only the biases it makes).
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from ictmseg.energy import (EnergyBreakdown, IndicatorSet, SegState, fit_fields, fit_term,
+from ictmseg.energy import (EnergyBreakdown, FitFields, IndicatorSet, SegState, fit_term,
                             idiv_energy, length_potentials, length_term, residual_fields,
                             tv_energy, tv_gradient)
 from ictmseg.errors import NumericalFailure
-from ictmseg.field import (biharmonic, gaussian_kernel, heat_kernel_pixels, implicit_symbol,
-                           inner_product, solve_implicit)
+from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
+                           implicit_symbol, inner_product, solve_implicit)
 from ictmseg.solve import (FlowRun, StepResult, build_g_context, evaluate, force,
                            relaxation_coefficient)
 
@@ -57,6 +58,11 @@ def two_phase(mask: np.ndarray) -> IndicatorSet:
 def copy_state(state) -> SegState:
     """A copy of c, b and g; the partition is read-only and is shared."""
     return SegState(state.c.copy(), state.b.copy(), state.g.copy(), state.u)
+
+
+def fit_fields(b: np.ndarray, kernel) -> FitFields:
+    """K*b and K*b^2 of the bias `b`."""
+    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
 
 
 def reflect_index(i: int, n: int) -> int:

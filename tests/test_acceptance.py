@@ -15,7 +15,6 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
-    fit_fields,
 )
 from ictmseg.field import (
     biharmonic,
@@ -44,6 +43,7 @@ from oracles import (
     conv2d_direct,
     copy_state,
     fit_constant,
+    fit_fields,
     fit_residual,
     fit_residual_direct,
     fitting_energy,

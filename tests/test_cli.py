@@ -298,7 +298,24 @@ def test_exit_code_2_on_malformed_init(tmp_path, capsys, spec, count):
     assert err.startswith("error: init ") and f"expected {count} values" in err, err
 
 
-def test_init_specs_give_their_shapes():
+@pytest.mark.parametrize("line, shape", [
+    ("synth.region = disk:12,12,-6,200", "disk:12,12,-6"),
+    ("synth.region = ring:12,12,8,4,200", "ring:12,12,8,4"),
+    ("init = circle:12,12,-4", "disk:12,12,-4"), ("init = rect:2,2,-3,4", "rect:2,2,-3,4"),
+], ids=["disk", "ring", "init-circle", "init-rect"])
+def test_exit_code_2_on_negative_shape_size(tmp_path, capsys, line, shape):
+    # a negative radius, width or height, or a ring inside out, is refused
+    # with its numbers before any output, not read as its magnitude
+    key = line.partition(" = ")[0]
+    lines = [line if ln.startswith(key + " ") else ln for ln in SCENE_24.splitlines()]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"error: {shape}: sizes must be nonnegative" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_init_specs_give_their_shapes(tmp_path):
     f = np.arange(16.0 * 12).reshape(16, 12)
     yy, xx = np.mgrid[0:16, 0:12]
     circle = _build_init("circle: 6, 8, 4", f, 2).labels()
@@ -307,6 +324,28 @@ def test_init_specs_give_their_shapes():
     assert np.array_equal(rect == 0, (xx >= 2) & (xx < 7) & (yy >= 3) & (yy < 7))
     board = _build_init("checkerboard:3", f, 2).labels()
     assert np.array_equal(board, ((yy // 3) + (xx // 3)) % 2)
+    write_pgm(tmp_path / "init.pgm", (xx + yy) % 3)
+    mask = _build_init(f"mask:{tmp_path / 'init.pgm'}", f, 3).labels()
+    assert np.array_equal(mask, (xx + yy) % 3)
+
+
+@pytest.mark.parametrize("size, level, message", [
+    (20, 1.0, "init mask shape (20, 20) differs from the image shape (24, 24)"),
+    (24, 2.0, "init mask has 3 phases, n_phases = 2"),
+], ids=["20x20", "label-2"])
+def test_exit_code_2_on_bad_init_mask(tmp_path, capsys, size, level, message):
+    # an init mask must have the image's shape and labels below n_phases:
+    # else it is refused (exit 2, named) before any output
+    path = tmp_path / "init.pgm"
+    labels = np.zeros((size, size))
+    labels[6:18, 6:18] = level
+    write_pgm(path, labels)
+    cfg = write_cfg(tmp_path, SCENE_24.replace("circle:12,12,4", f"mask:{path}"))
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "init.pgm" in err and message in err, err
+    assert list(out.iterdir()) == []
 
 
 DENOISE_CFG = """
@@ -637,8 +676,9 @@ def test_segment_checks_truth_phase_count_before_the_solve(tmp_path, capsys):
 
 @pytest.mark.parametrize("size, level, message", [
     (24, None, "No such file"), (24, 255.0, "truth has 256 phases, n_phases = 2"),
+    (24, 0.0, "truth has 1 phases, n_phases = 2"),
     (20, 1.0, "truth shape (20, 20) differs from the image shape (24, 24)"),
-], ids=["missing", "0-255-mask", "20x20"])
+], ids=["missing", "0-255-mask", "1-phase", "20x20"])
 def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, size, level,
                                                               message):
     # a named truth file is the truth, a synthetic scene's included: one that

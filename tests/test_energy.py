@@ -42,6 +42,8 @@ def test_params_defaults_and_validation():
         ModelParams(eta_relax=1.5).validate()
     with pytest.raises(ConfigError):
         ModelParams(gamma=-0.1).validate()
+    with pytest.raises(ConfigError):
+        ModelParams(p=-1.0).validate()
 
 
 @pytest.mark.parametrize("field, kwargs", [

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ictmseg.energy import IndicatorSet, SegState, fit_fields, fit_term, length_term
+from ictmseg.energy import IndicatorSet, SegState, fit_term, length_term
 from ictmseg.field import gaussian_kernel, inner_product
 from ictmseg.solve import threshold, update_means
 
-from oracles import float_masks, means_direct, phase_costs, stencil
+from oracles import fit_fields, float_masks, means_direct, phase_costs, stencil
 
 # few distinct values, so that equal costs and equal labels are common
 TIED = st.sampled_from([0.0, 0.25, 1.0, 3.0])

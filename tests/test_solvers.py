@@ -14,7 +14,6 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
-    fit_fields,
     gray_indicator,
     idiv_energy,
     length_potentials,
@@ -40,10 +39,10 @@ from ictmseg.solve import (
     update_image,
     update_means,
 )
-from oracles import (bias_direct, copy_state, fit_residual, fitting_energy, float_masks,
-                     from_masks, g_context, means_direct, phi_direct, relaxation_quadratic_root,
-                     rmsav_step_reference, run_inputs, stencil, threshold_fields,
-                     two_phase)
+from oracles import (bias_direct, copy_state, fit_fields, fit_residual, fitting_energy,
+                     float_masks, from_masks, g_context, means_direct, phi_direct,
+                     relaxation_quadratic_root, rmsav_step_reference, run_inputs, stencil,
+                     threshold_fields, two_phase)
 
 rng = np.random.default_rng(777)
 
@@ -942,9 +941,10 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # One outer iteration makes two fit-kernel convolutions in the bias
     # update plus K*b and K*b^2 after it; each partition the run holds, the
     # init and one per iteration, gets n - 1 heat-kernel convolutions for its
-    # length potentials; fit_fields makes K*b and K*b^2 of b = 1 in the
-    # caller, once, before the loop. A run of K iterations so makes 2 + 4K
-    # fit and (n - 1)(K + 1) heat convolutions.
+    # length potentials. The run starts from b = 1, whose fit fields are b
+    # itself (K*1 = 1), so none is made before the loop, and a frozen bias
+    # makes none at all. A run of K iterations so makes 4K fit and
+    # (n - 1)(K + 1) heat convolutions.
     # A fit convolution is counted under the iteration that asked for it:
     # the caller's under the one running, a helper job's under the one that
     # submitted it; a heat convolution under the partition whose mask it
@@ -1012,8 +1012,7 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     monkeypatch.setattr(ictmseg.solve, "on_helper", tagged)
     monkeypatch.setattr(ictmseg.solve, "update_means", means)
     monkeypatch.setattr(ictmseg.solve, "threshold", thresholding)
-    # K*b and K*b^2 of b = 1 before the loop
-    fit_budget = {-1: 2} if freeze_bias else {-1: 2, **{k: 4 for k in range(4)}}
+    fit_budget = {} if freeze_bias else {k: 4 for k in range(4)}
     for no_helper in (False, True):
         if no_helper:
             monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)

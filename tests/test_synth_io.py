@@ -24,14 +24,16 @@ rng = np.random.default_rng(4)
 # ----------------------------------------------------------------- synthesis
 
 def test_disk_area_close_to_analytic():
-    r = 40.0
-    spec = SynthSpec(size=(128, 128), background=50.0,
-                     shapes=(Shape("disk", (64.0, 64.0, r), 200.0),))
-    clean, truth, bias = generate(spec)
-    assert np.allclose(bias, 1.0)
-    area = float_masks(truth)[1].sum()
-    assert abs(area - np.pi * r * r) / (np.pi * r * r) < 0.01
-    assert set(np.unique(clean)) == {50.0, 200.0}
+    # a disk of radius 40, and a ring of radii 20 and 40
+    for shape, exact in [(Shape("disk", (64.0, 64.0, 40.0), 200.0), np.pi * 40.0**2),
+                         (Shape("ring", (64.0, 64.0, 20.0, 40.0), 200.0),
+                          np.pi * (40.0**2 - 20.0**2))]:
+        spec = SynthSpec(size=(128, 128), background=50.0, shapes=(shape,))
+        clean, truth, bias = generate(spec)
+        assert np.allclose(bias, 1.0)
+        area = float_masks(truth)[1].sum()
+        assert abs(area - exact) / exact < 0.01, shape.kind
+        assert set(np.unique(clean)) == {50.0, 200.0}
 
 
 def test_linear_ramp_scales_row_means():
