@@ -73,15 +73,25 @@ def _write_manifest(path, cfg: ExperimentConfig, extras: dict | None = None,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_partition(path, what: str, shape: tuple, n: int) -> IndicatorSet:
-    """The n-phase partition of the label map in the PGM at `path`, refused
-    unless it has the image's shape and no label of n or more."""
+def _read_labels(path, what: str, shape=None, of: str = "the image") -> np.ndarray:
+    """The integer label map in the PGM at `path`, refused unless its shape
+    is `shape` (`of`'s; any shape when None)."""
     labels = read_pgm(path).astype(np.int64)
-    if labels.shape != shape:
+    if shape is not None and labels.shape != shape:
         raise ConfigError(f"{path}: {what} shape {labels.shape} differs from "
-                          f"the image shape {shape}")
-    if labels.max() >= n:     # before any mask is made: a 0/255 map would make 256
-        raise ConfigError(f"{path}: {what} has {labels.max() + 1} phases, n_phases = {n}")
+                          f"{of} shape {shape}")
+    return labels
+
+
+def _check_truth(labels: np.ndarray, n: int, source) -> IndicatorSet:
+    """The run's truth: refused, naming `source`, unless its labels are 0 ..
+    n - 1, each on a pixel (counted before a mask is made: 0/255 makes 256)."""
+    counts = np.bincount(labels.ravel())
+    if counts.size != n:
+        raise ConfigError(f"{source}: truth has {counts.size} phases, n_phases = {n}")
+    if not counts.all():
+        raise ConfigError(f"{source}: truth phase {counts.argmin()} has no pixel, "
+                          f"n_phases = {n}")
     return IndicatorSet.from_labels(labels, n)
 
 
@@ -97,8 +107,12 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
         raise ConfigError("segmentation requires an 'init' contour spec")
     kind, args = _split_spec(spec_text)
     h, w = f.shape
-    if kind == "mask":
-        return _read_partition(args, "init mask", f.shape, n)
+    if kind == "mask":     # it may leave a phase empty: the solver flags that
+        labels = _read_labels(args, "init mask", f.shape)
+        if labels.max() >= n:
+            raise ConfigError(f"{args}: init mask has {labels.max() + 1} phases, "
+                              f"n_phases = {n}")
+        return IndicatorSet.from_labels(labels, n)
     if kind == "checkerboard":
         cell = _parse_ints(args, 1, "init checkerboard")[0]
         if cell < 1:
@@ -111,23 +125,24 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
                           "(circle|rect|checkerboard|mask)")
     shape, arity = shape_kinds[kind]
     values = tuple(_parse_floats(args, arity, f"init {kind}"))
-    interior = Shape(shape, values, 0.0).mask(h, w)
-    labels = np.zeros((h, w), dtype=np.int64)
-    outside = ~interior
-    order = np.argsort(f[outside], kind="stable")
-    exterior = np.empty(order.size, dtype=np.int64)
-    for phase, group in enumerate(np.array_split(order, n - 1), start=1):
-        exterior[group] = phase
-    labels[outside] = exterior
+    outside = ~Shape(shape, values, 0.0).mask(h, w)
+    labels = outside.astype(np.int64)     # one exterior group: no ranking
+    if n > 2:
+        order = np.argsort(f[outside], kind="stable")
+        exterior = np.empty(order.size, dtype=np.int64)
+        for phase, group in enumerate(np.array_split(order, n - 1), start=1):
+            exterior[group] = phase
+        labels[outside] = exterior
     return IndicatorSet.from_labels(labels, n)
 
 
 def _source(cfg: ExperimentConfig):
     """(image, truth): the configured image under the configured noise, not
-    clamped, and the synthetic truth (None for an input file, which noise
-    needs finite)."""
+    clamped, and the synthetic truth's label map (None for an input file,
+    which noise needs finite)."""
     if cfg.synth is not None:
-        clean, truth, _ = generate(cfg.synth)
+        clean, scene, _ = generate(cfg.synth)
+        truth = scene.labels()
     else:
         clean, truth = read_field(cfg.input), None
         bad = np.count_nonzero(~np.isfinite(clean)) if cfg.noise.kind != "none" else 0
@@ -139,9 +154,9 @@ def _source(cfg: ExperimentConfig):
 
 def _resolve_image(cfg: ExperimentConfig):
     """Produce (f, truth_or_None, warnings): the `_source` image clamped to
-    [0, 255], and the synthetic truth (None for an input file; `segment`
-    reads a named `truth = ...` file in its place). A clamp that changes
-    any pixel is reported as a run warning. Unless the config sets
+    [0, 255], and the synthetic truth's labels (None for an input file;
+    `segment` reads a named `truth = ...` file in its place). A clamp that
+    changes any pixel is reported as a run warning. Unless the config sets
     `intensity_scale`, it becomes the maximum of the clamped input, in
     `cfg.params` so that the manifest echoes it: the model is equivariant
     under scaling only when the scale follows the data."""
@@ -159,22 +174,20 @@ def _resolve_image(cfg: ExperimentConfig):
     return f, truth, warnings
 
 
-def _print_metric_rows(rows: list[dict]) -> None:
-    for row in rows:
-        print(f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
-              f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}")
-
-
 def _write_metric_rows(path, rows: list[dict], quiet: bool) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["class", "dsc", "iou",
-                                                "accuracy", "kappa"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
+    """The rows as a CSV at `path` (no file when None), printed unless quiet."""
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["class", "dsc", "iou",
+                                                    "accuracy", "kappa"])
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: (f"{v:.6f}" if isinstance(v, float) else v)
+                                 for k, v in row.items()})
     if not quiet:
-        _print_metric_rows(rows)
+        for row in rows:
+            print(f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
+                  f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}")
 
 
 # --------------------------------------------------------------------------
@@ -211,12 +224,9 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     init = _build_init(cfg.init, f, cfg.params.n_phases)
     cfg.params.validate(segmentation=True)    # a bad parameter is reported first
     if cfg.truth is not None:     # only segment scores a run; a named file wins
-        truth = _read_partition(cfg.truth, "truth", f.shape, cfg.params.n_phases)
-        if not truth.phase_masks()[-1].any():
-            raise ConfigError(f"{cfg.truth}: truth has {truth.labels().max() + 1} phases, "
-                              f"n_phases = {truth.n}")
-    if truth is not None and truth.n != cfg.params.n_phases:
-        raise ConfigError(f"truth has {truth.n} phases, n_phases = {cfg.params.n_phases}")
+        truth = _read_labels(cfg.truth, "truth", f.shape)
+    if truth is not None:
+        truth = _check_truth(truth, cfg.params.n_phases, cfg.truth or "synthetic scene")
     progress = None
     if not quiet:
         def progress(rec):
@@ -280,25 +290,13 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 
 def cmd_metrics(pred_path: str, truth_path: str, out: Path | None,
                 quiet: bool) -> int:
-    pred = read_pgm(pred_path)
-    truth = read_pgm(truth_path)
-    if pred.shape != truth.shape:
-        raise ConfigError("prediction and truth dimensions differ")
-    classes = np.union1d(np.unique(pred), np.unique(truth))
-    rows = []
-    if classes.size <= 2:
-        fg = classes[-1]
-        rows.append({"class": "foreground", **score_masks((pred == fg).astype(float),
-                                                          (truth == fg).astype(float))})
-    else:
-        for v in classes:
-            rows.append({"class": f"label_{int(v)}",
-                         **score_masks((pred == v).astype(float),
-                                       (truth == v).astype(float))})
-    if out is not None:
-        _write_metric_rows(out / "metrics.csv", rows, quiet)
-    elif not quiet:
-        _print_metric_rows(rows)
+    pred = _read_labels(pred_path, "prediction")
+    truth = _read_labels(truth_path, "truth", pred.shape, f"the prediction {pred_path}")
+    classes = np.union1d(pred, truth)     # two or fewer: score the larger alone
+    names = ["foreground"] if classes.size <= 2 else [f"label_{v}" for v in classes]
+    rows = [{"class": name, **score_masks(pred == v, truth == v)}
+            for name, v in zip(names, classes[-len(names):])]
+    _write_metric_rows(None if out is None else out / "metrics.csv", rows, quiet)
     return 0
 
 

@@ -252,6 +252,17 @@ def test_metrics_command_multiclass(tmp_path, capsys):
     assert float(rows[2]["dsc"]) == 1.0
 
 
+def test_metrics_refuses_a_shape_mismatch_naming_both_files(tmp_path, capsys):
+    # the prediction's shape is the reference; the refusal names both files
+    # and both shapes
+    write_pgm(tmp_path / "p20.pgm", np.zeros((20, 20)))
+    write_pgm(tmp_path / "t24.pgm", np.zeros((24, 24)))
+    assert main(["metrics", str(tmp_path / "p20.pgm"), str(tmp_path / "t24.pgm")]) == 2
+    err = capsys.readouterr().err
+    for part in ("p20.pgm", "t24.pgm", "(20, 20)", "(24, 24)"):
+        assert part in err, err
+
+
 def test_exit_code_2_on_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "nonsense = 1\n")
     assert main(["segment", "--config", str(cfg), "--quiet"]) == 2
@@ -327,6 +338,13 @@ def test_init_specs_give_their_shapes(tmp_path):
     write_pgm(tmp_path / "init.pgm", (xx + yy) % 3)
     mask = _build_init(f"mask:{tmp_path / 'init.pgm'}", f, 3).labels()
     assert np.array_equal(mask, (xx + yy) % 3)
+    # three phases rank the exterior by intensity: f rises in raster order,
+    # so the first (darker) half of the exterior is phase 1, the rest phase 2
+    three = _build_init("circle: 6, 8, 4", f, 3).labels()
+    assert np.array_equal(three == 0, circle == 0)
+    exterior = three[circle != 0]
+    half = (exterior.size + 1) // 2
+    assert np.array_equal(exterior, np.repeat([1, 2], [half, exterior.size - half]))
 
 
 @pytest.mark.parametrize("size, level, message", [
@@ -346,6 +364,17 @@ def test_exit_code_2_on_bad_init_mask(tmp_path, capsys, size, level, message):
     err = capsys.readouterr().err
     assert "init.pgm" in err and message in err, err
     assert list(out.iterdir()) == []
+
+
+def test_init_mask_may_leave_a_phase_empty(tmp_path):
+    # unlike a truth, an init mask need not hold every phase: the solver
+    # flags the empty phase as a run warning
+    path = tmp_path / "init.pgm"
+    write_pgm(path, np.zeros((24, 24)))
+    cfg = write_cfg(tmp_path, SCENE_24.replace("circle:12,12,4", f"mask:{path}"))
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert "# warning = phase 1 empty" in (out / "manifest.txt").read_text(encoding="utf-8")
 
 
 DENOISE_CFG = """
@@ -674,22 +703,34 @@ def test_segment_checks_truth_phase_count_before_the_solve(tmp_path, capsys):
     assert not (tmp_path / "o" / "labels.pgm").exists()
 
 
-@pytest.mark.parametrize("size, level, message", [
-    (24, None, "No such file"), (24, 255.0, "truth has 256 phases, n_phases = 2"),
-    (24, 0.0, "truth has 1 phases, n_phases = 2"),
-    (20, 1.0, "truth shape (20, 20) differs from the image shape (24, 24)"),
-], ids=["missing", "0-255-mask", "1-phase", "20x20"])
+def test_segment_refuses_a_scene_truth_with_an_empty_phase(tmp_path, capsys):
+    # a region wholly outside the image gives its truth phase no pixel: the
+    # scene is refused as its source before any output, not scored
+    cfg = write_cfg(tmp_path, SCENE_24.replace("disk:12,12,6,60", "disk:100,100,5,60"))
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "synthetic scene: truth has 1 phases, n_phases = 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("size, level, n, message", [
+    (24, None, 2, "No such file"), (24, 255.0, 2, "truth has 256 phases, n_phases = 2"),
+    (24, 0.0, 2, "truth has 1 phases, n_phases = 2"),
+    (20, 1.0, 2, "truth shape (20, 20) differs from the image shape (24, 24)"),
+    (24, 2.0, 3, "truth phase 1 has no pixel, n_phases = 3"),
+], ids=["missing", "0-255-mask", "1-phase", "20x20", "empty-phase-1"])
 def test_segment_of_a_synth_scene_reads_its_named_truth_file(tmp_path, capsys, size, level,
-                                                              message):
+                                                              n, message):
     # a named truth file is the truth, a synthetic scene's included: one that
-    # does not exist, whose labels make another phase count or whose shape is
-    # not the image's is refused (exit 2, named) before the solve
+    # does not exist, whose labels make another phase count or leave a phase
+    # without a pixel, or whose shape is not the image's is refused (exit 2,
+    # named) before the solve
     path = tmp_path / "named.pgm"
     if level is not None:
         truth = np.zeros((size, size))
         truth[6:18, 6:18] = level
         write_pgm(path, truth)
-    cfg = write_cfg(tmp_path, SCENE_24 + f"truth = {path}\n")
+    cfg = write_cfg(tmp_path, SCENE_24 + f"n_phases = {n}\ntruth = {path}\n")
     assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 2
     err = capsys.readouterr().err
