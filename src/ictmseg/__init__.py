@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .energy import (
     EnergyBreakdown,
-    FitFields,
     IndicatorSet,
     ModelParams,
     SegState,

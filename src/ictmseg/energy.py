@@ -18,7 +18,6 @@ force in `solve` is the exact gradient of the energy evaluated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +29,9 @@ __all__ = [
     "IndicatorSet",
     "SegState",
     "EnergyBreakdown",
-    "FitFields",
     "gray_indicator",
     "residual_fields",
     "idiv_energy",
-    "TVGradient",
     "tv_gradient",
     "tv_energy",
 ]
@@ -212,23 +209,15 @@ def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:
     return (smoothed / m) ** p
 
 
-class FitFields(NamedTuple):
-    """The two fit-kernel passes through which the model reads the bias,
-    K*b and K*b^2, new after each bias update. K*1 is not among them: the
-    kernel has unit mass and the boundary reflects, so K*1 = 1."""
-
-    kb: np.ndarray
-    kb2: np.ndarray
-
-
-def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
+def residual_fields(g: np.ndarray, c, kb: np.ndarray, kb2: np.ndarray) -> np.ndarray:
     """Stacked kernel-weighted squared residuals, one per mean c_i:
 
         e_i(x) = sum_y K(y-x) * (g(x) - b(y) * c_i)^2
                = g^2 - 2 c_i g (K*b) + c_i^2 (K*b^2)       (K*1 = 1),
 
-    clamped at 0 against roundoff. Each field is built in its own slot of
-    the stack, with one temporary.
+    `kb` and `kb2` being K*b and K*b^2 (K*1 = 1: the kernel has unit mass and
+    the boundary reflects), clamped at 0 against roundoff. Each field is built
+    in its own slot of the stack, with one temporary.
     """
     g = np.asarray(g, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -236,9 +225,9 @@ def residual_fields(g: np.ndarray, c, fields: FitFields) -> np.ndarray:
     e = np.empty((len(c),) + g.shape)
     for c_i, e_i in zip(c, e):
         np.multiply(2.0 * c_i, g, out=e_i)
-        e_i *= fields.kb
+        e_i *= kb
         np.subtract(g2, e_i, out=e_i)
-        e_i += c_i * c_i * fields.kb2
+        e_i += c_i * c_i * kb2
         np.maximum(e_i, 0.0, out=e_i)
     return e
 
@@ -280,21 +269,14 @@ def idiv_energy(g: np.ndarray, gamma_f: np.ndarray, gamma: float, g_floor: float
     return gamma * float(g.sum()) - float(np.einsum("ij,ij->", gamma_f, np.log(g)))
 
 
-class TVGradient(NamedTuple):
-    """Forward differences of g and mag = sqrt(|grad g|^2 + eps^2): what the
-    TV energy and its force both read."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-    mag: np.ndarray
-
-
-def tv_gradient(g: np.ndarray, eps_tv: float) -> TVGradient:
+def tv_gradient(g: np.ndarray, eps_tv: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gx, gy, mag): forward differences of g and mag = sqrt(|grad g|^2 + eps^2),
+    what the TV energy and its force both read."""
     gx, gy = gradient(g)
-    return TVGradient(gx, gy, np.sqrt(gx * gx + gy * gy + eps_tv * eps_tv))
+    return gx, gy, np.sqrt(gx * gx + gy * gy + eps_tv * eps_tv)
 
 
-def tv_energy(grad: TVGradient, alpha: np.ndarray, nu: float) -> float:
+def tv_energy(grad: tuple, alpha: np.ndarray, nu: float) -> float:
     """Weighted smoothed total variation nu * sum(alpha * sqrt(|grad g|^2 + eps^2))
     of the g whose `tv_gradient(g, eps)` is `grad`, in one pass."""
-    return nu * float(np.einsum("ij,ij->", alpha, grad.mag))
+    return nu * float(np.einsum("ij,ij->", alpha, grad[2]))

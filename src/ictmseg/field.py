@@ -80,7 +80,8 @@ def gaussian_kernel(std_dev: float) -> Kernel:
         raise ValueError(f"std_dev must be positive, got {std_dev}")
     radius = int(np.ceil(CUTOFF_SDS * std_dev))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    p = np.exp(-0.5 * (x / std_dev) ** 2)
+    with np.errstate(over="ignore"):    # a tiny std_dev: exp(-inf) = 0 off centre
+        p = np.exp(-0.5 * (x / std_dev) ** 2)
     return Kernel(radius=radius, profile=p / p.sum())
 
 

@@ -163,6 +163,8 @@ class ExperimentConfig:
     def _build_params(raw: dict) -> ModelParams:
         kwargs = {k: raw[k] for k in _MODEL_KEYS if k in raw}
         n = raw.get("n_phases", 2)
+        if not 2 <= n <= 256:       # labels.pgm holds labels 0..255
+            raise ConfigError(f"n_phases must lie in [2, 256], got {n}")
         lams = _parse_floats(raw.get("lambda", "1"), None, "lambda")
         if len(lams) == 1:
             lams = lams * n

@@ -46,11 +46,9 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalFailure
 from .energy import (
     EnergyBreakdown,
-    FitFields,
     IndicatorSet,
     ModelParams,
     SegState,
-    TVGradient,
     fit_term,
     gray_indicator,
     idiv_energy,
@@ -137,9 +135,13 @@ class OuterRecord:
     outer: int
     energy: EnergyBreakdown   # full joint energy at the end of the iteration
     eu_before: float          # partition energy of u^k  (same residual fields)
-    eu_after: float           # partition energy of u^{k+1}
     err1: float
     flags: tuple = ()
+
+    @property
+    def eu_after(self) -> float:
+        """Partition energy of u^{k+1}: its fit and length terms."""
+        return float(self.energy.fit + self.energy.length)
 
 
 @dataclass
@@ -152,17 +154,18 @@ class IterationLog:
 # --------------------------------------------------------------------------
 # closed-form subproblems
 
-def update_means(state: SegState, fields: FitFields) -> tuple[np.ndarray, list[str]]:
-    """Optimal region means c_i = <u_i * g, K*b> / <u_i, K*b^2>, `fields`
-    being the fit fields of `state.b`.
+def update_means(state: SegState, kb: np.ndarray,
+                 kb2: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Optimal region means c_i = <u_i * g, K*b> / <u_i, K*b^2>, `kb` and
+    `kb2` being K*b and K*b^2 of `state.b`.
 
     An empty phase (zero denominator) keeps its previous mean and is flagged;
     thresholding may repopulate it later.
     """
     c = np.array(state.c, dtype=np.float64)
     flags = []
-    nums = state.u.inner_products(state.g * fields.kb)
-    for i, denom in enumerate(state.u.inner_products(fields.kb2)):
+    nums = state.u.inner_products(state.g * kb)
+    for i, denom in enumerate(state.u.inner_products(kb2)):
         if denom <= 0.0:
             flags.append(f"phase {i} empty; keeping previous mean {c[i]:.6g}")
             continue
@@ -296,7 +299,7 @@ def _fit_energy(g: np.ndarray, ctx: GContext) -> float:
 
 
 def g_energy(g: np.ndarray, ctx: GContext,
-             grad: TVGradient) -> tuple[float, float, float, float]:
+             grad: tuple) -> tuple[float, float, float, float]:
     """E_g(g) = fitting + I-divergence + weighted TV; returns (total, parts).
     `grad` is `tv_gradient(g, ctx.eps_tv)`."""
     # The step calls this with the TV gradient of g_next alive: the sums make
@@ -497,15 +500,14 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
 
     def emit(outer, fit, eu_before, idiv, tv, err1, flags, length):
         record = OuterRecord(outer=outer, energy=EnergyBreakdown(fit, length, idiv, tv),
-                             eu_before=float(eu_before), eu_after=float(fit + length),
-                             err1=float(err1), flags=flags)
+                             eu_before=float(eu_before), err1=float(err1), flags=flags)
         log.outers.append(record)
         if progress is not None:
             progress(record)
 
     # K*b, K*b^2 change only with the bias; the length potentials only with u.
     # b = 1 and K*1 = 1: b is its own K*b and K*b^2; nothing writes into them.
-    fields = FitFields(state.b, state.b)
+    kb = kb2 = state.b
     last = None     # emit's arguments for the last iteration, but its length term
 
     err1 = np.inf
@@ -513,14 +515,13 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     while err1 > params.tol1 and k < params.max_outer:
         lengths = None
         try:
-            state.c, flags = update_means(state, fields)
+            state.c, flags = update_means(state, kb, kb2)
             log.warnings.extend(msg for msg in flags if msg not in log.warnings)
             if params.freeze_bias:
-                kb = fields.kb
                 lam_c2 = np.multiply(params.lambdas, state.c) * state.c
-                fit_const = inner_product(state.u.weighted_sum(lam_c2), fields.kb2)
+                fit_const = inner_product(state.u.weighted_sum(lam_c2), kb2)
             else:
-                del fields      # the old bias's; update_means was their last reader
+                del kb, kb2     # the old bias's; update_means was their last reader
                 state.b, den = update_bias(state, params, fit_kernel)
                 # K*b^2 is first read after the flow: the helper makes it meanwhile
                 kb2 = on_helper(lambda b: convolve(b * b, fit_kernel), state.b)
@@ -541,10 +542,9 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             flags.append(f"inner loop hit max_inner={params.max_inner}")
         idiv, tv = run.entry[1:]    # of state.g; binds no second ref to its TV force
         if not params.freeze_bias:
-            fields = FitFields(kb, kb2())
-        del kb
+            kb2 = kb2()     # the helper's K*b^2
 
-        e_fields = residual_fields(state.g, state.c, fields)
+        e_fields = residual_fields(state.g, state.c, kb, kb2)
         eu_before = fit_term(e_fields, state.u, params.lambdas) + length
         u_new = threshold(e_fields, potentials, params.lambdas, params.mu, time_px)
         fit_new = fit_term(e_fields, u_new, params.lambdas)

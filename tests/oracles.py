@@ -24,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ictmseg.energy import (EnergyBreakdown, FitFields, IndicatorSet, SegState, fit_term,
+from ictmseg.energy import (EnergyBreakdown, IndicatorSet, SegState, fit_term,
                             idiv_energy, length_potentials, length_term, residual_fields,
                             tv_energy, tv_gradient)
 from ictmseg.errors import NumericalFailure
@@ -60,9 +60,9 @@ def copy_state(state) -> SegState:
     return SegState(state.c.copy(), state.b.copy(), state.g.copy(), state.u)
 
 
-def fit_fields(b: np.ndarray, kernel) -> FitFields:
-    """K*b and K*b^2 of the bias `b`."""
-    return FitFields(convolve(b, kernel), convolve(b * b, kernel))
+def fit_fields(b: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(K*b, K*b^2) of the bias `b`."""
+    return convolve(b, kernel), convolve(b * b, kernel)
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -224,13 +224,13 @@ def divergence_slices(px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 def fit_residual(g: np.ndarray, b: np.ndarray, c_i: float, kernel) -> np.ndarray:
     """The residual field e_i of one mean c_i (see `residual_fields`)."""
-    return residual_fields(g, [c_i], fit_fields(b, kernel))[0]
+    return residual_fields(g, [c_i], *fit_fields(b, kernel))[0]
 
 
 def fitting_energy(state, params, kernel=None) -> float:
     """sum_i lam_i * <u_i, e_i>."""
     fields = fit_fields(state.b, kernel or gaussian_kernel(params.rho))
-    return fit_term(residual_fields(state.g, state.c, fields), state.u, params.lambdas)
+    return fit_term(residual_fields(state.g, state.c, *fields), state.u, params.lambdas)
 
 
 def length_energy(u, mu: float, time_px: float, kernel=None) -> float:
@@ -315,8 +315,8 @@ def fit_constant(state, params, kb2: np.ndarray) -> float:
 
 def g_context(state, params, fields, run):
     """`build_g_context` of `state` from its fit fields (`run_inputs`)."""
-    return build_g_context(state, params, fields.kb,
-                           fit_constant(state, params, fields.kb2), run)
+    kb, kb2 = fields
+    return build_g_context(state, params, kb, fit_constant(state, params, kb2), run)
 
 
 def relaxation_quadratic_root(z_tilde: float, z_prev: float, e_next: float,

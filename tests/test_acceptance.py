@@ -78,7 +78,7 @@ def sav_run(n_steps=60, n=64, seed=314):
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1, c0=1.0, eta_relax=0.99)
     fields, run = run_inputs(state, f, params)
-    state.c, _ = update_means(state, fields)
+    state.c, _ = update_means(state, *fields)
     ctx = g_context(state, params, fields, run)
     g = state.g.copy()
     e = evaluate(g, ctx)[0]
@@ -165,7 +165,7 @@ def test_criterion_04_exact_minimizer_stationarity():
         state = SegState(c=np.array([1.0 + rng.random(), 3.0 + rng.random()]),
                          b=rng.random((16, 16)) + 0.5,
                          g=rng.random((16, 16)) * 5 + 0.5, u=two_phase(mask))
-        state.c, _ = update_means(state, fit_fields(state.b, k))
+        state.c, _ = update_means(state, *fit_fields(state.b, k))
         base = fitting_energy(state, params, k)
         for i in range(2):
             for delta in (1e-3, -1e-3):
@@ -247,7 +247,7 @@ def test_criterion_08_oracle_equivalence():
     }
     state = SegState(c=c.copy(), b=b, g=g, u=u)
     params = ModelParams(rho=1.2, lambdas=(1.0, 1.0), mu=0.7)
-    c_new, _ = update_means(state, fit_fields(b, k))
+    c_new, _ = update_means(state, *fit_fields(b, k))
     gaps["means"] = max(abs(c_new[i] - means_direct(float_masks(u)[i], g, b, stencil(k)))
                         for i in range(2))
     gaps["bias"] = np.abs(update_bias(state, params, k)[0]

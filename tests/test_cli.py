@@ -703,6 +703,19 @@ def test_segment_checks_truth_phase_count_before_the_solve(tmp_path, capsys):
     assert not (tmp_path / "o" / "labels.pgm").exists()
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 257])
+def test_exit_code_2_on_n_phases_out_of_range(tmp_path, capsys, n):
+    # labels.pgm is 8-bit, so it holds at most 256 phases; fewer than 2 is no
+    # partition. Either is refused by name before any output, truth or none.
+    write_f64(tmp_path / "in.f64", np.full((24, 24), 100.0))
+    cfg = write_cfg(tmp_path, f"input = {tmp_path / 'in.f64'}\ninit = circle:12,12,4\n"
+                              f"n_phases = {n}\nmax_outer = 2\n")
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"n_phases must lie in [2, 256], got {n}" in capsys.readouterr().err
+    assert not out.exists()     # refused as the config is read
+
+
 def test_segment_refuses_a_scene_truth_with_an_empty_phase(tmp_path, capsys):
     # a region wholly outside the image gives its truth phase no pixel: the
     # scene is refused as its source before any output, not scored

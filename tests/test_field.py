@@ -60,12 +60,14 @@ def test_gaussian_kernel_matches_sampled_density():
 
 
 def test_kernel_symmetry_and_positivity():
-    for std in (0.7, 1.0, 3.0):
+    for std in (0.7, 1.0, 3.0, 1e-200):
         k = gaussian_kernel(std)
         w = stencil(k)
         assert (w >= 0).all()
         assert np.array_equal(w, w[::-1, :])
         assert np.array_equal(w, w[:, ::-1])
+    # a tiny std is the identity, made without overflow
+    assert np.array_equal(gaussian_kernel(1e-200).profile, [0.0, 1.0, 0.0])
 
 
 def test_gaussian_kernel_rejects_bad_params():

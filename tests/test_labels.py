@@ -65,7 +65,7 @@ def test_phase_sum_means_match_direct_quotient(u, seed):
     state = SegState(c=1.0 + r.random(u.n), b=r.random(u.shape) + 0.5,
                      g=r.random(u.shape) * 5 + 0.5, u=u)
     k = gaussian_kernel(1.0)
-    c, flags = update_means(state, fit_fields(state.b, k))
+    c, flags = update_means(state, *fit_fields(state.b, k))
     masks = float_masks(u)
     for i in range(u.n):
         if masks[i].any():

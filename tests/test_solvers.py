@@ -65,7 +65,7 @@ def test_update_means_constants_pass_through():
     u = two_phase(np.ones((n, n)))
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.full((n, n), 5.0), u=u)
-    c, flags = update_means(state, fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
+    c, flags = update_means(state, *fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
     assert c[0] == pytest.approx(5.0, rel=1e-12)
     assert any("phase 1" in f for f in flags)  # empty phase keeps previous
     assert c[1] == 0.0
@@ -76,14 +76,14 @@ def test_update_means_constant_bias_scales():
     u = two_phase(np.ones((n, n)))
     state = SegState(c=np.zeros(2), b=np.full((n, n), 2.0),
                      g=np.full((n, n), 5.0), u=u)
-    c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
+    c, _ = update_means(state, *fit_fields(state.b, gaussian_kernel(ModelParams().rho)))
     assert c[0] == pytest.approx(2.5, rel=1e-12)  # (5*2) / (2^2)
 
 
 def test_update_means_matches_direct_quotient():
     state = random_instance()
     k = gaussian_kernel(1.2)
-    c, _ = update_means(state, fit_fields(state.b, k))
+    c, _ = update_means(state, *fit_fields(state.b, k))
     for i in range(2):
         ref = means_direct(float_masks(state.u)[i], state.g, state.b, stencil(k))
         assert c[i] == pytest.approx(ref, abs=1e-10, rel=1e-10)
@@ -94,7 +94,7 @@ def test_update_means_is_stationary():
     k = gaussian_kernel(params.rho)
     for _ in range(20):
         state = random_instance(16)
-        c, _ = update_means(state, fit_fields(state.b, k))
+        c, _ = update_means(state, *fit_fields(state.b, k))
         state.c = c
         base = fitting_energy(state, params, k)
         for i in range(2):
@@ -242,7 +242,7 @@ def noisy_context(n=16, gamma=0.1, nu=1.0, dt=0.1):
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=gamma, nu=nu, dt=dt)
-    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
+    state.c, _ = update_means(state, *fit_fields(state.b, gaussian_kernel(params.rho)))
     ctx = make_context(state, f, params)
     return state.g.copy(), ctx
 
@@ -330,7 +330,7 @@ def unit_scale_context(near_floor: bool, n=32):
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.1, nu=1.0, dt=0.1)
-    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
+    state.c, _ = update_means(state, *fit_fields(state.b, gaussian_kernel(params.rho)))
     return state.g.copy(), make_context(state, f, params)
 
 
@@ -785,7 +785,7 @@ def test_update_image_denoises_gamma_corruption():
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(mask))
     params = ModelParams(gamma=0.5, nu=2.0)
-    state.c, _ = update_means(state, fit_fields(state.b, gaussian_kernel(params.rho)))
+    state.c, _ = update_means(state, *fit_fields(state.b, gaussian_kernel(params.rho)))
     g, records, _ = image_flow(state, f, params)
     assert idiv_distance(clean, g) < idiv_distance(clean, f)
     assert len(records) >= 1
