@@ -11,7 +11,6 @@ flow for the smooth image, and convolution thresholding for the partition.
 __version__ = "0.1.0"
 
 from .energy import (
-    EnergyBreakdown,
     IndicatorSet,
     ModelParams,
     SegState,

@@ -48,9 +48,9 @@ def _write_energy_csv(path, inners, outers=()) -> None:
     rows = [(r.outer, 0, [r.outer, r.inner, _fmt(r.fit), "", _fmt(r.idiv), _fmt(r.tv),
                           _fmt(r.energy), "", _fmt(r.z_sq), _fmt(r.xi), "", _fmt(r.err2)])
             for r in inners]
-    rows += [(r.outer, 1, [r.outer, "", _fmt(r.energy.fit), _fmt(r.energy.length),
-                           _fmt(r.energy.idiv), _fmt(r.energy.tv), _fmt(r.energy.total),
-                           _fmt(r.eu_after), "", "", _fmt(r.err1), ""])
+    rows += [(r.outer, 1, [r.outer, "", _fmt(r.fit), _fmt(r.length), _fmt(r.idiv),
+                           _fmt(r.tv), _fmt(r.total), _fmt(r.eu_after), "", "",
+                           _fmt(r.err1), ""])
              for r in outers]
     rows.sort(key=lambda row: row[:2])
     with open(path, "w", newline="") as fh:
@@ -230,7 +230,7 @@ def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     progress = None
     if not quiet:
         def progress(rec):
-            print(f"outer {rec.outer:4d}  E={rec.energy.total:.6e}  "
+            print(f"outer {rec.outer:4d}  E={rec.total:.6e}  "
                   f"E_u={rec.eu_after:.6e}  err1={rec.err1:.3e}")
     state, log = segment(f, init, cfg.params, progress=progress)
 

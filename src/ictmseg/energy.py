@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError
-from .field import Kernel, convolve, gaussian_kernel, gradient
+from .field import CUTOFF_SDS, MAX_RADIUS, Kernel, convolve, gaussian_kernel, gradient
 
 __all__ = [
     "ModelParams",
     "IndicatorSet",
     "SegState",
-    "EnergyBreakdown",
     "gray_indicator",
     "residual_fields",
     "idiv_energy",
@@ -102,6 +101,12 @@ class ModelParams:
         for name in ("rho", "tau", "sigma", "c0", "eps_tv", "g_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        tiny = np.finfo(np.float64).tiny      # the TV term divides by sqrt(... + eps^2)
+        if self.eps_tv * self.eps_tv < tiny:
+            raise ConfigError(f"eps_tv must be at least {np.sqrt(tiny):.3g} (its square "
+                              f"must not underflow), got {self.eps_tv!r}")
+        for name in ("rho", "sigma"):
+            _refuse_wide_kernel(getattr(self, name), f"{name} = {getattr(self, name):.6g}")
         if not 0.0 <= self.eta_relax <= 1.0:
             raise ConfigError("eta_relax must lie in [0, 1]")
         if self.tol1 < 0 or self.tol2 < 0:
@@ -111,11 +116,23 @@ class ModelParams:
         return self
 
     def heat_time_pixels(self, shape: tuple[int, int]) -> float:
-        """Length-kernel heat time in pixel^2 units for an image shape."""
-        if self.tau_in_pixels:
-            return self.tau
-        scale = float(max(shape))
-        return self.tau * scale * scale
+        """Length-kernel heat time in pixel^2 units for an image shape,
+        refused when its kernel would be wider than `MAX_RADIUS`."""
+        time_px = self.tau
+        if not self.tau_in_pixels:
+            scale = float(max(shape))
+            time_px = self.tau * scale * scale
+        _refuse_wide_kernel(np.sqrt(2.0 * time_px),
+                            f"tau = {self.tau:.6g} (heat time {time_px:.6g} px^2)")
+        return time_px
+
+
+def _refuse_wide_kernel(std: float, what: str) -> None:
+    """Refuse, naming `what`, a Gaussian std whose kernel `gaussian_kernel`
+    would not make."""
+    if CUTOFF_SDS * std > MAX_RADIUS:
+        raise ConfigError(f"{what} gives a Gaussian kernel of std {std:.6g} px, "
+                          f"wider than the {MAX_RADIUS}-px radius limit")
 
 
 class IndicatorSet:
@@ -177,18 +194,6 @@ class SegState:
     b: np.ndarray
     g: np.ndarray
     u: IndicatorSet
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    fit: float
-    length: float
-    idiv: float
-    tv: float
-
-    @property
-    def total(self) -> float:
-        return self.fit + self.length + self.idiv + self.tv
 
 
 def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:

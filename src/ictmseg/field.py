@@ -37,6 +37,9 @@ __all__ = [
 
 # Kernels are cut off at this many standard deviations, then renormalized.
 CUTOFF_SDS = 4.0
+# A wider kernel, of std above MAX_RADIUS / CUTOFF_SDS = 2^18 px, is refused
+# before its 2 * radius + 1 taps are made (16 MiB of profile at this radius).
+MAX_RADIUS = 2**20
 
 
 def as_field(values) -> np.ndarray:
@@ -78,6 +81,8 @@ def gaussian_kernel(std_dev: float) -> Kernel:
     at `CUTOFF_SDS` standard deviations and renormalized to unit sum."""
     if std_dev <= 0:
         raise ValueError(f"std_dev must be positive, got {std_dev}")
+    if CUTOFF_SDS * std_dev > MAX_RADIUS:
+        raise ValueError(f"std_dev {std_dev} needs a kernel radius above {MAX_RADIUS} px")
     radius = int(np.ceil(CUTOFF_SDS * std_dev))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(over="ignore"):    # a tiny std_dev: exp(-inf) = 0 off centre

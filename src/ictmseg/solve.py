@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailure
 from .energy import (
-    EnergyBreakdown,
     IndicatorSet,
     ModelParams,
     SegState,
@@ -132,16 +131,26 @@ class InnerRecord:
 
 @dataclass(frozen=True)
 class OuterRecord:
+    """Outer iteration k: the four terms of the joint energy at its end, of
+    (c, b, g) and u^{k+1}, and the partition energy of u^k."""
+
     outer: int
-    energy: EnergyBreakdown   # full joint energy at the end of the iteration
+    fit: float
+    length: float
+    idiv: float
+    tv: float
     eu_before: float          # partition energy of u^k  (same residual fields)
     err1: float
-    flags: tuple = ()
+    flags: tuple
+
+    @property
+    def total(self) -> float:
+        return self.fit + self.length + self.idiv + self.tv
 
     @property
     def eu_after(self) -> float:
         """Partition energy of u^{k+1}: its fit and length terms."""
-        return float(self.energy.fit + self.energy.length)
+        return float(self.fit + self.length)
 
 
 @dataclass
@@ -498,17 +507,15 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
 
     log = IterationLog()
 
-    def emit(outer, fit, eu_before, idiv, tv, err1, flags, length):
-        record = OuterRecord(outer=outer, energy=EnergyBreakdown(fit, length, idiv, tv),
-                             eu_before=float(eu_before), err1=float(err1), flags=flags)
-        log.outers.append(record)
+    def emit(length):       # the pending record, now that its length term is made
+        log.outers.append(OuterRecord(**pending, length=length))
         if progress is not None:
-            progress(record)
+            progress(log.outers[-1])
 
     # K*b, K*b^2 change only with the bias; the length potentials only with u.
     # b = 1 and K*1 = 1: b is its own K*b and K*b^2; nothing writes into them.
     kb = kb2 = state.b
-    last = None     # emit's arguments for the last iteration, but its length term
+    pending = None      # the last iteration's record fields, but its length term
 
     err1 = np.inf
     k = 0
@@ -535,8 +542,8 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
                 state.g, build_g_context(state, params, kb, fit_const, run), run, params, k)
         finally:        # the last record, even when this iteration fails early
             potentials, length = lengths() if lengths else length_of(state.u)
-            if last is not None:
-                emit(*last, length)
+            if pending is not None:
+                emit(length)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
@@ -551,9 +558,10 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         del e_fields, potentials, lengths   # lengths holds them too
         err1 = u_new.distance(state.u)
         state.u = u_new
-        last = (k, fit_new, eu_before, idiv, tv, err1, tuple(flags))
+        pending = dict(outer=k, fit=fit_new, idiv=idiv, tv=tv, eu_before=float(eu_before),
+                       err1=err1, flags=tuple(flags))
         k += 1
-    emit(*last, length_of(state.u)[1])
+    emit(length_of(state.u)[1])
 
     if err1 > params.tol1:
         log.warnings.append(f"stopped at max_outer={params.max_outer} "

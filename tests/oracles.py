@@ -24,8 +24,8 @@ from itertools import permutations
 
 import numpy as np
 
-from ictmseg.energy import (EnergyBreakdown, IndicatorSet, SegState, fit_term,
-                            idiv_energy, length_potentials, length_term, residual_fields,
+from ictmseg.energy import (IndicatorSet, SegState, fit_term, idiv_energy,
+                            length_potentials, length_term, residual_fields,
                             tv_energy, tv_gradient)
 from ictmseg.errors import NumericalFailure
 from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
@@ -247,14 +247,14 @@ def length_energy(u, mu: float, time_px: float, kernel=None) -> float:
 
 
 def total_energy(state, f: np.ndarray, alpha: np.ndarray, params,
-                 fit_kernel=None, length_kernel=None) -> EnergyBreakdown:
-    """All four terms of the joint objective, plus their sum."""
+                 fit_kernel=None, length_kernel=None) -> tuple[float, float, float, float]:
+    """The four terms of the joint objective, (fit, length, idiv, tv)."""
     time_px = params.heat_time_pixels(state.g.shape)
     fit = fitting_energy(state, params, fit_kernel)
     length = length_energy(state.u, params.mu, time_px, length_kernel)
     idiv = idiv_energy(state.g, params.gamma * f, params.gamma, params.g_floor)
     tv = tv_energy(tv_gradient(state.g, params.eps_tv), alpha, params.nu)
-    return EnergyBreakdown(fit, length, idiv, tv)
+    return fit, length, idiv, tv
 
 
 def phase_costs(e_fields: np.ndarray, potentials: np.ndarray, lambdas,

@@ -330,7 +330,7 @@ def test_criterion_11_reduction_to_clustering_model():
     init[16:52, 16:52] = 1.0
     params = ModelParams(gamma=0.0, nu=0.0, max_inner=0, freeze_bias=True)
     state, log = segment(clean, two_phase(init), params)
-    final = log.outers[-1].energy
+    final = log.outers[-1]
     term_ok = (final.idiv == 0.0 and final.tv == 0.0
                and final.total == final.fit + final.length)
     masks = float_masks(state.u)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import ictmseg
-from ictmseg.cli import ENERGY_COLUMNS, _build_init, main
+from ictmseg.cli import ENERGY_COLUMNS, _build_init, _fmt, main
 from ictmseg.fileio import read_f64, read_pgm, write_f64, write_pgm
+from ictmseg.solve import segment
 
 from oracles import float_masks
 
@@ -126,6 +127,34 @@ def test_energy_csv_keeps_the_sav_stability_law(tmp_path, command, text):
     for prev, row in pairs:
         assert float(row["z_sq"]) <= float(prev["z_sq"]), (prev, row)
     assert all(0.0 <= float(r["xi"]) <= 1.0 for r in steps)
+
+
+def test_energy_csv_outer_rows_are_the_run_records(tmp_path, monkeypatch):
+    # one summary row per OuterRecord, in order, each number the record's
+    # own value as _fmt writes it
+    from ictmseg import cli
+
+    logs = []
+
+    def keeping_the_log(*args, **kwargs):
+        state, log = segment(*args, **kwargs)
+        logs.append(log)
+        return state, log
+
+    monkeypatch.setattr(cli, "segment", keeping_the_log)
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(write_cfg(tmp_path, SEG_CFG)), "--out", str(out),
+                 "--quiet"]) == 0
+    with open(out / "energy.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["inner_iter"] == ""]
+    (log,) = logs
+    assert len(rows) == len(log.outers) > 1
+    for row, rec in zip(rows, log.outers):
+        assert row == {"outer_iter": str(rec.outer), "inner_iter": "", "E_fit": _fmt(rec.fit),
+                       "E_len": _fmt(rec.length), "E_idiv": _fmt(rec.idiv),
+                       "E_tv": _fmt(rec.tv), "E_total": _fmt(rec.total),
+                       "E_u": _fmt(rec.eu_after), "z_sq": "", "xi": "",
+                       "err1": _fmt(rec.err1), "err2": ""}
 
 
 def test_segment_rerun_is_byte_identical(tmp_path):
@@ -638,6 +667,33 @@ def test_exit_code_2_on_non_finite_parameter(tmp_path, capsys, command, key, val
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"{key}: numbers must be finite, got '{value}'" in err, err
+    assert not list(out.glob("*"))   # no output written
+
+
+@pytest.mark.parametrize("command", ["segment", "denoise"])
+def test_exit_code_2_on_eps_tv_whose_square_underflows(tmp_path, capsys, command):
+    # eps^2 of 1e-200 is 0: the TV flux would divide by it on every flat patch
+    cfg = write_cfg(tmp_path, SCENE_24 + "eps_tv = 1e-200\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "eps_tv must be at least 1.49e-154" in err and "1e-200" in err, err
+    assert not out.exists()     # refused as the config is read
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("segment", "rho", "1e15"), ("segment", "sigma", "1e15"), ("denoise", "sigma", "1e15"),
+    ("segment", "tau", "1e30"),
+])
+def test_exit_code_2_on_a_kernel_too_wide_to_build(tmp_path, capsys, command, key, value):
+    # a Gaussian wider than MAX_RADIUS is refused, by the key that sets it,
+    # before its taps are allocated; the heat time depends on the image's
+    # shape, so tau is refused as the solve starts, still before any output
+    cfg = write_cfg(tmp_path, SCENE_24 + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} = {float(value):.6g}" in err and "radius limit" in err, err
     assert not list(out.glob("*"))   # no output written
 
 

@@ -6,7 +6,6 @@ import pytest
 import ictmseg.energy
 import ictmseg.field
 from ictmseg.energy import (
-    EnergyBreakdown,
     IndicatorSet,
     ModelParams,
     SegState,
@@ -55,6 +54,31 @@ def test_params_must_be_finite(field, kwargs):
     # NaN passes every ordering check, and inf every lower bound
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ModelParams(**kwargs).validate()
+
+
+def test_params_refuse_an_eps_tv_whose_square_underflows():
+    # |grad g|_eps squares eps: below about 1.49e-154 the square is no normal
+    # float, and on a flat patch the TV flux divides by 0
+    with pytest.raises(ConfigError, match="eps_tv must be at least 1.49e-154"):
+        ModelParams(eps_tv=1e-200).validate()
+    assert ModelParams(eps_tv=1e-150).validate().eps_tv == 1e-150
+
+
+@pytest.mark.parametrize("name", ["rho", "sigma"])
+def test_params_refuse_a_kernel_too_wide_to_build(name):
+    # refused before a tap is made: 1e15 px would ask for 57 PiB of profile
+    with pytest.raises(ConfigError, match=f"{name} = 1e\\+15 gives a Gaussian kernel"):
+        ModelParams(**{name: 1e15}).validate()
+    assert getattr(ModelParams(**{name: 2.0**18}).validate(), name) == 2.0**18
+
+
+def test_heat_time_refuses_a_kernel_too_wide_to_build():
+    with pytest.raises(ConfigError, match="tau = 1e\\+30"):
+        ModelParams(tau=1e30).heat_time_pixels((24, 24))
+    with pytest.raises(ConfigError, match="tau = 1e\\+15"):
+        ModelParams(tau=1e15, tau_in_pixels=True).heat_time_pixels((24, 24))
+    # std sqrt(2 t) = 2^18 px, the widest kernel made
+    assert ModelParams(tau=2.0**35, tau_in_pixels=True).heat_time_pixels((9, 9)) == 2.0**35
 
 
 def test_heat_time_conversion():
@@ -327,14 +351,13 @@ def test_total_energy_is_sum_of_term_ops():
     f = rng.random((8, 8)) * 5 + 0.5
     params = ModelParams(tau_in_pixels=True, tau=3.0)
     alpha = gray_indicator(f, params.sigma, params.p)
-    bd = total_energy(state, f, alpha, params)
-    assert bd.total == pytest.approx(bd.fit + bd.length + bd.idiv + bd.tv, rel=1e-12)
-    assert bd.fit == pytest.approx(fitting_energy(state, params), rel=1e-10)
-    assert bd.length == pytest.approx(
+    fit, length, idiv, tv = total_energy(state, f, alpha, params)
+    assert fit == pytest.approx(fitting_energy(state, params), rel=1e-10)
+    assert length == pytest.approx(
         length_energy(state.u, params.mu, 3.0), rel=1e-10)
-    assert bd.idiv == pytest.approx(
+    assert idiv == pytest.approx(
         idiv_energy(state.g, params.gamma * f, params.gamma, params.g_floor), rel=1e-10)
-    assert bd.tv == pytest.approx(
+    assert tv == pytest.approx(
         tv_energy(tv_gradient(state.g, params.eps_tv), alpha, params.nu), rel=1e-10)
 
 
@@ -343,9 +366,9 @@ def test_total_energy_reduces_when_denoising_off():
     f = state.g.copy()
     params = ModelParams(gamma=0.0, nu=0.0, tau_in_pixels=True, tau=3.0)
     alpha = np.ones_like(f)
-    bd = total_energy(state, f, alpha, params)
-    assert bd.idiv == 0.0 and bd.tv == 0.0
-    assert bd.total == bd.fit + bd.length
+    fit, length, idiv, tv = total_energy(state, f, alpha, params)
+    assert idiv == 0.0 and tv == 0.0
+    assert fit + length + idiv + tv == fit + length
 
 
 def test_total_energy_perfect_single_phase_zero():
@@ -354,8 +377,7 @@ def test_total_energy_perfect_single_phase_zero():
     g = np.full((n, n), 2.0)
     state = SegState(c=np.array([2.0, 0.0]), b=np.ones((n, n)), g=g, u=u)
     params = ModelParams(gamma=0.0, nu=0.0, mu=1.0, tau_in_pixels=True, tau=3.0)
-    bd = total_energy(state, g, np.ones_like(g), params)
-    assert bd.total < 1e-9
+    assert sum(total_energy(state, g, np.ones_like(g), params)) < 1e-9
 
 
 def test_partition_energy_matches_parts():
@@ -368,8 +390,3 @@ def test_partition_energy_matches_parts():
                   for i in range(2))
               + length_energy(state.u, params.mu, 3.0))
     assert val == pytest.approx(expect, rel=1e-12)
-
-
-def test_energy_breakdown_build():
-    bd = EnergyBreakdown(1.0, 2.0, 3.0, 4.0)
-    assert bd.total == 10.0

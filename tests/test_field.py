@@ -75,6 +75,9 @@ def test_gaussian_kernel_rejects_bad_params():
         gaussian_kernel(0.0)
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0)
+    # wider than MAX_RADIUS: refused before any tap is made
+    with pytest.raises(ValueError, match="kernel radius above 1048576 px"):
+        gaussian_kernel(np.nextafter(2.0**18, np.inf))
 
 
 def test_heat_kernel_std_and_second_moment():

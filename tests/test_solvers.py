@@ -434,14 +434,14 @@ def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
     params = ModelParams(max_outer=1, max_inner=steps, tol2=0.0)
     _, log = segment(f, two_phase(init), params)
     assert len(log.inners) == steps and len(calls) == steps + 1
-    last, rec = log.inners[-1], log.outers[0].energy
+    last, rec = log.inners[-1], log.outers[0]
     assert (rec.idiv, rec.tv) == (last.idiv, last.tv)
     # with no flow step the record evaluates both terms at the unchanged g
     params = ModelParams(max_outer=1, max_inner=0)
     _, log = segment(f, two_phase(init), params)
     g = np.maximum(f / params.intensity_scale, params.g_floor)
     alpha = gray_indicator(f / params.intensity_scale, params.sigma, params.p)
-    rec = log.outers[0].energy
+    rec = log.outers[0]
     assert rec.idiv == idiv_energy(g, params.gamma * (f / params.intensity_scale),
                                    params.gamma, params.g_floor)
     assert rec.tv == tv_energy(tv_gradient(g, params.eps_tv), alpha, params.nu)
@@ -543,7 +543,8 @@ def test_segment_bits_do_not_depend_on_thread_timing(monkeypatch):
 def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
     # The helper makes a partition's potentials and length term while the
     # next iteration runs; record k still carries the length term of the
-    # partition iteration k made, and eu_after its fit plus that length.
+    # partition iteration k made, eu_after its fit plus that length, and
+    # total the four terms summed in order.
     import ictmseg.solve
 
     partitions = []
@@ -561,8 +562,9 @@ def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
     assert len(log.outers) == len(partitions) == 6
     for rec, u in zip(log.outers, partitions):
         length = length_term(u, length_potentials(u, kernel), params.mu, time_px)
-        assert rec.energy.length == length
-        assert rec.eu_after == float(rec.energy.fit + length)
+        assert rec.length == length
+        assert rec.eu_after == float(rec.fit + length)
+        assert rec.total == rec.fit + length + rec.idiv + rec.tv
 
 
 @pytest.mark.parametrize("helper", [True, False], ids=["helper", "no-helper"])
