@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .fileio import (
     write_pgm,
 )
 from .metrics import match_phases, multiphase_report, score_masks
-from .noise import corrupt
+from .noise import NoiseSpec, corrupt
 from .solve import FlowRun, segment, update_image
 from .synth import Shape, generate
 
@@ -170,7 +169,7 @@ def _resolve_image(cfg: ExperimentConfig):
         if peak == 0.0:
             raise ConfigError("input is all zero after the clamp to [0, 255]: "
                               "no intensity_scale can be taken from it")
-        cfg.params = replace(cfg.params, intensity_scale=peak)
+        cfg.params = cfg.params._replace(intensity_scale=peak)
     return f, truth, warnings
 
 
@@ -268,7 +267,7 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     """
     f, _, warnings = _resolve_image(cfg)
     if "max_inner" not in cfg.raw:
-        cfg.params = replace(cfg.params, max_inner=500)
+        cfg.params = cfg.params._replace(max_inner=500)
     params = cfg.params
     f = f / params.intensity_scale
     run = FlowRun.start(f, params)
@@ -334,7 +333,7 @@ def run(argv=None) -> int:
         return cmd_metrics(args.pred, args.truth, out, args.quiet)
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.noise = replace(cfg.noise, seed=args.seed)
+        cfg.noise = NoiseSpec(cfg.noise.kind, cfg.noise.looks, args.seed)
     if args.out is not None:
         cfg.out = args.out
     out = Path(cfg.out)

@@ -17,7 +17,7 @@ force in `solve` is the exact gradient of the energy evaluated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ModelParams:
+class ModelParams(NamedTuple):
     """All tunables of the model and its solver, in the order the run manifest
     lists them; the config keys are these names, with `lambdas` read from
     `n_phases` and `lambda`.
@@ -83,7 +82,7 @@ class ModelParams:
 
     def validate(self, segmentation: bool = False) -> "ModelParams":
         """Refuse values out of range; with `segmentation`, also a zero λ."""
-        for name, value in [*(("lambdas", l) for l in self.lambdas), *vars(self).items()]:
+        for name, value in [*(("lambdas", l) for l in self.lambdas), *self._asdict().items()]:
             if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_phases < 2:
@@ -117,13 +116,18 @@ class ModelParams:
 
     def heat_time_pixels(self, shape: tuple[int, int]) -> float:
         """Length-kernel heat time in pixel^2 units for an image shape,
-        refused when its kernel would be wider than `MAX_RADIUS`."""
+        refused when its kernel would be narrower than a pixel (as
+        `heat_kernel_pixels` refuses it) or wider than `MAX_RADIUS`."""
         time_px = self.tau
         if not self.tau_in_pixels:
             scale = float(max(shape))
             time_px = self.tau * scale * scale
-        _refuse_wide_kernel(np.sqrt(2.0 * time_px),
-                            f"tau = {self.tau:.6g} (heat time {time_px:.6g} px^2)")
+        std = np.sqrt(2.0 * time_px)
+        what = f"tau = {self.tau:.6g} (heat time {time_px:.6g} px^2)"
+        if CUTOFF_SDS * std < 1.0:
+            raise ConfigError(f"{what} gives a sub-pixel heat kernel (std {std:.4f} px); "
+                              "increase tau")
+        _refuse_wide_kernel(std, what)
         return time_px
 
 
@@ -186,14 +190,11 @@ class IndicatorSet:
         return float(np.sqrt(2.0 * np.count_nonzero(self._labels != other._labels)))
 
 
-@dataclass
 class SegState:
     """Current iterate: means c, bias b, smooth image g, partition u."""
 
-    c: np.ndarray
-    b: np.ndarray
-    g: np.ndarray
-    u: IndicatorSet
+    def __init__(self, c: np.ndarray, b: np.ndarray, g: np.ndarray, u: IndicatorSet):
+        self.c, self.b, self.g, self.u = c, b, g, u
 
 
 def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:

@@ -16,7 +16,6 @@ import importlib.machinery
 import importlib.util
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -52,7 +51,6 @@ def as_field(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class Kernel:
     """Separable, symmetric 2-D smoothing kernel.
 
@@ -61,10 +59,9 @@ class Kernel:
     and are symmetric under x -> -x and y -> -y.
     """
 
-    radius: int
-    profile: np.ndarray
-    _multipliers: dict = dc_field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
+    def __init__(self, radius: int, profile: np.ndarray):
+        self.radius, self.profile = radius, profile
+        self._multipliers = {}
 
     def multiplier(self, n: int) -> np.ndarray:
         """The profile's DCT-II eigenvalues on n samples, made once per n."""

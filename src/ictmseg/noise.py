@@ -7,15 +7,12 @@ gives bit-identical output on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["NoiseSpec", "sample_gamma_field", "apply_multiplicative", "apply_poisson",
            "corrupt"]
 
 
-@dataclass(frozen=True)
 class NoiseSpec:
     """What corruption to apply: kind in {'none', 'gamma', 'poisson'}.
 
@@ -23,15 +20,12 @@ class NoiseSpec:
     so the speckle has unit mean and variance 1/L.
     """
 
-    kind: str = "none"
-    looks: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "gamma", "poisson"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gamma" and self.looks <= 0:
-            raise ValueError(f"looks must be positive, got {self.looks}")
+    def __init__(self, kind: str = "none", looks: float = 10.0, seed: int = 0):
+        if kind not in ("none", "gamma", "poisson"):
+            raise ValueError(f"unknown noise kind {kind!r}")
+        if kind == "gamma" and looks <= 0:
+            raise ValueError(f"looks must be positive, got {looks}")
+        self.kind, self.looks, self.seed = kind, looks, seed
 
 
 def _generator(seed: int) -> np.random.Generator:

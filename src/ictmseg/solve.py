@@ -39,7 +39,7 @@ TV sum 1, fidelity 4, flux 3, divergence 3; a fitting term adds 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 # bookkeeping types
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     g_next: np.ndarray
     z_tilde: float
     z_next: float
@@ -111,8 +110,7 @@ class StepResult:
     tv_force: np.ndarray  # TV part of the force at g_next (`evaluate`)
 
 
-@dataclass(frozen=True)
-class InnerRecord:
+class InnerRecord(NamedTuple):
     outer: int
     inner: int
     energy: float
@@ -129,8 +127,7 @@ class InnerRecord:
         return self.z * self.z
 
 
-@dataclass(frozen=True)
-class OuterRecord:
+class OuterRecord(NamedTuple):
     """Outer iteration k: the four terms of the joint energy at its end, of
     (c, b, g) and u^{k+1}, and the partition energy of u^k."""
 
@@ -153,11 +150,9 @@ class OuterRecord:
         return float(self.fit + self.length)
 
 
-@dataclass
 class IterationLog:
-    outers: list = dc_field(default_factory=list)
-    inners: list = dc_field(default_factory=list)
-    warnings: list = dc_field(default_factory=list)
+    def __init__(self):
+        self.outers, self.inners, self.warnings = [], [], []
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +203,7 @@ def update_bias(state: SegState, params: ModelParams,
 # --------------------------------------------------------------------------
 # g-subproblem: energy, force, RMSAV flow
 
-@dataclass(frozen=True)
-class GContext:
+class GContext(NamedTuple):
     """Everything the g-subproblem needs with (c, b, u) held fixed.
 
     weight = sum_i lam_i u_i and target = (K*b) * sum_i lam_i c_i u_i
@@ -246,7 +240,6 @@ class GContext:
     fit_const: float = 0.0
 
 
-@dataclass
 class FlowRun:
     """What the image flows of one run share: `ctx`, the run's `GContext`
     with no fitting term, made once, and `entry`, the (TV force term, idiv,
@@ -254,8 +247,8 @@ class FlowRun:
     `entry` out, so that no second reference keeps the field alive through
     the flow, and puts in that of the g it returns."""
 
-    ctx: GContext
-    entry: tuple | None = None
+    def __init__(self, ctx: GContext):
+        self.ctx, self.entry = ctx, None
 
     @classmethod
     def start(cls, f: np.ndarray, params: ModelParams) -> "FlowRun":
@@ -283,8 +276,8 @@ def build_g_context(state: SegState, params: ModelParams, kb: np.ndarray,
     K*b and `fit_const` <sum_i lam_i c_i^2 u_i, K*b^2>."""
     lam = np.asarray(params.lambdas, dtype=np.float64)
     c = np.asarray(state.c, dtype=np.float64)
-    return replace(run.ctx, weight=state.u.weighted_sum(lam),
-                   target=kb * state.u.weighted_sum(lam * c), fit_const=fit_const)
+    return run.ctx._replace(weight=state.u.weighted_sum(lam),
+                            target=kb * state.u.weighted_sum(lam * c), fit_const=fit_const)
 
 
 def evaluate(g: np.ndarray, ctx: GContext) -> tuple:

@@ -4,7 +4,7 @@ bias field, with the generating partition returned as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .errors import ConfigError
 __all__ = ["Shape", "SynthSpec", "generate"]
 
 
-@dataclass(frozen=True)
 class Shape:
     """One region primitive: kind in {'disk', 'rect', 'ring'}.
 
@@ -22,15 +21,12 @@ class Shape:
     with sizes >= 0 and r_in <= r_out. Later shapes paint over earlier ones.
     """
 
-    kind: str
-    params: tuple
-    intensity: float
-
-    def __post_init__(self):
-        sizes = self.params[2:]
-        if min(sizes, default=0) < 0 or self.kind == "ring" and sizes[0] > sizes[1]:
-            raise ConfigError(f"{self.kind}:{','.join(f'{v:g}' for v in self.params)}: "
+    def __init__(self, kind: str, params: tuple, intensity: float):
+        sizes = params[2:]
+        if min(sizes, default=0) < 0 or kind == "ring" and sizes[0] > sizes[1]:
+            raise ConfigError(f"{kind}:{','.join(f'{v:g}' for v in params)}: "
                               "sizes must be nonnegative, and a ring's r_in at most its r_out")
+        self.kind, self.params, self.intensity = kind, params, intensity
 
     def mask(self, height: int, width: int) -> np.ndarray:
         yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -47,8 +43,7 @@ class Shape:
         raise ConfigError(f"unknown shape kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(NamedTuple):
     """Shapes on a background under a bias (kind, *params): ('none',);
     ('ramp', left, right), the values at the edges; ('gaussian', ratio[, std]),
     a centered bump of max/min ratio and std in pixels (default size/3)."""

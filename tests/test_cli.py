@@ -457,6 +457,19 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip()
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # the records are NamedTuples and plain classes: creating dataclasses was
+    # a large share of the package's import time. Some numpy versions load
+    # the module themselves, and then there is nothing to check.
+    code = ("import sys, numpy\n"
+            "if 'dataclasses' in sys.modules: print('loaded by numpy')\n"
+            "else: import ictmseg.cli; print('dataclasses' in sys.modules)\n")
+    package_root = Path(ictmseg.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=package_root, check=True)
+    assert proc.stdout.strip() in ("loaded by numpy", "False"), proc.stdout
+
+
 def test_warnings_reach_stderr_and_manifest(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SEG_CFG.replace("max_outer = 30", "max_outer = 1"))
     out = tmp_path / "seg"
@@ -695,6 +708,18 @@ def test_exit_code_2_on_a_kernel_too_wide_to_build(tmp_path, capsys, command, ke
     err = capsys.readouterr().err
     assert f"error: {key} = {float(value):.6g}" in err and "radius limit" in err, err
     assert not list(out.glob("*"))   # no output written
+
+
+def test_exit_code_2_on_a_sub_pixel_heat_kernel(tmp_path, capsys):
+    # tau = 1e-9 on a 24^2 image is a heat time of 5.76e-7 px^2, refused by
+    # its key as the solve starts; denoise has no length term and ignores it
+    cfg = write_cfg(tmp_path, SCENE_24 + "tau = 1e-9\n")
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error: tau = 1e-09 (heat time" in err and "sub-pixel heat kernel" in err, err
+    assert not list(out.glob("*"))   # no output written
+    assert main(["denoise", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("command, line, key", [

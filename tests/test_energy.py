@@ -81,6 +81,16 @@ def test_heat_time_refuses_a_kernel_too_wide_to_build():
     assert ModelParams(tau=2.0**35, tau_in_pixels=True).heat_time_pixels((9, 9)) == 2.0**35
 
 
+def test_heat_time_refuses_a_sub_pixel_kernel():
+    # the bound of heat_kernel_pixels, CUTOFF_SDS * sqrt(2 t) < 1, named by tau:
+    # 0.03125 px^2 is std 0.25 px, whose four standard deviations are 1 px
+    with pytest.raises(ConfigError, match="tau = 0.03 \\(heat time 0.03 px\\^2\\) "
+                                          "gives a sub-pixel heat kernel"):
+        ModelParams(tau=0.03, tau_in_pixels=True).heat_time_pixels((24, 24))
+    assert ModelParams(tau=0.03125, tau_in_pixels=True).heat_time_pixels((24, 24)) == 0.03125
+    heat_kernel_pixels(0.03125)
+
+
 def test_heat_time_conversion():
     p = ModelParams(tau=0.02)
     assert p.heat_time_pixels((256, 128)) == pytest.approx(0.02 * 256**2)

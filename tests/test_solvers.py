@@ -1,7 +1,6 @@
 """Subproblem solver tests: exact minimizers, the relaxed-SAV energy laws,
 and the thresholding step."""
 
-import dataclasses
 import hashlib
 import sys
 import threading
@@ -555,7 +554,7 @@ def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
 
     monkeypatch.setattr(ictmseg.solve, "threshold", thresholding)
     f, init, params = pinned_three_phase()
-    params = dataclasses.replace(params, max_outer=6)
+    params = params._replace(max_outer=6)
     _, log = segment(f, init, params)
     time_px = params.heat_time_pixels(f.shape)
     kernel = heat_kernel_pixels(time_px)
@@ -601,6 +600,26 @@ def test_segment_reports_records_before_a_later_failure(monkeypatch, helper, fai
     assert len(logs) == 1 and logs[0].outers == reported
 
 
+def test_shared_contexts_and_records_cannot_be_changed_in_place():
+    # every outer iteration's context is a copy of the one run context with
+    # its own fit terms, and the log's records are read after the run: none
+    # of them, nor the parameters, can be changed in place
+    state = random_instance(8)
+    params = ModelParams()
+    fields, run = run_inputs(state, state.g, params)
+    ctx = g_context(state, params, fields, run)
+    assert ctx.weight is not None and ctx.target is not None and ctx.fit_const > 0.0
+    assert run.ctx.weight is None and run.ctx.target is None and run.ctx.fit_const == 0.0
+    e, *_, tv_force = evaluate(state.g, ctx)
+    step = rmsav_step(state.g, float(np.sqrt(e + ctx.shift)), ctx, e, tv_force, 0, 0)
+    _, inners, _ = update_image(state.g, ctx, run, params, 0)
+    _, log = segment(state.g, state.u, params._replace(max_outer=1))
+    for record, name in [(params, "mu"), (ctx, "weight"), (run.ctx, "fit_const"),
+                         (step, "g_next"), (inners[0], "z"), (log.outers[0], "flags")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_zero_fit_context_matches_zero_fit_arrays():
     # the run's context holds no fit arrays and reads no partition or bias;
     # the flow is bit-identical to one whose weight and target are zero fields
@@ -609,7 +628,7 @@ def test_zero_fit_context_matches_zero_fit_arrays():
     params = ModelParams(gamma=0.3)
     ctx = FlowRun.start(f, params).ctx
     assert ctx.weight is None and ctx.target is None and ctx.fit_const == 0.0
-    zeros = dataclasses.replace(ctx, weight=np.zeros((n, n)), target=np.zeros((n, n)))
+    zeros = ctx._replace(weight=np.zeros((n, n)), target=np.zeros((n, n)))
     assert np.array_equal(force(f, ctx, evaluate(f, ctx)[4]),
                           force(f, zeros, evaluate(f, zeros)[4]))
     assert evaluate(f, ctx)[:4] == evaluate(f, zeros)[:4]
