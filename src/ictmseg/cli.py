@@ -91,7 +91,7 @@ def _check_truth(labels: np.ndarray, n: int, source) -> IndicatorSet:
     if not counts.all():
         raise ConfigError(f"{source}: truth phase {counts.argmin()} has no pixel, "
                           f"n_phases = {n}")
-    return IndicatorSet.from_labels(labels, n)
+    return IndicatorSet(labels, n)
 
 
 def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
@@ -111,13 +111,13 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
         if labels.max() >= n:
             raise ConfigError(f"{args}: init mask has {labels.max() + 1} phases, "
                               f"n_phases = {n}")
-        return IndicatorSet.from_labels(labels, n)
+        return IndicatorSet(labels, n)
     if kind == "checkerboard":
         cell = _parse_ints(args, 1, "init checkerboard")[0]
         if cell < 1:
             raise ConfigError("checkerboard cell must be >= 1")
         yy, xx = np.mgrid[0:h, 0:w]
-        return IndicatorSet.from_labels(((yy // cell) + (xx // cell)) % n, n)
+        return IndicatorSet(((yy // cell) + (xx // cell)) % n, n)
     shape_kinds = {"circle": ("disk", 3), "rect": ("rect", 4)}
     if kind not in shape_kinds:
         raise ConfigError(f"unknown init kind {kind!r} "
@@ -132,7 +132,7 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
         for phase, group in enumerate(np.array_split(order, n - 1), start=1):
             exterior[group] = phase
         labels[outside] = exterior
-    return IndicatorSet.from_labels(labels, n)
+    return IndicatorSet(labels, n)
 
 
 def _source(cfg: ExperimentConfig):
@@ -270,7 +270,7 @@ def cmd_denoise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         cfg.params = cfg.params._replace(max_inner=500)
     params = cfg.params
     f = f / params.intensity_scale
-    run = FlowRun.start(f, params)
+    run = FlowRun(f, params)
     # the flow reads f as run.ctx.gamma_f: its buffer takes the first iterate
     g, records, hit_cap = update_image(np.maximum(f, params.g_floor, out=f), run.ctx,
                                        run, params, 0)

@@ -143,26 +143,19 @@ class IndicatorSet:
     """A hard partition into n phases, stored as one label per pixel, the form
     thresholding produces, with the boolean masks u_i = [labels == i] made
     once beside it. The solver reads u_i only through gathers and per-phase
-    sums. Labels and masks are read-only, so sets are shared. `from_labels`
-    is the one constructor."""
+    sums. Labels and masks are read-only, so sets are shared."""
 
-    def __init__(self, *args, **kwargs):
-        raise TypeError("build an IndicatorSet with IndicatorSet.from_labels")
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, n: int) -> "IndicatorSet":
+    def __init__(self, labels: np.ndarray, n: int):
         """From an (H, W) map of integer labels in [0, n), copied."""
         labels = np.asarray(labels)
         if labels.ndim != 2 or labels.dtype.kind not in "biu":
             raise ValueError(f"labels must be a 2-D integer map, got {labels.shape}")
         if labels.min() < 0 or labels.max() >= n:
             raise ValueError(f"labels out of range for {n} phases")
-        u = cls.__new__(cls)
-        u._labels, u.n = labels.astype(np.intp), n
-        u._masks = tuple(u._labels == i for i in range(n))
-        for a in (u._labels, *u._masks):
+        self._labels, self.n = labels.astype(np.intp), n
+        self._masks = tuple(self._labels == i for i in range(n))
+        for a in (self._labels, *self._masks):
             a.flags.writeable = False
-        return u
 
     @property
     def shape(self) -> tuple[int, int]:

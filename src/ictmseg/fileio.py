@@ -89,6 +89,8 @@ def read_f64(path) -> np.ndarray:
         raise ConfigError(f"{path}: {len(blob)} bytes is not a 16-byte header "
                           "and whole float64 values")
     w, h = (int(v) for v in np.frombuffer(blob[8:16], dtype="<u4"))
+    if w < 1 or h < 1:
+        raise ConfigError(f"{path}: raster size {w}x{h} is not positive")
     data = np.frombuffer(blob[16:], dtype="<f8")
     if data.size != w * h:
         raise ConfigError(f"{path}: raster size mismatch")

@@ -138,7 +138,7 @@ def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
     # overlap[i, j] counts the pixels labelled i in pred and j in truth
     pairs = pred.labels().ravel() * n + truth.labels().ravel()
     overlap = np.bincount(pairs, minlength=n * n).reshape(n, n)
-    return IndicatorSet.from_labels(_max_overlap_assignment(overlap)[pred.labels()], n)
+    return IndicatorSet(_max_overlap_assignment(overlap)[pred.labels()], n)
 
 
 def multiphase_report(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:

@@ -241,26 +241,23 @@ class GContext(NamedTuple):
 
 
 class FlowRun:
-    """What the image flows of one run share: `ctx`, the run's `GContext`
-    with no fitting term, made once, and `entry`, the (TV force term, idiv,
-    tv) of the g the next flow starts from, or None. `update_image` takes
-    `entry` out, so that no second reference keeps the field alive through
-    the flow, and puts in that of the g it returns."""
+    """What the image flows of one run share: `ctx`, the run's `GContext` of
+    the image f under `params`, with no fitting term, made once, and `entry`,
+    the (TV force term, idiv, tv) of the g the next flow starts from, or
+    None. `update_image` takes `entry` out, so that no second reference keeps
+    the field alive through the flow, and puts in that of the g it returns."""
 
-    def __init__(self, ctx: GContext):
-        self.ctx, self.entry = ctx, None
-
-    @classmethod
-    def start(cls, f: np.ndarray, params: ModelParams) -> "FlowRun":
+    def __init__(self, f: np.ndarray, params: ModelParams):
         f = np.asarray(f, dtype=np.float64)
         nu_alpha = gray_indicator(f, params.sigma, params.p)
         nu_alpha *= params.nu
-        return cls(GContext(
+        self.ctx = GContext(
             gamma_f=params.gamma * f, nu_alpha=nu_alpha,
             gamma=params.gamma, eps_tv=params.eps_tv,
             g_floor=params.g_floor, dt=params.time_step,
             shift=energy_shift(f, params), eta=params.eta_relax,
-            symbol=implicit_symbol(f.shape, params.time_step)))
+            symbol=implicit_symbol(f.shape, params.time_step))
+        self.entry = None
 
 
 def energy_shift(f: np.ndarray, params: ModelParams) -> float:
@@ -447,7 +444,7 @@ def threshold(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
             np.copyto(labels, i, where=cost < least)
             np.minimum(least, cost, out=least)
     del least, phi, cost     # freed first, so the set's masks reuse them: fewer page faults
-    return IndicatorSet.from_labels(labels, len(e_fields))
+    return IndicatorSet(labels, len(e_fields))
 
 
 # --------------------------------------------------------------------------
@@ -473,15 +470,13 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     """
     params.validate(segmentation=True)
     f = as_field(f)
-    if f.min() < 0:
-        raise ValueError("input image must be nonnegative")
     if init.shape != f.shape or init.n != params.n_phases:
         raise ValueError(
             f"init partition {init.n}x{init.shape} does not match "
             f"{params.n_phases} phases on image {f.shape}")
     f = f / params.intensity_scale
 
-    run = FlowRun.start(f, params)
+    run = FlowRun(f, params)
     fit_kernel = gaussian_kernel(params.rho)
     time_px = params.heat_time_pixels(f.shape)
     length_kernel = heat_kernel_pixels(time_px)

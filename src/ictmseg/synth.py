@@ -104,5 +104,5 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, IndicatorSet, np.ndarray]:
         labels[m] = k + 1
         values[m] = shape.intensity
     bias = _bias_field(spec)
-    truth = IndicatorSet.from_labels(labels, len(spec.shapes) + 1)
+    truth = IndicatorSet(labels, len(spec.shapes) + 1)
     return values * bias, truth, bias

@@ -47,7 +47,7 @@ def float_masks(u) -> np.ndarray:
 def from_masks(masks) -> IndicatorSet:
     """The partition whose masks are the exact 0/1 partition stack `masks`."""
     assert ((masks == 0) | (masks == 1)).all() and (masks.sum(axis=0) == 1).all()
-    return IndicatorSet.from_labels(np.argmax(masks, axis=0), len(masks))
+    return IndicatorSet(np.argmax(masks, axis=0), len(masks))
 
 
 def two_phase(mask: np.ndarray) -> IndicatorSet:
@@ -303,7 +303,7 @@ def best_overlap_exhaustive(pred_masks: np.ndarray, truth_masks: np.ndarray) -> 
 def run_inputs(state, f: np.ndarray, params) -> tuple:
     """What `segment` hands `build_g_context`: the fit fields of `state.b`
     and a `FlowRun` of `f`."""
-    return fit_fields(state.b, gaussian_kernel(params.rho)), FlowRun.start(f, params)
+    return fit_fields(state.b, gaussian_kernel(params.rho)), FlowRun(f, params)
 
 
 def fit_constant(state, params, kb2: np.ndarray) -> float:

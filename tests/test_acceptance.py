@@ -275,8 +275,7 @@ def test_criterion_08_fit_constant_through_the_bias_denominator():
             params = ModelParams(lambdas=tuple(0.5 + r.random(n_phases)), rho=rho)
             state = SegState(c=1.0 + 3.0 * r.random(n_phases), b=np.ones(shape),
                              g=r.random(shape) * 5 + 0.5,
-                             u=IndicatorSet.from_labels(r.integers(0, n_phases, shape),
-                                                        n_phases))
+                             u=IndicatorSet(r.integers(0, n_phases, shape), n_phases))
             k = gaussian_kernel(rho)
             state.b, den = update_bias(state, params, k)
             via_den = inner_product(den, state.b * state.b)

@@ -157,6 +157,54 @@ def test_energy_csv_outer_rows_are_the_run_records(tmp_path, monkeypatch):
                        "err1": _fmt(rec.err1), "err2": ""}
 
 
+def test_segment_prints_progress_metrics_and_closing_line(tmp_path, monkeypatch, capsys):
+    # without --quiet: one progress line per OuterRecord, in order, then the
+    # metric rows and the closing line
+    from ictmseg import cli
+
+    logs, reports = [], []
+
+    def keeping_the_log(*args, **kwargs):
+        state, log = segment(*args, **kwargs)
+        logs.append(log)
+        return state, log
+
+    report = cli.multiphase_report
+
+    def keeping_the_rows(*args):
+        reports.append(report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "segment", keeping_the_log)
+    monkeypatch.setattr(cli, "multiphase_report", keeping_the_rows)
+    out = tmp_path / "o"
+    assert main(["segment", "--config", str(write_cfg(tmp_path, SEG_CFG)),
+                 "--out", str(out)]) == 0
+    (log,), (rows,) = logs, reports
+    assert len(log.outers) > 1 and rows
+    expected = [f"outer {rec.outer:4d}  E={rec.total:.6e}  E_u={rec.eu_after:.6e}  "
+                f"err1={rec.err1:.3e}" for rec in log.outers]
+    expected += [f"{row['class']}: DSC={row['dsc']:.4f} IoU={row['iou']:.4f} "
+                 f"Acc={row['accuracy']:.4f} kappa={row['kappa']:.4f}" for row in rows]
+    expected.append(f"finished in {len(log.outers)} outer iterations; outputs in {out}")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_synth_noise_and_denoise_print_one_closing_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DENOISE_CFG)
+    for command, line in (("synth", "wrote clean/truth/bias to {out}"),
+                          ("noise", "wrote noisy image to {out}"),
+                          ("denoise", "denoised in {steps} flow steps; outputs in {out}")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        steps = None
+        if command == "denoise":
+            with open(out / "energy.csv", newline="") as fh:
+                steps = len(list(csv.DictReader(fh)))
+            assert steps > 1
+        assert capsys.readouterr().out.splitlines() == [line.format(out=out, steps=steps)]
+
+
 def test_segment_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SEG_CFG)
     for d in ("a", "b"):
@@ -309,22 +357,44 @@ def test_exit_code_2_on_contract_violation(tmp_path, capsys):
 
 
 def test_exit_code_2_on_truncated_float_raster(tmp_path, capsys):
-    # the magic and half a header: an error naming the file, not a traceback
-    path = tmp_path / "short.f64"
-    path.write_bytes(b"FGRID64\x00\x02\x00\x00\x00")
-    cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\n")
-    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
-    assert "short.f64" in capsys.readouterr().err
+    # the magic and half a header, a raster of no pixels, or fewer values than
+    # its size: an error naming the file, not a traceback, and no output
+    header = b"FGRID64\x00"
+    cases = [("short.f64", header + b"\x02\x00\x00\x00", "12 bytes is not a 16-byte header"),
+             ("empty0x0.f64", header + np.array([0, 0], "<u4").tobytes(),
+              "raster size 0x0 is not positive"),
+             ("empty0x5.f64", header + np.array([0, 5], "<u4").tobytes(),
+              "raster size 0x5 is not positive"),
+             ("mismatch.f64", header + np.array([2, 2], "<u4").tobytes() + bytes(24),
+              "raster size mismatch")]
+    for name, blob, message in cases:
+        path = tmp_path / name
+        path.write_bytes(blob)
+        cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\nnoise.kind = gamma\n")
+        for command in ("segment", "denoise", "noise"):
+            out = tmp_path / f"{command}-{path.stem}"
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert f"{name}: {message}" in err, (command, err)
+            assert list(out.iterdir()) == []
 
 
 def test_exit_code_2_on_bad_pgm_header(tmp_path, capsys):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P5\nab 2\n255\n" + bytes(4))
-    cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\n")
-    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 2
-    assert "bad.pgm" in capsys.readouterr().err
+    # each refusal of the PGM reader names the file
+    cases = [("bad.pgm", b"P5\nab 2\n255\n" + bytes(4), "non-integer PGM size"),
+             ("header.pgm", b"P5\n2 2\n", "truncated PGM header"),
+             ("magic.pgm", b"P2\n2 2\n255\n0 0 0 0\n", "not a binary PGM (P5)"),
+             ("maxval.pgm", b"P5\n2 2\n65535\n" + bytes(8),
+              "only 8-bit PGM supported, maxval=65535"),
+             ("pixels.pgm", b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data")]
+    for name, blob, message in cases:
+        path = tmp_path / name
+        path.write_bytes(blob)
+        cfg = write_cfg(tmp_path, f"input = {path}\ninit = circle:1,1,1\n")
+        assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{name}: {message}" in err, err
 
 
 @pytest.mark.parametrize("spec, count", [("circle:8,8", 3), ("circle:8,8,a", 3),
@@ -666,6 +736,37 @@ init = circle:12,12,4
 """
 
 
+NO_INIT = SCENE_24.replace("init = circle:12,12,4\n", "")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("segment", SCENE_24 + "max_outer 3\n", "run.cfg:7: expected 'key = value'"),
+    ("segment", SCENE_24 + "tau_in_pixels = maybe\n",
+     "line 7: cannot parse tau_in_pixels='maybe'"),
+    ("segment", SCENE_24 + "max_outer = 2.5\n", "line 7: cannot parse max_outer='2.5'"),
+    ("synth", NO_INIT + "synth.region = star:8,8,4,100\n", "unknown region kind 'star'"),
+    ("synth", "synth.background = 100\n", "synth source requires synth.size"),
+    ("segment", NO_INIT, "segmentation requires an 'init' contour spec"),
+    ("segment", NO_INIT + "init = checkerboard:0\n", "checkerboard cell must be >= 1"),
+    ("segment", NO_INIT + "init = star:1,2\n", "unknown init kind 'star'"),
+    ("synth", "input = clean.f64\n", "synth command requires synth.* keys"),
+    ("noise", "synth.size = 24,24\nnoise.kind = none\n",
+     "noise command requires noise.kind != none"),
+    ("synth", NO_INIT + "synth.region = disk:8,8,4,300\n",
+     "region intensities must lie in [0, 255]"),
+    ("synth", NO_INIT + "synth.bias = ramp:0,1\n",
+     "synth.bias ramp: values must be strictly positive"),
+], ids=["no-equals", "bool", "int", "region-kind", "no-size", "no-init", "cell-0",
+        "init-kind", "synth-of-input", "noise-none", "intensity-300", "ramp-0"])
+def test_exit_code_2_names_the_refused_line_or_key(tmp_path, capsys, command, text, message):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not list(out.glob("*"))   # no output written
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("segment", "rho", "inf"), ("segment", "sigma", "inf"), ("denoise", "sigma", "inf"),
     ("segment", "tau", "inf"), ("segment", "gamma", "nan"), ("segment", "dt", "inf"),
@@ -842,8 +943,8 @@ def test_segment_of_a_synth_scene_is_scored_against_its_truth_file(tmp_path):
     out = tmp_path / "o"
     assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert np.array_equal(read_pgm(out / "truth.pgm"), truth)
-    pred = ictmseg.IndicatorSet.from_labels(read_pgm(out / "labels.pgm").astype(np.int64), 2)
-    t = ictmseg.IndicatorSet.from_labels(truth.astype(np.int64), 2)
+    pred = ictmseg.IndicatorSet(read_pgm(out / "labels.pgm").astype(np.int64), 2)
+    t = ictmseg.IndicatorSet(truth.astype(np.int64), 2)
     expected = ictmseg.multiphase_report(ictmseg.match_phases(pred, t), t)
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

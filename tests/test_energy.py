@@ -43,6 +43,14 @@ def test_params_defaults_and_validation():
         ModelParams(gamma=-0.1).validate()
     with pytest.raises(ConfigError):
         ModelParams(p=-1.0).validate()
+    for kwargs, message in (({"lambdas": (-1.0, 1.0)}, "lambda weights must be nonnegative"),
+                            ({"dt": 0.0}, "dt must be positive"),
+                            ({"intensity_scale": 0.0}, "intensity_scale must be positive"),
+                            ({"tol2": -1.0}, "tolerances must be nonnegative"),
+                            ({"max_outer": 0}, "iteration caps out of range"),
+                            ({"max_inner": -1}, "iteration caps out of range")):
+        with pytest.raises(ConfigError, match=message):
+            ModelParams(**kwargs).validate()
 
 
 @pytest.mark.parametrize("field, kwargs", [
@@ -98,9 +106,10 @@ def test_heat_time_conversion():
 
 
 def test_indicator_set_contracts():
-    # from_labels is the one constructor: it checks, copies and freezes its map
+    # IndicatorSet(labels, n) is the one constructor: it checks, copies and
+    # freezes its map
     labels = np.array([[0, 0, 1], [0, 0, 1], [2, 0, 1]], dtype=np.int32)
-    u = IndicatorSet.from_labels(labels, 3)
+    u = IndicatorSet(labels, 3)
     assert u.n == 3 and u.shape == (3, 3)
     assert np.array_equal(u.labels(), labels)
     labels[0, 0] = 2
@@ -110,7 +119,7 @@ def test_indicator_set_contracts():
         u.labels()[0, 0] = 1
     # the masks u_i = [labels == i] are made with the labels, once, read-only;
     # phase 3 of a 4-phase set is empty
-    for v in (u, IndicatorSet.from_labels(labels, 4)):
+    for v in (u, IndicatorSet(labels, 4)):
         masks = v.phase_masks()
         assert masks is v.phase_masks() and len(masks) == v.n
         for i, m in enumerate(masks):
@@ -118,11 +127,11 @@ def test_indicator_set_contracts():
             assert not m.flags.writeable
             with pytest.raises(ValueError):
                 m[0, 0] = not m[0, 0]
-    assert not IndicatorSet.from_labels(labels, 4).phase_masks()[3].any()
+    assert not IndicatorSet(labels, 4).phase_masks()[3].any()
     for bad, n in ((labels.astype(np.float64), 3), (labels[None], 3), (labels[0], 3),
                    (labels, 2), (labels - 1, 3)):
         with pytest.raises(ValueError):
-            IndicatorSet.from_labels(bad, n)
+            IndicatorSet(bad, n)
     with pytest.raises(TypeError):
         IndicatorSet(labels)
 
@@ -262,7 +271,7 @@ def test_length_potentials_empty_phase_sees_full_mass(empty):
     k = heat_kernel_pixels(3.0)
     labels = np.random.default_rng(empty).integers(0, 2, (12, 10))
     labels[labels >= empty] += 1       # phases {0, 1, 2} minus `empty`
-    u = IndicatorSet.from_labels(labels, 3)
+    u = IndicatorSet(labels, 3)
     assert not float_masks(u)[empty].any()
     pots = length_potentials(u, k)
     assert np.abs(pots[empty] - 1.0).max() < 1e-13

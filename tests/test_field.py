@@ -198,7 +198,7 @@ def test_run_imports_no_heavy_scipy_module():
     # scipy.signal made the first heat-kernel convolution of a 256^2 run
     # ~0.6 s slower; importing scipy.optimize adds ~20 MB of resident memory.
     code = ("import sys, numpy as np, ictmseg, ictmseg.cli\n"
-            "u = ictmseg.IndicatorSet.from_labels(np.eye(4, dtype=np.int64), 2)\n"
+            "u = ictmseg.IndicatorSet(np.eye(4, dtype=np.int64), 2)\n"
             "ictmseg.match_phases(u, u)\n"
             "ictmseg.convolve(np.ones((8, 8)), ictmseg.field.heat_kernel_pixels(80.0))\n"
             "ictmseg.field.solve_implicit(np.ones((8, 8)),\n"
@@ -400,7 +400,7 @@ def test_one_cpu_gives_the_same_labels():
         "labels[(yy - 44) ** 2 + (xx - 40) ** 2 <= 10 ** 2] = 2\n"
         "params = ictmseg.ModelParams(lambdas=(1.0,) * 3, tau=8.0, tau_in_pixels=True,\n"
         "                             max_outer=40)\n"
-        "state, _ = ictmseg.segment(f, ictmseg.IndicatorSet.from_labels(labels, 3), params)\n"
+        "state, _ = ictmseg.segment(f, ictmseg.IndicatorSet(labels, 3), params)\n"
         "print(alone, threading.active_count(),\n"
         "      hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest(),\n"
         "      hashlib.sha256(state.g.tobytes() + state.b.tobytes()).hexdigest())\n")

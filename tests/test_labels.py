@@ -23,7 +23,7 @@ def partitions(draw, n=None, shape=None):
     n = n or draw(st.integers(2, 5))
     shape = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     labels = draw(arrays(np.int64, shape, elements=st.integers(0, n - 1)))
-    return IndicatorSet.from_labels(labels, n)
+    return IndicatorSet(labels, n)
 
 
 @st.composite

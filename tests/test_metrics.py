@@ -98,7 +98,7 @@ def test_metric_ranges():
 
 
 def labels_to_set(labels, n):
-    return IndicatorSet.from_labels(np.asarray(labels, dtype=np.int64), n)
+    return IndicatorSet(np.asarray(labels, dtype=np.int64), n)
 
 
 def test_multiphase_identical():

@@ -138,7 +138,7 @@ def multiphase_instance(n_phases, size=8, seed=0):
         c=1.0 + 3.0 * r.random(n_phases),
         b=r.random((size, size)) + 0.5,
         g=r.random((size, size)) * 5 + 0.5,
-        u=IndicatorSet.from_labels(r.integers(0, n_phases, (size, size)), n_phases),
+        u=IndicatorSet(r.integers(0, n_phases, (size, size)), n_phases),
     ), tuple(0.5 + r.random(n_phases))
 
 
@@ -200,7 +200,7 @@ def test_force_zero_at_idiv_stationary_point():
     n = 8
     f = rng.random((n, n)) * 10 + 1
     params = ModelParams(gamma=0.7, nu=0.0)
-    ctx = FlowRun.start(f, params).ctx
+    ctx = FlowRun(f, params).ctx
     assert np.abs(force(f, ctx, evaluate(f, ctx)[4])).max() < 1e-12
 
 
@@ -221,7 +221,7 @@ def test_force_is_exact_gradient_of_energy(gradient_instance, gamma, nu, fit):
     # zero weights and the run's fit-free context take the same path
     state, f, g, deltas = gradient_instance
     params = ModelParams(gamma=gamma, nu=nu)
-    ctx = make_context(state, f, params) if fit else FlowRun.start(f, params).ctx
+    ctx = make_context(state, f, params) if fit else FlowRun(f, params).ctx
     grad = force(g, ctx, evaluate(g, ctx)[4])
     t = 1e-5
     for delta in deltas:
@@ -477,7 +477,7 @@ def test_segment_flows_start_from_last_step(monkeypatch):
     labels[:, n // 2:] = 2
     params = ModelParams(lambdas=(1.0,) * 3, max_outer=3, tol1=0.0, tol2=0.0,
                          max_inner=steps)
-    _, log = segment(f, IndicatorSet.from_labels(labels, 3), params)
+    _, log = segment(f, IndicatorSet(labels, 3), params)
     assert len(log.outers) == 3 and len(log.inners) == 3 * steps
     assert counts == {"gradient": 3 * steps + 1, "implicit_symbol": 1}
 
@@ -495,7 +495,7 @@ def pinned_three_phase():
     labels[11:25, 9:37] = 1
     labels[(yy - 44) ** 2 + (xx - 40) ** 2 <= 10 ** 2] = 2
     params = ModelParams(lambdas=(1.0,) * 3, tau=8.0, tau_in_pixels=True, max_outer=40)
-    return f, IndicatorSet.from_labels(labels, 3), params
+    return f, IndicatorSet(labels, 3), params
 
 
 def test_segment_pinned_three_phase_output():
@@ -626,7 +626,7 @@ def test_zero_fit_context_matches_zero_fit_arrays():
     n = 16
     f = rng.random((n, n)) * 5 + 0.5
     params = ModelParams(gamma=0.3)
-    ctx = FlowRun.start(f, params).ctx
+    ctx = FlowRun(f, params).ctx
     assert ctx.weight is None and ctx.target is None and ctx.fit_const == 0.0
     zeros = ctx._replace(weight=np.zeros((n, n)), target=np.zeros((n, n)))
     assert np.array_equal(force(f, ctx, evaluate(f, ctx)[4]),
@@ -659,7 +659,7 @@ def test_segment_peak_memory_in_arrays():
     labels = np.zeros((n, n), dtype=np.int64)
     labels[n // 2:, :] = 1
     labels[:, n // 2:] = 2
-    init = IndicatorSet.from_labels(labels, 3)
+    init = IndicatorSet(labels, 3)
     params = ModelParams(lambdas=(1.0,) * 3, max_outer=3)
     segment(f, init, params)       # first calls may allocate lasting caches
     tracemalloc.start()
@@ -773,7 +773,7 @@ def test_update_image_identity_when_force_vanishes():
     state = SegState(c=np.zeros(2), b=np.ones((n, n)),
                      g=np.maximum(f, 1e-3), u=two_phase(np.ones((n, n))))
     params = ModelParams(gamma=0.0, nu=0.0)
-    run = FlowRun.start(f, params)
+    run = FlowRun(f, params)
     g, records, _ = update_image(state.g, run.ctx, run, params, 0)
     assert np.array_equal(g, state.g)
     assert len(records) == 1  # first step confirms convergence
@@ -1040,7 +1040,7 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
         outer[0] = -1
         fits.clear()
         heats.clear()
-        partitions[:] = [IndicatorSet.from_labels(labels, n_phases)]
+        partitions[:] = [IndicatorSet(labels, n_phases)]
         _, log = segment(f, partitions[0], params)
         assert len(log.outers) == 4 and len(partitions) == 5
         assert fits == fit_budget, no_helper
