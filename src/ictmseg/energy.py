@@ -148,8 +148,9 @@ class IndicatorSet:
     def __init__(self, labels: np.ndarray, n: int):
         """From an (H, W) map of integer labels in [0, n), copied."""
         labels = np.asarray(labels)
-        if labels.ndim != 2 or labels.dtype.kind not in "biu":
-            raise ValueError(f"labels must be a 2-D integer map, got {labels.shape}")
+        if labels.ndim != 2 or labels.dtype.kind not in "biu" or 0 in labels.shape:
+            raise ValueError("labels must be a 2-D integer map with positive dims, "
+                             f"got shape {labels.shape}")
         if labels.min() < 0 or labels.max() >= n:
             raise ValueError(f"labels out of range for {n} phases")
         self._labels, self.n = labels.astype(np.intp), n

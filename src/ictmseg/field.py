@@ -155,16 +155,11 @@ def convolve(field: np.ndarray, kernel: Kernel) -> np.ndarray:
     return _dct(spec, 3, spec)
 
 
-# The one single-thread helper, made on first use when the process may run on
-# more than one CPU, else None; a forked child, whose copy of the thread does
-# not run, forgets it. It is not pinned: the caller works meanwhile, so the
-# caller's CPU is busy and the helper runs on another one.
+# The one single-thread helper, made on first use; a forked child, whose copy
+# of the thread does not run, forgets it. It is not pinned: the scheduler
+# places it, on another CPU or beside the caller on the same one.
 @functools.cache
 def _helper():
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
-        return None
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(1)
 
@@ -175,15 +170,10 @@ if hasattr(os, "register_at_fork"):
 
 def on_helper(fn, *args) -> Callable[[], object]:
     """Start fn(*args) on the helper thread and return a callable that waits
-    for its result (or raises its exception). With one CPU, fn runs now, in
-    the caller, and its exception comes from `on_helper` itself. Jobs run one
-    at a time, in the order given: fn must not call `on_helper` or wait on
-    another job, or the helper would wait on itself."""
-    helper = _helper()
-    if helper is None:
-        result = fn(*args)
-        return lambda: result
-    return helper.submit(fn, *args).result
+    for its result (or raises its exception). Jobs run one at a time, in the
+    order given: fn must not call `on_helper` or wait on another job, or the
+    helper would wait on itself."""
+    return _helper().submit(fn, *args).result
 
 
 def gradient(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

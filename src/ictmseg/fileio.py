@@ -210,10 +210,10 @@ def _parse_region(text: str) -> Shape:
     return Shape(kind=kind, params=tuple(vals[:-1]), intensity=vals[-1])
 
 
-def _coerce(key: str, value: str, line_no: int):
+def _coerce(key: str, value: str, where: str):
     typ = _ALL_KEYS[key]
     if typ is float:
-        return _parse_floats(value, 1, f"line {line_no}: {key}")[0]
+        return _parse_floats(value, 1, f"{where}: {key}")[0]
     try:
         if typ is bool:
             low = value.lower()
@@ -224,7 +224,7 @@ def _coerce(key: str, value: str, line_no: int):
             raise ValueError(value)
         return typ(value)
     except ValueError as exc:
-        raise ConfigError(f"line {line_no}: cannot parse {key}={value!r}") from exc
+        raise ConfigError(f"{where}: cannot parse {key}={value!r}") from exc
 
 
 def parse_config(text: str, source: str = "<config>") -> dict:
@@ -245,7 +245,7 @@ def parse_config(text: str, source: str = "<config>") -> dict:
         elif key in raw:
             raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
         else:
-            raw[key] = _coerce(key, value, line_no)
+            raw[key] = _coerce(key, value, f"{source}:{line_no}")
     return raw
 
 

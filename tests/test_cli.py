@@ -742,8 +742,10 @@ NO_INIT = SCENE_24.replace("init = circle:12,12,4\n", "")
 @pytest.mark.parametrize("command, text, message", [
     ("segment", SCENE_24 + "max_outer 3\n", "run.cfg:7: expected 'key = value'"),
     ("segment", SCENE_24 + "tau_in_pixels = maybe\n",
-     "line 7: cannot parse tau_in_pixels='maybe'"),
-    ("segment", SCENE_24 + "max_outer = 2.5\n", "line 7: cannot parse max_outer='2.5'"),
+     "run.cfg:7: cannot parse tau_in_pixels='maybe'"),
+    ("segment", SCENE_24 + "max_outer = 2.5\n", "run.cfg:7: cannot parse max_outer='2.5'"),
+    ("segment", SCENE_24 + "gamma = abc\n",
+     "run.cfg:7: gamma: cannot parse numbers from 'abc' (expected 1 values)"),
     ("synth", NO_INIT + "synth.region = star:8,8,4,100\n", "unknown region kind 'star'"),
     ("synth", "synth.background = 100\n", "synth source requires synth.size"),
     ("segment", NO_INIT, "segmentation requires an 'init' contour spec"),
@@ -756,7 +758,7 @@ NO_INIT = SCENE_24.replace("init = circle:12,12,4\n", "")
      "region intensities must lie in [0, 255]"),
     ("synth", NO_INIT + "synth.bias = ramp:0,1\n",
      "synth.bias ramp: values must be strictly positive"),
-], ids=["no-equals", "bool", "int", "region-kind", "no-size", "no-init", "cell-0",
+], ids=["no-equals", "bool", "int", "float", "region-kind", "no-size", "no-init", "cell-0",
         "init-kind", "synth-of-input", "noise-none", "intensity-300", "ramp-0"])
 def test_exit_code_2_names_the_refused_line_or_key(tmp_path, capsys, command, text, message):
     cfg = write_cfg(tmp_path, text)

@@ -1,5 +1,7 @@
 """Energy-term tests, each against a hand or brute-force reference."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ def test_indicator_set_contracts():
                    (labels, 2), (labels - 1, 3)):
         with pytest.raises(ValueError):
             IndicatorSet(bad, n)
+    # an empty map is refused by name, before any reduction over it
+    for shape in ((0, 5), (3, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels must be a 2-D integer map with positive dims, got shape {shape}")):
+            IndicatorSet(np.zeros(shape, dtype=np.int64), 2)
     with pytest.raises(TypeError):
         IndicatorSet(labels)
 

@@ -312,21 +312,14 @@ def fresh_helper(monkeypatch):
     count, and shut down after the test."""
     ictmseg.field._helper.cache_clear()
     yield monkeypatch
-    helper = ictmseg.field._helper()
-    if helper is not None:
-        helper.shutdown()
+    ictmseg.field._helper().shutdown()
     ictmseg.field._helper.cache_clear()
 
 
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def test_on_helper_runs_jobs_in_order_on_one_thread(fresh_helper):
-    # with two CPUs every job runs on the one helper thread, not the caller,
-    # one at a time in the order given, and a later batch on the same thread;
-    # each result is the bits fn(*args) gives in the caller
-    two_cpus(fresh_helper)
+    # every job runs on the one helper thread, not the caller, one at a time
+    # in the order given, and a later batch on the same thread; each result
+    # is the bits fn(*args) gives in the caller
     k = gaussian_kernel(2.0)
     fields = [rng.standard_normal((16, 12)) for _ in range(5)]
     ran = []
@@ -346,45 +339,51 @@ def test_on_helper_runs_jobs_in_order_on_one_thread(fresh_helper):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_on_helper_without_sched_getaffinity(fresh_helper, cpus):
-    # macOS and Windows have no CPU affinity call: the CPU count decides
-    # whether a job runs on a helper or in the caller
+    # macOS and Windows have no CPU affinity call; whatever the CPU count,
+    # a job runs on the helper thread
     fresh_helper.delattr(os, "sched_getaffinity", raising=False)
     fresh_helper.setattr(os, "cpu_count", lambda: cpus)
     field = rng.random((9, 7)) < 0.5
     k = gaussian_kernel(1.5)
     thread, out = on_helper(lambda f: (threading.get_ident(), convolve(f, k)), field)()
-    assert (thread != threading.get_ident()) == (cpus > 1)
+    assert thread != threading.get_ident()
     assert out.tobytes() == convolve(field, k).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_on_helper_reraises_a_jobs_exception(fresh_helper, cpus):
-    # the result callable re-raises the job's exception, or with one CPU
-    # on_helper itself does; either way the next job runs
+    # whatever the CPU count, a failing job raises nothing in on_helper: the
+    # result callable re-raises its exception, and the jobs handed over after
+    # it run on the helper thread, in order
     fresh_helper.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                          raising=False)
+    fresh_helper.setattr(os, "cpu_count", lambda: cpus)
+    ran = []
 
     def fail():
+        ran.append(None)
         raise ZeroDivisionError("in the job")
 
-    if cpus == 1:
-        with pytest.raises(ZeroDivisionError, match="in the job"):
-            on_helper(fail)
-    else:
-        result = on_helper(fail)
-        with pytest.raises(ZeroDivisionError, match="in the job"):
-            result()
-    thread = on_helper(threading.get_ident)()
-    assert (thread != threading.get_ident()) == (cpus > 1)
+    def job(i):
+        ran.append(i)
+        return threading.get_ident()
+
+    result = on_helper(fail)
+    later = [on_helper(job, i) for i in range(3)]
+    with pytest.raises(ZeroDivisionError, match="in the job"):
+        result()
+    threads = {run() for run in later}
+    assert ran == [None, 0, 1, 2]
+    assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 @pinning
 def test_one_cpu_gives_the_same_labels():
-    # A process limited to one CPU runs every helper job in the caller and
-    # starts no thread; the default run hands jobs to the helper. Both find
-    # the label map of the pinned three-phase run and the same bits of g and
-    # b, and importing the package starts no thread. A BLAS allowed two
-    # threads changes no bit either: no sum of the solver goes through it.
+    # A process limited to one CPU hands its jobs to the one helper thread,
+    # which then shares the caller's CPU, as a process with more CPUs does.
+    # Both find the label map of the pinned three-phase run and the same bits
+    # of g and b, and importing the package starts no thread. A BLAS allowed
+    # two threads changes no bit either: no sum of the solver goes through it.
     code = (
         "import hashlib, threading, numpy as np, ictmseg\n"
         "alone = threading.active_count()\n"
@@ -405,8 +404,7 @@ def test_one_cpu_gives_the_same_labels():
         "      hashlib.sha256(state.u.labels().astype(np.uint8).tobytes()).hexdigest(),\n"
         "      hashlib.sha256(state.g.tobytes() + state.b.tobytes()).hexdigest())\n")
     package_root = Path(ictmseg.__file__).resolve().parents[1]
-    cpus = os.sched_getaffinity(0)
-    one_cpu = min(cpus)
+    one_cpu = min(os.sched_getaffinity(0))
 
     def run(preexec_fn=None, **env):
         return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -417,10 +415,8 @@ def test_one_cpu_gives_the_same_labels():
     default = run()
     blas2 = run(OPENBLAS_NUM_THREADS="2")
     digest = "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
-    assert pinned[:3] == ["1", "1", digest]
     # the one helper thread starts with the first bias update
-    helpers = 1 if len(cpus) > 1 else 0
-    assert default[:3] == ["1", str(1 + helpers), digest]
+    assert pinned[:3] == default[:3] == ["1", "2", digest]
     assert blas2 == default and default[3] == pinned[3]
 
 
@@ -428,7 +424,6 @@ def test_one_cpu_gives_the_same_labels():
 def test_on_helper_in_forked_child(fresh_helper):
     # a helper started before a fork does not run in the child; the child
     # makes its own and returns the parent's bits instead of waiting for ever
-    two_cpus(fresh_helper)
     k = gaussian_kernel(2.0)
     fields = [rng.standard_normal((16, 16)) for _ in range(3)]
 
@@ -437,7 +432,6 @@ def test_on_helper_in_forked_child(fresh_helper):
         return hashlib.sha256(b"".join(result().tobytes() for result in results)).digest()
 
     expected = bits()
-    assert ictmseg.field._helper() is not None
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:

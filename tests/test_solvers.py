@@ -509,15 +509,12 @@ def test_segment_pinned_three_phase_output():
     assert digest == "9d688a2a846e46eaef1bf65141ac5e2a7c48a8020718a251beeb867cffa6c990"
 
 
-def test_segment_bits_do_not_depend_on_thread_timing(monkeypatch):
+def test_segment_bits_do_not_depend_on_thread_timing():
     # The helper's jobs (the bias denominator, K*b^2, the partition's
     # potentials and length term) run while the caller works on. With the
-    # interpreter switching threads every microsecond, and with no helper at
-    # all, the run makes the same records, labels, g and b, bit for bit, and
-    # no job is waited for in vain: the switching run must end within its
-    # time bound.
-    import ictmseg.field
-
+    # interpreter switching threads every microsecond, the run makes the same
+    # records, labels, g and b as an ordinary run, bit for bit, and no job is
+    # waited for in vain: the switching run must end within its time bound.
     def bits(state, log):
         return (log.outers, log.inners, state.u.labels().tobytes(), state.g.tobytes(),
                 state.b.tobytes())
@@ -533,10 +530,9 @@ def test_segment_bits_do_not_depend_on_thread_timing(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive() and len(out) == 1
-    monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
-    alone = bits(*segment(*pinned_three_phase()))
-    assert len(alone[0]) == 40 and len(alone[1]) == 93
-    assert out[0] == alone
+    ordinary = bits(*segment(*pinned_three_phase()))
+    assert len(ordinary[0]) == 40 and len(ordinary[1]) == 93
+    assert out[0] == ordinary
 
 
 def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
@@ -566,18 +562,14 @@ def test_segment_records_carry_the_length_of_their_partition(monkeypatch):
         assert rec.total == rec.fit + length + rec.idiv + rec.tv
 
 
-@pytest.mark.parametrize("helper", [True, False], ids=["helper", "no-helper"])
 @pytest.mark.parametrize("failing", ["update_image", "update_bias"])
-def test_segment_reports_records_before_a_later_failure(monkeypatch, helper, failing):
+def test_segment_reports_records_before_a_later_failure(monkeypatch, failing):
     # Record k is emitted after iteration k + 1's flow, once the helper has
     # its length term. When iteration 2 fails, in the flow or in the bias
     # update before that job is handed over, records 0 and 1 have already
     # reached `progress` and the log, and the failure propagates.
-    import ictmseg.field
     import ictmseg.solve
 
-    if not helper:
-        monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
     logs, reported, calls = [], [], []
     original = getattr(ictmseg.solve, failing)
 
@@ -648,9 +640,9 @@ def test_segment_peak_memory_in_arrays():
     # arrays. The partition is one label map, the residual stack is released
     # before the next flow, the init is shared, not copied, and a flow step
     # hands on one TV force field, not its three-field gradient: 21.8 arrays
-    # on this scene with no helper thread, up to 24.0 when a helper job's
-    # convolution overlaps the peak of a flow step, against 28.5 when the
-    # partition was n float64 masks.
+    # on this scene when no helper job's convolution overlaps the peak of a
+    # flow step, up to 24.0 when one does, against 28.5 when the partition
+    # was n float64 masks.
     n = 64
     clean = np.full((n, n), 60.0)
     clean[n // 8:n // 2, n // 8:7 * n // 8] = 190.0
@@ -969,10 +961,9 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # A fit convolution is counted under the iteration that asked for it:
     # the caller's under the one running, a helper job's under the one that
     # submitted it; a heat convolution under the partition whose mask it
-    # convolves. So the counts do not depend on when the helper runs; the run
-    # is made with the helper and with none. Everything calls `convolve`
-    # through a module global, so it is patched in each module; the counts
-    # are kept under a lock.
+    # convolves. So the counts do not depend on when the helper runs.
+    # Everything calls `convolve` through a module global, so it is patched
+    # in each module; the counts are kept under a lock.
     import ictmseg.energy
     import ictmseg.field
     import ictmseg.solve
@@ -1033,15 +1024,8 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     monkeypatch.setattr(ictmseg.solve, "on_helper", tagged)
     monkeypatch.setattr(ictmseg.solve, "update_means", means)
     monkeypatch.setattr(ictmseg.solve, "threshold", thresholding)
-    fit_budget = {} if freeze_bias else {k: 4 for k in range(4)}
-    for no_helper in (False, True):
-        if no_helper:
-            monkeypatch.setattr(ictmseg.field, "_helper", lambda: None)
-        outer[0] = -1
-        fits.clear()
-        heats.clear()
-        partitions[:] = [IndicatorSet(labels, n_phases)]
-        _, log = segment(f, partitions[0], params)
-        assert len(log.outers) == 4 and len(partitions) == 5
-        assert fits == fit_budget, no_helper
-        assert heats == {p: n_phases - 1 for p in range(5)}, no_helper
+    partitions.append(IndicatorSet(labels, n_phases))
+    _, log = segment(f, partitions[0], params)
+    assert len(log.outers) == 4 and len(partitions) == 5
+    assert fits == ({} if freeze_bias else {k: 4 for k in range(4)})
+    assert heats == {p: n_phases - 1 for p in range(5)}

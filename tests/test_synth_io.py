@@ -205,7 +205,7 @@ def test_parse_config_duplicate_key():
 
 
 def test_parse_config_bad_value_reports_line():
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ConfigError, match="^<config>:2: nu: cannot parse numbers from 'much'"):
         parse_config("gamma = 0.1\nnu = much")
 
 
