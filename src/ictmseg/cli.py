@@ -221,7 +221,6 @@ def cmd_noise(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def cmd_segment(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     f, truth, warnings = _resolve_image(cfg)
     init = _build_init(cfg.init, f, cfg.params.n_phases)
-    cfg.params.validate(segmentation=True)    # a bad parameter is reported first
     if cfg.truth is not None:     # only segment scores a run; a named file wins
         truth = _read_labels(cfg.truth, "truth", f.shape)
     if truth is not None:
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError
 from .field import CUTOFF_SDS, MAX_RADIUS, Kernel, convolve, gaussian_kernel, gradient
 
 __all__ = [
@@ -80,17 +80,15 @@ class ModelParams(NamedTuple):
             return self.dt
         return 0.05 / max(1.0, self.nu)
 
-    def validate(self, segmentation: bool = False) -> "ModelParams":
-        """Refuse values out of range; with `segmentation`, also a zero λ."""
+    def validate(self) -> "ModelParams":
+        """Refuse values out of range."""
         for name, value in [*(("lambdas", l) for l in self.lambdas), *self._asdict().items()]:
             if isinstance(value, (float, np.floating)) and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_phases < 2:
             raise ConfigError("need at least 2 phases")
-        if any(l < 0 for l in self.lambdas):
-            raise ConfigError("lambda weights must be nonnegative")
-        if segmentation and min(self.lambdas) == 0:
-            raise ConfigError("segmentation requires strictly positive lambda weights")
+        if min(self.lambdas) <= 0:
+            raise ConfigError("lambda weights must be positive")
         if min(self.mu, self.gamma, self.nu, self.p) < 0:
             raise ConfigError("mu, gamma, nu, p must be nonnegative")
         if self.dt is not None and self.dt <= 0:
@@ -205,7 +203,7 @@ def gray_indicator(f: np.ndarray, sigma: float, p: float) -> np.ndarray:
     np.maximum(smoothed, 0.0, out=smoothed)
     m = smoothed.max()
     if m <= 0:
-        raise DegenerateInputError("all-zero image has no gray-level scale")
+        raise ValueError("all-zero image has no gray-level scale")
     return (smoothed / m) ** p
 
 

@@ -1,17 +1,14 @@
 """Exception types shared across the package.
 
-ConfigError and its causes map to CLI exit code 2, NumericalFailure to 3.
+The CLI maps ValueError (ConfigError among them) and OSError to exit code 2,
+NumericalFailure to 3.
 """
 
-__all__ = ["ConfigError", "DegenerateInputError", "NumericalFailure"]
+__all__ = ["ConfigError", "NumericalFailure"]
 
 
 class ConfigError(ValueError):
     """Bad configuration: unknown key, missing file, invalid parameter."""
-
-
-class DegenerateInputError(ValueError):
-    """Input that makes an operation meaningless (e.g. all-zero image)."""
 
 
 class NumericalFailure(RuntimeError):

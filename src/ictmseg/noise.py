@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NoiseSpec", "sample_gamma_field", "apply_multiplicative", "apply_poisson",
-           "corrupt"]
+__all__ = ["NoiseSpec", "sample_gamma_field", "corrupt"]
 
 
 class NoiseSpec:
@@ -46,36 +45,16 @@ def sample_gamma_field(width: int, height: int, looks: float, seed: int) -> np.n
     return np.maximum(eta, np.finfo(np.float64).tiny)
 
 
-def apply_multiplicative(clean: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Pointwise product clean * eta. No clamping here; that is I/O policy."""
-    clean = np.asarray(clean, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)
-    if clean.shape != eta.shape:
-        raise ValueError(f"shape mismatch: {clean.shape} vs {eta.shape}")
-    if clean.min() < 0:
-        raise ValueError("clean image must be nonnegative")
-    return clean * eta
-
-
-def apply_poisson(clean: np.ndarray, seed: int) -> np.ndarray:
-    """Per-pixel Poisson draw with the pixel value as the mean.
-
-    Pixel values on the usual [0, 255] display scale are used directly as
-    Poisson means, without photon-count rescaling.
-    """
-    clean = np.asarray(clean, dtype=np.float64)
-    if clean.min() < 0:
-        raise ValueError("Poisson means must be nonnegative")
-    rng = _generator(seed)
-    return rng.poisson(lam=clean).astype(np.float64)
-
-
 def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Apply the configured corruption; 'none' returns a copy."""
+    """Corrupt a nonnegative image: 'gamma' multiplies it by `sample_gamma_field`
+    speckle, 'poisson' draws counts with each pixel value as the mean (no photon
+    rescaling) and 'none' copies it, unchecked. Clamping is I/O policy."""
     if spec.kind == "none":
         return np.array(clean, dtype=np.float64)
+    clean = np.asarray(clean, dtype=np.float64)
+    if clean.min() < 0:
+        raise ValueError("clean image must be nonnegative")
     if spec.kind == "gamma":
-        h, w = np.asarray(clean).shape
-        eta = sample_gamma_field(w, h, spec.looks, spec.seed)
-        return apply_multiplicative(clean, eta)
-    return apply_poisson(clean, spec.seed)
+        h, w = clean.shape
+        return clean * sample_gamma_field(w, h, spec.looks, spec.seed)
+    return _generator(spec.seed).poisson(clean).astype(np.float64)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalFailure
+from .errors import NumericalFailure
 from .energy import (
     IndicatorSet,
     ModelParams,
@@ -191,7 +191,7 @@ def update_bias(state: SegState, params: ModelParams,
     """
     c = np.asarray(state.c, dtype=np.float64)
     if not np.any(c != 0.0):
-        raise DegenerateInputError("all region means are zero; bias undefined")
+        raise ValueError("all region means are zero; bias undefined")
     lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
     den_job = on_helper(lambda: convolve(state.u.weighted_sum(lam_c * c), kernel))
     num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
@@ -468,7 +468,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     after iteration k + 1's flow, or as that iteration fails, and the last
     one after the loop.
     """
-    params.validate(segmentation=True)
+    params.validate()
     f = as_field(f)
     if init.shape != f.shape or init.n != params.n_phases:
         raise ValueError(
@@ -512,18 +512,17 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         try:
             state.c, flags = update_means(state, kb, kb2)
             log.warnings.extend(msg for msg in flags if msg not in log.warnings)
-            if params.freeze_bias:
-                lam_c2 = np.multiply(params.lambdas, state.c) * state.c
-                fit_const = inner_product(state.u.weighted_sum(lam_c2), kb2)
+            if params.freeze_bias:     # b = 1: den is sum_i lam_i c_i^2 u_i itself
+                den = state.u.weighted_sum(np.multiply(params.lambdas, state.c) * state.c)
             else:
                 del kb, kb2     # the old bias's; update_means was their last reader
                 state.b, den = update_bias(state, params, fit_kernel)
                 # K*b^2 is first read after the flow: the helper makes it meanwhile
                 kb2 = on_helper(lambda b: convolve(b * b, fit_kernel), state.b)
-                # <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>: K is self-adjoint
-                fit_const = float(np.einsum("ij,ij,ij->", den, state.b, state.b))
-                del den
                 kb = convolve(state.b, fit_kernel)
+            # <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>: K is self-adjoint
+            fit_const = float(np.einsum("ij,ij,ij->", den, state.b, state.b))
+            del den
             # the helper makes u's potentials and length term through the flow
             lengths = on_helper(length_of, state.u)
             state.g, inner_records, hit_cap = update_image(

@@ -26,7 +26,7 @@ from ictmseg.field import (
     solve_implicit,
 )
 from ictmseg.metrics import ConfusionCounts, accuracy, dsc, iou, kappa, match_phases, score_masks
-from ictmseg.noise import NoiseSpec, apply_poisson, corrupt, sample_gamma_field
+from ictmseg.noise import NoiseSpec, corrupt, sample_gamma_field
 from ictmseg.solve import (
     evaluate,
     force,
@@ -223,7 +223,7 @@ def test_criterion_07_noise_statistics():
     eta = sample_gamma_field(1000, 1000, 10.0, seed=99)
     gamma_mean = abs(eta.mean() - 1.0)
     gamma_var = abs(eta.var() - 0.1) / 0.1
-    pois = apply_poisson(np.full((1000, 1000), 100.0), seed=100)
+    pois = corrupt(np.full((1000, 1000), 100.0), NoiseSpec("poisson", seed=100))
     pois_mean = abs(pois.mean() - 100.0) / 100.0
     pois_var = abs(pois.var() - pois.mean()) / pois.mean()
     ok = gamma_mean < 0.01 and gamma_var < 0.05 and pois_mean < 0.01 and pois_var < 0.03

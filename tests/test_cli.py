@@ -348,12 +348,15 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
 
 
 def test_exit_code_2_on_contract_violation(tmp_path, capsys):
-    # lambda = 0 violates the segmentation contract
+    # every lambda must be positive: refused as the config is read, by every
+    # command, before any output
     cfg = write_cfg(tmp_path, "synth.size = 16,16\ninit = circle:8,8,4\n"
                               "lambda = 0\nout = x\n")
-    assert main(["segment", "--config", str(cfg), "--out",
-                 str(tmp_path / "x"), "--quiet"]) == 2
-    assert "lambda" in capsys.readouterr().err
+    for command in ("segment", "denoise"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "lambda weights must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exit_code_2_on_truncated_float_raster(tmp_path, capsys):

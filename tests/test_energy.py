@@ -17,7 +17,7 @@ from ictmseg.energy import (
     tv_energy,
     tv_gradient,
 )
-from ictmseg.errors import ConfigError, DegenerateInputError
+from ictmseg.errors import ConfigError
 from ictmseg.field import convolve, gaussian_kernel, heat_kernel_pixels, inner_product
 
 from oracles import (conv2d_direct, fit_residual, fit_residual_direct, fitting_energy,
@@ -45,7 +45,8 @@ def test_params_defaults_and_validation():
         ModelParams(gamma=-0.1).validate()
     with pytest.raises(ConfigError):
         ModelParams(p=-1.0).validate()
-    for kwargs, message in (({"lambdas": (-1.0, 1.0)}, "lambda weights must be nonnegative"),
+    for kwargs, message in (({"lambdas": (-1.0, 1.0)}, "lambda weights must be positive"),
+                            ({"lambdas": (1.0, 0.0)}, "lambda weights must be positive"),
                             ({"dt": 0.0}, "dt must be positive"),
                             ({"intensity_scale": 0.0}, "intensity_scale must be positive"),
                             ({"tol2": -1.0}, "tolerances must be nonnegative"),
@@ -181,7 +182,7 @@ def test_gray_indicator_scale_invariant():
 
 
 def test_gray_indicator_rejects_zero_image():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValueError, match="all-zero image has no gray-level scale"):
         gray_indicator(np.zeros((5, 5)), 1.0, 1.3)
 
 

@@ -97,6 +97,8 @@ def test_heat_kernel_std_and_second_moment():
 def test_heat_kernel_too_small_time():
     with pytest.raises(ValueError, match="sub-pixel"):
         heat_kernel_pixels(1e-9 * 64.0**2)
+    with pytest.raises(ValueError, match="time must be positive, got 0"):
+        heat_kernel_pixels(0)
 
 
 def test_heat_kernel_impulse_response():
@@ -597,6 +599,8 @@ def test_inner_product_basics():
     m1 = np.zeros((4, 4))
     m1[:2] = 1.0
     assert inner_product(m1, 1.0 - m1) == 0.0
+    with pytest.raises(ValueError, match=r"field shapes differ: \(4, 4\) vs \(2, 8\)"):
+        inner_product(ones, np.ones((2, 8)))
 
 
 def test_inner_product_matches_direct_sum():

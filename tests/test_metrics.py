@@ -39,6 +39,8 @@ def test_confusion_hand_count():
 def test_confusion_rejects_nonbinary():
     with pytest.raises(ValueError):
         confusion(np.array([[0.5]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1, 2\) vs \(2, 1\)"):
+        confusion(np.array([[0.0, 1.0]]), np.array([[0.0], [1.0]]))
 
 
 def test_scores_on_hand_counts():
@@ -47,6 +49,9 @@ def test_scores_on_hand_counts():
     assert iou(c) == pytest.approx(0.5)
     assert accuracy(c) == pytest.approx(0.75)
     assert kappa(c) == pytest.approx(0.5)
+    for score in (accuracy, kappa):
+        with pytest.raises(ValueError, match="empty confusion counts"):
+            score(ConfusionCounts(tp=0, fp=0, fn=0, tn=0))
 
 
 def test_scores_identical_nonempty_masks():
@@ -126,6 +131,10 @@ def test_multiphase_consistent_relabeling_invariant():
 def test_multiphase_phase_count_mismatch():
     with pytest.raises(ValueError):
         multiphase_report(labels_to_set([[0, 1]], 2), labels_to_set([[0, 2]], 3))
+    with pytest.raises(ValueError, match="phase count mismatch: 2 vs 3"):
+        match_phases(labels_to_set([[0, 1]], 2), labels_to_set([[0, 2]], 3))
+    with pytest.raises(ValueError, match=r"shape mismatch: \(1, 2\) vs \(2, 1\)"):
+        multiphase_report(labels_to_set([[0, 1]], 2), labels_to_set([[0], [1]], 2))
 
 
 def test_match_phases_repairs_label_swap():

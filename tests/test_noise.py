@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from ictmseg.noise import (
-    NoiseSpec,
-    apply_multiplicative,
-    apply_poisson,
-    corrupt,
-    sample_gamma_field,
-)
+from ictmseg.noise import NoiseSpec, corrupt, sample_gamma_field
 
 
 def test_gamma_determinism_and_seed_sensitivity():
@@ -40,53 +34,74 @@ def test_gamma_rejects_bad_shape():
         sample_gamma_field(4, 4, 0.0, seed=0)
     with pytest.raises(ValueError):
         sample_gamma_field(4, 4, -2.0, seed=0)
+    for width, height in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="field dimensions must be positive"):
+            sample_gamma_field(width, height, 10.0, seed=0)
+
+
+def gamma(looks=10.0, seed=1):
+    return NoiseSpec("gamma", looks=looks, seed=seed)
+
+
+def poisson(seed):
+    return NoiseSpec("poisson", seed=seed)
 
 
 def test_multiplicative_identity_and_zero():
+    # 1e12 looks: speckle of variance 1e-12, so the image comes back to 1e-5
     clean = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(apply_multiplicative(clean, np.ones((2, 2))), clean)
-    assert not apply_multiplicative(np.zeros((2, 2)), np.full((2, 2), 9.0)).any()
+    assert np.allclose(corrupt(clean, gamma(looks=1e12)), clean, rtol=1e-5, atol=0.0)
+    assert not corrupt(np.zeros((2, 2)), gamma()).any()
 
 
 def test_multiplicative_hand_product():
     clean = np.array([[1.0, 2.0], [3.0, 4.0]])
-    eta = np.array([[2.0, 1.0], [1.0, 0.5]])
-    assert np.array_equal(apply_multiplicative(clean, eta),
-                          np.array([[2.0, 2.0], [3.0, 2.0]]))
+    eta = sample_gamma_field(2, 2, 10.0, seed=1)
+    assert np.array_equal(corrupt(clean, gamma()),
+                          [[clean[i, j] * eta[i, j] for j in range(2)] for i in range(2)])
 
 
 def test_multiplicative_degree_one_homogeneous():
     rng = np.random.default_rng(5)
     clean = rng.random((6, 6))
-    eta = rng.random((6, 6)) + 0.5
-    assert np.allclose(apply_multiplicative(3.0 * clean, eta),
-                       3.0 * apply_multiplicative(clean, eta))
+    assert np.allclose(corrupt(3.0 * clean, gamma()), 3.0 * corrupt(clean, gamma()))
 
 
-def test_multiplicative_shape_mismatch():
-    with pytest.raises(ValueError):
-        apply_multiplicative(np.zeros((2, 2)), np.zeros((3, 2)))
+def test_corrupt_matches_its_samplers_on_a_non_square_image():
+    # (5, 7) is 5 rows of width 7: a width/height swap draws another field
+    clean = np.random.default_rng(6).random((5, 7)) * 200.0
+    noisy = corrupt(clean, gamma(looks=4.0, seed=21))
+    assert np.array_equal(noisy, clean * sample_gamma_field(7, 5, 4.0, seed=21))
+    counts = corrupt(clean, poisson(seed=22))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(22)))
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, rng.poisson(clean))
+    negative = clean - 100.0
+    for spec in (gamma(), poisson(seed=0)):
+        with pytest.raises(ValueError, match="clean image must be nonnegative"):
+            corrupt(negative, spec)
+    assert np.array_equal(corrupt(negative, NoiseSpec("none")), negative)
 
 
 def test_poisson_zero_mean_is_degenerate():
-    assert not apply_poisson(np.zeros((16, 16)), seed=1).any()
+    assert not corrupt(np.zeros((16, 16)), poisson(seed=1)).any()
 
 
 def test_poisson_moments():
-    field = apply_poisson(np.full((1000, 1000), 100.0), seed=11)
+    field = corrupt(np.full((1000, 1000), 100.0), poisson(seed=11))
     assert abs(field.mean() - 100.0) / 100.0 < 0.01
     assert abs(field.var() - 100.0) / 100.0 < 0.03
 
 
 def test_poisson_determinism():
     clean = np.full((32, 32), 37.0)
-    assert np.array_equal(apply_poisson(clean, seed=2), apply_poisson(clean, seed=2))
-    assert not np.array_equal(apply_poisson(clean, seed=2), apply_poisson(clean, seed=3))
+    assert np.array_equal(corrupt(clean, poisson(seed=2)), corrupt(clean, poisson(seed=2)))
+    assert not np.array_equal(corrupt(clean, poisson(seed=2)), corrupt(clean, poisson(seed=3)))
 
 
 def test_poisson_rejects_negative_means():
     with pytest.raises(ValueError):
-        apply_poisson(np.array([[1.0, -0.5]]), seed=0)
+        corrupt(np.array([[1.0, -0.5]]), poisson(seed=0))
 
 
 def test_noise_spec_validation_and_corrupt():

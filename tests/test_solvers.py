@@ -20,13 +20,14 @@ from ictmseg.energy import (
     tv_energy,
     tv_gradient,
 )
-from ictmseg.errors import DegenerateInputError, NumericalFailure
+from ictmseg.errors import NumericalFailure
 from ictmseg.field import (biharmonic, convolve, gaussian_kernel, heat_kernel_pixels,
                            inner_product, on_helper)
 from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
     FlowRun,
     IterationLog,
+    build_g_context,
     energy_shift,
     evaluate,
     force,
@@ -38,10 +39,10 @@ from ictmseg.solve import (
     update_image,
     update_means,
 )
-from oracles import (bias_direct, copy_state, fit_fields, fit_residual, fitting_energy,
-                     float_masks, from_masks, g_context, means_direct, phi_direct,
-                     relaxation_quadratic_root, rmsav_step_reference, run_inputs, stencil,
-                     threshold_fields, two_phase)
+from oracles import (bias_direct, copy_state, fit_constant, fit_fields, fit_residual,
+                     fitting_energy, float_masks, from_masks, g_context, means_direct,
+                     phi_direct, relaxation_quadratic_root, rmsav_step_reference, run_inputs,
+                     stencil, threshold_fields, two_phase)
 
 rng = np.random.default_rng(777)
 
@@ -158,7 +159,7 @@ def test_update_bias_matches_direct_quotient(n_phases):
 def test_update_bias_rejects_all_zero_means():
     state = random_instance()
     state.c = np.zeros(2)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValueError, match="all region means are zero; bias undefined"):
         update_bias(state, ModelParams(), gaussian_kernel(ModelParams().rho))
 
 
@@ -260,6 +261,19 @@ def test_rmsav_step_fixed_point():
     assert step.z_tilde == pytest.approx(z0, rel=1e-12)
     assert step.z_next == pytest.approx(z0, rel=1e-12)
     assert step.e_next == pytest.approx(e0, rel=1e-12)
+
+
+def test_rmsav_step_refuses_a_nonpositive_z_and_a_nan_pixel():
+    g, ctx = noisy_context()
+    e, tv_force = evaluate(g, ctx)[::4]
+    z = float(np.sqrt(e + ctx.shift))
+    with pytest.raises(NumericalFailure, match=r"must stay positive, got 0.0 \(outer "
+                                               r"iteration 1, inner iteration 2\)"):
+        rmsav_step(g, 0.0, ctx, e, tv_force, 1, 2)
+    g[2, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalFailure, match=r"non-finite value in SAV step \(outer iteration 3"):
+        rmsav_step(g, z, ctx, e, tv_force, 3, 0)
 
 
 def test_rmsav_inner_product_identity():
@@ -861,6 +875,11 @@ def test_threshold_picks_minimum_and_breaks_ties_low():
     assert float_masks(least_cost(tie))[0].all()
 
 
+def test_threshold_refuses_a_single_phase():
+    with pytest.raises(ValueError, match="need at least two phase cost fields"):
+        least_cost(np.zeros((1, 4, 4)))
+
+
 def test_threshold_achieves_pointwise_minimum():
     phis = rng.random((3, 9, 9))
     u = least_cost(phis)
@@ -927,6 +946,12 @@ def test_segment_validates_inputs():
     init = two_phase(np.ones((8, 8)))
     with pytest.raises(ValueError):
         segment(-f, init, ModelParams())
+    with pytest.raises(ValueError, match=r"field must be 2-D .*, got shape \(8,\)"):
+        segment(f[0], init, ModelParams())
+    nan = f.copy()
+    nan[3, 4] = np.nan
+    with pytest.raises(ValueError, match="field contains NaN or Inf"):
+        segment(nan, init, ModelParams())
     with pytest.raises(ValueError):
         segment(f, init, ModelParams(lambdas=(0.0, 1.0)))
     with pytest.raises(ValueError):
@@ -945,6 +970,33 @@ def test_segment_reaches_fixed_point_and_stays():
     state2, log2 = segment(clean, state.u, params)
     assert np.array_equal(float_masks(state.u), float_masks(state2.u))
     assert len(log2.outers) == 1
+
+
+def test_segment_frozen_bias_fit_constant_is_its_definition(monkeypatch):
+    # a frozen bias hands the flow <den, b^2> with den = sum_i lam_i c_i^2 u_i
+    # and b = 1: <sum_i lam_i c_i^2 u_i, K*1> by the definition, K*1 = 1
+    import ictmseg.solve
+
+    n_rows, n_cols = 36, 44
+    f = np.full((n_rows, n_cols), 50.0)
+    f[4:20, 6:30] = 200.0
+    f[22:32, 10:40] = 120.0
+    f = f * sample_gamma_field(n_cols, n_rows, 10.0, seed=35)
+    labels = np.zeros((n_rows, n_cols), dtype=np.int64)
+    labels[n_rows // 2:, :] = 1
+    labels[:, n_cols // 2:] = 2
+    params = ModelParams(lambdas=(0.7, 1.3, 2.0), freeze_bias=True, max_outer=6)
+    pairs = []
+
+    def context(state, params, kb, fit_const, run):
+        pairs.append((fit_const, fit_constant(state, params, np.ones(state.u.shape))))
+        return build_g_context(state, params, kb, fit_const, run)
+
+    monkeypatch.setattr(ictmseg.solve, "build_g_context", context)
+    _, log = segment(f, IndicatorSet(labels, 3), params)
+    assert len(pairs) == len(log.outers) >= 2
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 # ------------------------------------------------------- convolution budget

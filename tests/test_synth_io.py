@@ -81,6 +81,8 @@ def test_spec_validation():
         generate(SynthSpec(size=(4, 4), background=300.0))
     with pytest.raises(ConfigError):
         generate(SynthSpec(size=(4, 4), bias=("wavy",)))
+    with pytest.raises(ConfigError, match="unknown shape kind 'star'"):
+        Shape("star", (2.0, 2.0, 1.0), 100.0).mask(4, 4)
 
 
 @pytest.mark.parametrize("text, bias, echo", [
