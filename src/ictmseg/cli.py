@@ -138,38 +138,28 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
 def _source(cfg: ExperimentConfig):
     """(image, truth): the configured image under the configured noise, not
     clamped, and the synthetic truth's label map (None for an input file,
-    which noise needs finite)."""
+    which must be finite)."""
     if cfg.synth is not None:
         clean, scene, _ = generate(cfg.synth)
         truth = scene.labels()
     else:
         clean, truth = read_field(cfg.input), None
-        bad = np.count_nonzero(~np.isfinite(clean)) if cfg.noise.kind != "none" else 0
+        bad = np.count_nonzero(~np.isfinite(clean))
         if bad:
-            raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite; "
-                              "noise needs a finite clean image")
+            raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite")
     return corrupt(clean, cfg.noise), truth
 
 
 def _resolve_image(cfg: ExperimentConfig):
-    """Produce (f, truth_or_None, warnings): the `_source` image clamped to
-    [0, 255], and the synthetic truth's labels (None for an input file;
-    `segment` reads a named `truth = ...` file in its place). A clamp that
-    changes any pixel is reported as a run warning. Unless the config sets
-    `intensity_scale`, it becomes the maximum of the clamped input, in
-    `cfg.params` so that the manifest echoes it: the model is equivariant
-    under scaling only when the scale follows the data."""
-    raw, truth = _source(cfg)
-    f = np.clip(raw, 0.0, 255.0)
-    changed = np.count_nonzero(f != raw)
-    warnings = [f"input clamped to [0, 255]: {changed} of {f.size} pixels changed "
-                f"(min {raw.min():.6g}, max {raw.max():.6g})"] if changed else []
-    if "intensity_scale" not in cfg.raw:
-        peak = float(f.max())
-        if peak == 0.0:
-            raise ConfigError("input is all zero after the clamp to [0, 255]: "
-                              "no intensity_scale can be taken from it")
-        cfg.params = cfg.params._replace(intensity_scale=peak)
+    """(f, truth, warnings): `_source`'s, with negative pixels clipped to 0
+    and reported. `ModelParams.scale_of(f)` goes into `cfg.params`, so that
+    the manifest echoes the scale the run uses."""
+    f, truth = _source(cfg)
+    negative = np.count_nonzero(f < 0.0)
+    warnings = [f"input clipped at 0: {negative} of {f.size} pixels were negative "
+                f"(min {f.min():.6g})"] if negative else []
+    np.maximum(f, 0.0, out=f)
+    cfg.params = cfg.params._replace(intensity_scale=cfg.params.scale_of(f))
     return f, truth, warnings
 
 

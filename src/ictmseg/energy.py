@@ -17,6 +17,7 @@ force in `solve` is the exact gradient of the energy evaluated here.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +61,7 @@ class ModelParams(NamedTuple):
     g_floor: float = 1e-3
     tol1: float = 1e-8
     tol2: float = 1e-3
-    intensity_scale: float = 255.0
+    intensity_scale: float | None = None
     dt: float | None = None
     tau_in_pixels: bool = False
     max_outer: int = 500
@@ -80,6 +81,30 @@ class ModelParams(NamedTuple):
             return self.dt
         return 0.05 / max(1.0, self.nu)
 
+    def scale_of(self, f: np.ndarray) -> float:
+        """Intensity scale of image f >= 0: `intensity_scale` if set, else the
+        0.999-quantile of f (np.quantile's, bit for bit), or its maximum when
+        that is 0; taken from the data, a run is equivariant under scaling f."""
+        if self.intensity_scale is not None:
+            return self.intensity_scale
+        x = np.asarray(f, dtype=np.float64)
+        pos = (x.size - 1) * 0.999
+        lo, top = int(pos), float(x.max())
+        # s[lo] of the sorted values s is the largest v with x.size - lo values
+        # >= v, bisected over the bits of doubles >= 0, which order as their
+        # values do, with no sort: np.quantile imports numpy.ma (1.2 MB resident)
+        k = bisect.bisect_left(range(max(0, int(np.float64(top).view(np.int64))) + 1), True,
+                               key=lambda v: np.count_nonzero(
+                                   x >= np.int64(v).view(np.float64)) < x.size - lo)
+        low = float(np.int64(max(k - 1, 0)).view(np.float64))
+        above = x[x > low]      # s[lo + 1] is their least unless it equals s[lo]
+        high = float(above.min()) if 0 < above.size == x.size - lo - 1 else low
+        t, step = pos - lo, high - low
+        scale = (high - step * (1.0 - t) if t >= 0.5 else low + step * t) or top
+        if scale <= 0.0:
+            raise ConfigError("input is all zero: no intensity_scale can be taken from it")
+        return scale
+
     def validate(self) -> "ModelParams":
         """Refuse values out of range."""
         for name, value in [*(("lambdas", l) for l in self.lambdas), *self._asdict().items()]:
@@ -93,7 +118,7 @@ class ModelParams(NamedTuple):
             raise ConfigError("mu, gamma, nu, p must be nonnegative")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.intensity_scale <= 0:
+        if self.intensity_scale is not None and self.intensity_scale <= 0:
             raise ConfigError("intensity_scale must be positive")
         for name in ("rho", "tau", "sigma", "c0", "eps_tv", "g_floor"):
             if getattr(self, name) <= 0:

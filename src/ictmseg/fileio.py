@@ -282,10 +282,11 @@ def config_lines(cfg: ExperimentConfig) -> list[str]:
         lines.append(f"init = {cfg.init}")
     lines.append(f"n_phases = {p.n_phases}")
     lines.append("lambda = " + ",".join(repr(v) for v in p.lambdas))
-    for key in _MODEL_KEYS:     # dt as the run resolves it
+    for key in _MODEL_KEYS:     # dt as the run resolves it, and a scale once resolved
         value = p.time_step if key == "dt" else getattr(p, key)
-        text = str(value).lower() if isinstance(value, bool) else repr(value)
-        lines.append(f"{key} = {text}")
+        if value is not None:
+            text = str(value).lower() if isinstance(value, bool) else repr(value)
+            lines.append(f"{key} = {text}")
     lines.append(f"seed = {cfg.noise.seed}")
     lines.append(f"out = {cfg.out}")
     return lines

@@ -46,12 +46,15 @@ def sample_gamma_field(width: int, height: int, looks: float, seed: int) -> np.n
 
 
 def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Corrupt a nonnegative image: 'gamma' multiplies it by `sample_gamma_field`
-    speckle, 'poisson' draws counts with each pixel value as the mean (no photon
-    rescaling) and 'none' copies it, unchecked. Clamping is I/O policy."""
-    if spec.kind == "none":
-        return np.array(clean, dtype=np.float64)
+    """Corrupt a 2-D nonnegative image: 'gamma' multiplies it by
+    `sample_gamma_field` speckle, 'poisson' draws counts with each pixel value
+    as the mean (no photon rescaling) and 'none' copies it, its values
+    unchecked. Clamping is I/O policy."""
     clean = np.asarray(clean, dtype=np.float64)
+    if clean.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {clean.shape}")
+    if spec.kind == "none":
+        return clean.copy()
     if clean.min() < 0:
         raise ValueError("clean image must be nonnegative")
     if spec.kind == "gamma":

@@ -292,9 +292,11 @@ def evaluate(g: np.ndarray, ctx: GContext) -> tuple:
 
 
 def _fit_energy(g: np.ndarray, ctx: GContext) -> float:
-    return 0.0 if ctx.weight is None else (
+    # at least 0 (K*b^2 >= (K*b)^2): clamped, as `residual_fields` clamps each
+    # e_i, against the roundoff of a difference of three large sums
+    return 0.0 if ctx.weight is None else max(0.0, (
         float(np.einsum("ij,ij,ij->", g, g, ctx.weight))
-        - 2.0 * float(np.einsum("ij,ij->", g, ctx.target)) + ctx.fit_const)
+        - 2.0 * float(np.einsum("ij,ij->", g, ctx.target)) + ctx.fit_const))
 
 
 def g_energy(g: np.ndarray, ctx: GContext,
@@ -455,7 +457,7 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     """Alternate mean, bias, smooth-image and partition updates until the
     partition stops changing (err1 <= tol1) or max_outer is reached.
 
-    Intensities are divided by `params.intensity_scale` for the run (the
+    Intensities are divided by `params.scale_of(f)` for the run (the
     default weights balance the fitting and denoising forces at unit scale)
     and the returned means and smooth image are scaled back to input units.
     `progress`, if given, is called with each OuterRecord as it is logged;
@@ -474,7 +476,8 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         raise ValueError(
             f"init partition {init.n}x{init.shape} does not match "
             f"{params.n_phases} phases on image {f.shape}")
-    f = f / params.intensity_scale
+    scale = params.scale_of(f)
+    f = f / scale
 
     run = FlowRun(f, params)
     fit_kernel = gaussian_kernel(params.rho)
@@ -553,6 +556,6 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     if err1 > params.tol1:
         log.warnings.append(f"stopped at max_outer={params.max_outer} "
                             f"with err1={err1:.3e} > tol1={params.tol1}")
-    state.c = state.c * params.intensity_scale
-    state.g = state.g * params.intensity_scale
+    state.c = state.c * scale
+    state.g = state.g * scale
     return state, log

@@ -575,12 +575,16 @@ def test_contour_init_populates_every_phase():
 
 
 def test_input_clamp_is_reported(tmp_path, capsys):
+    # negative pixels are clipped to 0 and reported as a run warning; no upper
+    # clamp: the bright pixels reach the scale, the 0.999-quantile of the
+    # clipped input, which the manifest echoes
     field = np.full((16, 16), 80.0)
     field[4:12, 4:12] = 180.0
     hot = field.copy()
     hot[0, :3] = (300.0, 400.0, -5.0)
     for name, img in (("hot", hot), ("cool", field)):
         write_f64(tmp_path / f"{name}.f64", img)
+        scale = float(np.quantile(np.maximum(img, 0.0), 0.999))
         for cmd, extra in (("denoise", "max_inner = 2\n"),
                            ("segment", "init = rect:4,4,8,8\nmax_outer = 2\n")):
             cfg = write_cfg(tmp_path, f"input = {tmp_path / name}.f64\n" + extra,
@@ -589,12 +593,15 @@ def test_input_clamp_is_reported(tmp_path, capsys):
             assert main([cmd, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
             err = capsys.readouterr().err
             manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-            line = "input clamped to [0, 255]: 3 of 256 pixels changed (min -5, max 400)"
+            assert f"\nintensity_scale = {scale!r}\n" in manifest
+            line = "input clipped at 0: 1 of 256 pixels were negative (min -5)"
             if name == "hot":
+                assert 300.0 < scale < 400.0      # neither pixel was cut
                 assert f"warning: {line}\n" in err
                 assert f"# warning = {line}\n" in manifest
             else:
-                assert "clamped" not in err and "clamped" not in manifest
+                assert scale == 180.0
+                assert "clipped" not in err and "clipped" not in manifest
             if cmd == "segment":
                 # corrected.pgm is write_pgm's rounding and clamp of
                 # corrected.f64, which exceeds 255 on the hot input
@@ -604,33 +611,68 @@ def test_input_clamp_is_reported(tmp_path, capsys):
                                       np.clip(np.rint(corrected), 0.0, 255.0))
 
 
-def test_segment_labels_do_not_depend_on_the_input_range(tmp_path):
-    # the intensity scale follows the data, so scaling the input by a power
-    # of two, which is exact, gives the same labels bit for bit; the manifest
-    # echoes the scale each run used
+def _speckle_disk() -> np.ndarray:
+    """A 32x32 speckled disk whose range passes 255 once scaled by 4."""
     yy, xx = np.mgrid[0:32, 0:32]
     clean = np.where((xx - 15) ** 2 + (yy - 17) ** 2 <= 81, 50.0, 15.0)
-    f = np.minimum(clean * np.random.default_rng(8).gamma(10.0, 0.1, clean.shape), 63.0)
-    labels = {}
-    for k in (0, -3, -1, 2):
-        write_f64(tmp_path / f"f{k}.f64", f * 2.0 ** k)
+    return clean * np.random.default_rng(8).gamma(10.0, 0.1, clean.shape)
+
+
+def test_segment_labels_do_not_depend_on_the_input_range(tmp_path):
+    # the intensity scale follows the data, so scaling the input by a power
+    # of two, which is exact, gives the same labels bit for bit, through the
+    # CLI and through the library, and the smooth image scales with it; the
+    # manifest echoes the scale each run used
+    f = _speckle_disk()
+    init = _build_init("circle:16,16,8", f, 2)
+    params = ictmseg.ModelParams(max_outer=20)
+    cli_labels, lib_runs = {}, {}
+    for k in (0, -3, 2, 4):
+        scaled = f * 2.0 ** k
+        write_f64(tmp_path / f"f{k}.f64", scaled)
         cfg = write_cfg(tmp_path, f"input = {tmp_path / f'f{k}.f64'}\n"
                                   "init = circle:16,16,8\nmax_outer = 20\n", name=f"{k}.cfg")
         out = tmp_path / f"out{k}"
         assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        labels[k] = (out / "labels.pgm").read_bytes()
+        cli_labels[k] = (out / "labels.pgm").read_bytes()
         manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-        assert f"\nintensity_scale = {float(f.max() * 2.0 ** k)!r}\n" in manifest
-    assert labels[-3] == labels[-1] == labels[0] == labels[2]
+        assert f"\nintensity_scale = {float(np.quantile(f, 0.999) * 2.0 ** k)!r}\n" in manifest
+        state, _ = segment(scaled, init, params)
+        lib_runs[k] = (state.u.labels(), state.g / 2.0 ** k)
+    assert f.max() * 2.0 ** 2 > 255.0
+    assert cli_labels[-3] == cli_labels[0] == cli_labels[2] == cli_labels[4]
+    for k in (-3, 2, 4):
+        assert np.array_equal(lib_runs[k][0], lib_runs[0][0])
+        assert np.array_equal(lib_runs[k][1], lib_runs[0][1])
+
+
+def test_library_and_cli_segment_agree(tmp_path):
+    # one scale rule: library `segment` with the default parameters and the
+    # CLI on the same input file give the same labels and smooth image
+    f = _speckle_disk() * 8.0
+    write_f64(tmp_path / "f.f64", f)
+    cfg = write_cfg(tmp_path, f"input = {tmp_path / 'f.f64'}\n"
+                              "init = circle:16,16,8\nmax_outer = 20\n")
+    out = tmp_path / "out"
+    assert main(["segment", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    state, _ = segment(f, _build_init("circle:16,16,8", f, 2), ictmseg.ModelParams(max_outer=20))
+    assert np.array_equal(read_pgm(out / "labels.pgm"), state.u.labels())
+    assert np.array_equal(read_f64(out / "denoised.f64"), state.g)
 
 
 def test_exit_code_2_on_all_zero_input(tmp_path, capsys):
-    write_f64(tmp_path / "zero.f64", np.zeros((8, 8)))
-    for cmd, extra in (("segment", "init = circle:4,4,2\n"), ("denoise", "")):
-        cfg = write_cfg(tmp_path, f"input = {tmp_path / 'zero.f64'}\n" + extra,
-                        name=f"{cmd}.cfg")
-        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), "--quiet"]) == 2
-        assert "all zero" in capsys.readouterr().err
+    # an image with no positive pixel, also once its negatives are clipped to
+    # 0, has no intensity scale
+    signed = np.zeros((8, 8))
+    signed[2, 2] = -3.0
+    for name, img in (("zero", np.zeros((8, 8))), ("signed", signed)):
+        write_f64(tmp_path / f"{name}.f64", img)
+        for cmd, extra in (("segment", "init = circle:4,4,2\n"), ("denoise", "")):
+            cfg = write_cfg(tmp_path, f"input = {tmp_path / name}.f64\n" + extra,
+                            name=f"{cmd}.cfg")
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd),
+                         "--quiet"]) == 2
+            assert "all zero" in capsys.readouterr().err
 
 
 def test_denoise_never_opens_the_truth_file(tmp_path, capsys):
@@ -658,8 +700,7 @@ def test_denoise_never_opens_the_truth_file(tmp_path, capsys):
 
 def test_exit_code_2_on_nan_raster(tmp_path, capsys):
     # a NaN pixel is refused where the raster is read, before any command
-    # uses it; without noise, +-inf stays under the [0, 255] clamp of
-    # segment and denoise
+    # uses it
     field = np.full((32, 32), 100.0)
     field[5, 7] = np.nan
     write_f64(tmp_path / "nan.f64", field)
@@ -713,8 +754,8 @@ def test_noise_refuses_infinite_pixels(tmp_path, capsys, sign, kind):
 @pytest.mark.parametrize("kind", ["gamma", "poisson", "none"])
 def test_segment_and_denoise_refuse_infinite_pixels_under_noise(tmp_path, capsys,
                                                                  command, sign, kind):
-    # noise is applied before the [0, 255] clamp, so with noise an infinite
-    # clean pixel is refused as `noise` refuses it; with none it is clamped
+    # an infinite pixel has no place in the intensity scale: segment and
+    # denoise refuse it, whatever the noise, as `noise` refuses it
     field = np.full((32, 32), 100.0)
     field[5, 7] = float(f"{sign}inf")
     write_f64(tmp_path / "inf.f64", field)
@@ -722,12 +763,9 @@ def test_segment_and_denoise_refuse_infinite_pixels_under_noise(tmp_path, capsys
                               "init = circle:16,16,8\nmax_outer = 2\nmax_inner = 2\n")
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     err = capsys.readouterr().err
-    if kind == "none":
-        assert rc == 0 and "input clamped to [0, 255]: 1 of 1024 pixels changed" in err, err
-    else:
-        assert rc == 2
-        assert "inf.f64" in err and "1 of 1024 values are infinite" in err, err
-        assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert rc == 2
+    assert "inf.f64" in err and "1 of 1024 values are infinite" in err, err
+    assert not (tmp_path / "o" / "manifest.txt").exists()
 
 
 SCENE_24 = """synth.size = 24,24

@@ -1,5 +1,7 @@
 """Sampler statistics and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,7 @@ def test_noise_spec_validation_and_corrupt():
     assert np.array_equal(same, clean) and same is not clean
     noisy = corrupt(clean, NoiseSpec(kind="gamma", looks=10.0, seed=1))
     assert noisy.shape == clean.shape and not np.array_equal(noisy, clean)
+    for kind in ("none", "gamma", "poisson"):
+        for bad in (np.full(8, 50.0), np.full((2, 8, 8), 50.0)):
+            with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {bad.shape}")):
+                corrupt(bad, NoiseSpec(kind=kind, seed=1))

@@ -452,10 +452,11 @@ def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
     # with no flow step the record evaluates both terms at the unchanged g
     params = ModelParams(max_outer=1, max_inner=0)
     _, log = segment(f, two_phase(init), params)
-    g = np.maximum(f / params.intensity_scale, params.g_floor)
-    alpha = gray_indicator(f / params.intensity_scale, params.sigma, params.p)
+    scale = np.quantile(f, 0.999)       # the default scale, taken from the data
+    g = np.maximum(f / scale, params.g_floor)
+    alpha = gray_indicator(f / scale, params.sigma, params.p)
     rec = log.outers[0]
-    assert rec.idiv == idiv_energy(g, params.gamma * (f / params.intensity_scale),
+    assert rec.idiv == idiv_energy(g, params.gamma * (f / scale),
                                    params.gamma, params.g_floor)
     assert rec.tv == tv_energy(tv_gradient(g, params.eps_tv), alpha, params.nu)
 
@@ -959,17 +960,20 @@ def test_segment_validates_inputs():
 
 
 def test_segment_reaches_fixed_point_and_stays():
-    # rerunning from the converged partition changes nothing
+    # rerunning from the converged partition changes nothing; at the exact fit
+    # no logged E_fit falls below 0 by roundoff
     n = 32
     clean = np.full((n, n), 50.0)
     clean[6:26, 6:20] = 210.0
     init = np.zeros((n, n))
     init[2:30, 2:30] = 1.0
     params = ModelParams(gamma=0.0, nu=0.0, freeze_bias=True)
-    state, _ = segment(clean, two_phase(init), params)
+    state, log = segment(clean, two_phase(init), params)
     state2, log2 = segment(clean, state.u, params)
     assert np.array_equal(float_masks(state.u), float_masks(state2.u))
     assert len(log2.outers) == 1
+    for rec in log.inners + log.outers + log2.inners + log2.outers:
+        assert rec.fit >= 0.0, rec
 
 
 def test_segment_frozen_bias_fit_constant_is_its_definition(monkeypatch):
