@@ -88,6 +88,8 @@ class ModelParams(NamedTuple):
         if self.intensity_scale is not None:
             return self.intensity_scale
         x = np.asarray(f, dtype=np.float64)
+        if x.min() < 0:
+            raise ValueError("image must be nonnegative")
         pos = (x.size - 1) * 0.999
         lo, top = int(pos), float(x.max())
         # s[lo] of the sorted values s is the largest v with x.size - lo values

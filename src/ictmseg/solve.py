@@ -187,12 +187,15 @@ def update_bias(state: SegState, params: ModelParams,
     two convolutions for any number of phases (K is linear): the helper
     thread makes den while the caller makes the numerator, so a helper job
     must not call this. den gives the fitting term's constant: K is
-    self-adjoint, so <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>.
+    self-adjoint, so <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>. A frozen
+    bias keeps b = `state.b` = 1, and den is sum_i lam_i c_i^2 u_i (K*1 = 1).
     """
     c = np.asarray(state.c, dtype=np.float64)
+    lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
+    if params.freeze_bias:
+        return state.b, state.u.weighted_sum(lam_c * c)
     if not np.any(c != 0.0):
         raise ValueError("all region means are zero; bias undefined")
-    lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
     den_job = on_helper(lambda: convolve(state.u.weighted_sum(lam_c * c), kernel))
     num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
     den = den_job()
@@ -464,11 +467,11 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     logged energies are in normalized units.
 
     Each iteration runs in two lanes. The caller runs the chain each step
-    waits on; the helper thread (`on_helper`) makes the bias denominator,
-    K*b^2, which the flow does not read, and the current partition's
-    potentials and length term, through the flow. So record k is logged
-    after iteration k + 1's flow, or as that iteration fails, and the last
-    one after the loop.
+    waits on; the helper thread (`on_helper`) takes two jobs: the bias
+    denominator in `update_bias`, then K*b^2, which the flow does not read,
+    with the current partition's potentials and length term, through the
+    flow. So record k is logged after iteration k + 1's flow, or as that
+    iteration fails, and the last one after the loop.
     """
     params.validate()
     f = as_field(f)
@@ -496,6 +499,9 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
         potentials = length_potentials(u, length_kernel)
         return potentials, length_term(u, potentials, params.mu, time_px)
 
+    def after_flow(b, u):   # the helper's job through the flow: K*b^2, then u's length
+        return (b if params.freeze_bias else convolve(b * b, fit_kernel)), *length_of(u)
+
     log = IterationLog()
 
     def emit(length):       # the pending record, now that its length term is made
@@ -511,41 +517,34 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
     err1 = np.inf
     k = 0
     while err1 > params.tol1 and k < params.max_outer:
-        lengths = None
+        after = None
         try:
             state.c, flags = update_means(state, kb, kb2)
             log.warnings.extend(msg for msg in flags if msg not in log.warnings)
-            if params.freeze_bias:     # b = 1: den is sum_i lam_i c_i^2 u_i itself
-                den = state.u.weighted_sum(np.multiply(params.lambdas, state.c) * state.c)
-            else:
-                del kb, kb2     # the old bias's; update_means was their last reader
-                state.b, den = update_bias(state, params, fit_kernel)
-                # K*b^2 is first read after the flow: the helper makes it meanwhile
-                kb2 = on_helper(lambda b: convolve(b * b, fit_kernel), state.b)
-                kb = convolve(state.b, fit_kernel)
+            del kb, kb2     # the old bias's; update_means was their last reader
+            state.b, den = update_bias(state, params, fit_kernel)
+            # the helper makes K*b^2, first read after the flow, then u's length
+            after = on_helper(after_flow, state.b, state.u)
+            kb = state.b if params.freeze_bias else convolve(state.b, fit_kernel)
             # <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>: K is self-adjoint
             fit_const = float(np.einsum("ij,ij,ij->", den, state.b, state.b))
             del den
-            # the helper makes u's potentials and length term through the flow
-            lengths = on_helper(length_of, state.u)
             state.g, inner_records, hit_cap = update_image(
                 state.g, build_g_context(state, params, kb, fit_const, run), run, params, k)
         finally:        # the last record, even when this iteration fails early
-            potentials, length = lengths() if lengths else length_of(state.u)
+            kb2, potentials, length = after() if after else (None, *length_of(state.u))
             if pending is not None:
                 emit(length)
         log.inners.extend(inner_records)
         if hit_cap:
             flags.append(f"inner loop hit max_inner={params.max_inner}")
         idiv, tv = run.entry[1:]    # of state.g; binds no second ref to its TV force
-        if not params.freeze_bias:
-            kb2 = kb2()     # the helper's K*b^2
 
         e_fields = residual_fields(state.g, state.c, kb, kb2)
         eu_before = fit_term(e_fields, state.u, params.lambdas) + length
         u_new = threshold(e_fields, potentials, params.lambdas, params.mu, time_px)
         fit_new = fit_term(e_fields, u_new, params.lambdas)
-        del e_fields, potentials, lengths   # lengths holds them too
+        del e_fields, potentials, after     # after holds them too
         err1 = u_new.distance(state.u)
         state.u = u_new
         pending = dict(outer=k, fit=fit_new, idiv=idiv, tv=tv, eu_before=float(eu_before),

@@ -59,8 +59,8 @@ def test_params_defaults_and_validation():
 def test_scale_of_is_the_0999_quantile_bit_for_bit():
     # np.quantile's linear rule on images with ties, few pixels, a weight on
     # either side of 1/2 and subnormal values; an explicit scale wins; a
-    # quantile of 0 falls back to the maximum, and an image with no positive
-    # pixel has no scale
+    # quantile of 0 falls back to the maximum, an all-zero image has no scale,
+    # and a negative pixel is refused before any scale is taken
     gen = np.random.default_rng(36)
     for shape in ((1, 1), (1, 3), (2, 2), (16, 16), (37, 101), (256, 256)):
         for f in (gen.gamma(2.0, 30.0, shape), np.round(gen.gamma(2.0, 3.0, shape)),
@@ -71,9 +71,10 @@ def test_scale_of_is_the_0999_quantile_bit_for_bit():
     sparse = np.zeros((64, 64))
     sparse[3, 5] = 7.0
     assert np.quantile(sparse, 0.999) == 0.0 and ModelParams().scale_of(sparse) == 7.0
-    for f in (np.zeros((8, 8)), np.full((2, 3), -1.0)):
-        with pytest.raises(ConfigError, match="all zero"):
-            ModelParams().scale_of(f)
+    with pytest.raises(ConfigError, match="all zero"):
+        ModelParams().scale_of(np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="image must be nonnegative"):
+        ModelParams().scale_of(np.full((2, 3), -1.0))
 
 
 @pytest.mark.parametrize("field, kwargs", [

@@ -404,14 +404,15 @@ def test_rmsav_operator_budget(monkeypatch):
 
 def test_segment_computes_energy_shift_once(monkeypatch):
     # the shift of z = sqrt(E_g + shift) is a constant of the run: one
-    # fidelity infimum for every image flow
+    # fidelity infimum for every image flow, of the image divided by its
+    # 0.999-quantile (190 here, not 255)
     import ictmseg.solve
 
     calls = []
 
-    def counting(*args):
-        calls.append(energy_shift(*args))
-        return calls[-1]
+    def counting(f, params):
+        calls.append(f.copy())
+        return energy_shift(f, params)
 
     monkeypatch.setattr(ictmseg.solve, "energy_shift", counting)
     n = 16
@@ -421,7 +422,10 @@ def test_segment_computes_energy_shift_once(monkeypatch):
     init[2:10, 2:10] = 1.0
     _, log = segment(f, two_phase(init), ModelParams(max_outer=3))
     assert len(log.outers) >= 2
-    assert calls == [energy_shift(f / 255.0, ModelParams())]
+    assert np.quantile(f, 0.999) == 190.0
+    assert len(calls) == 1
+    assert calls[0].shape == f.shape
+    assert calls[0].tobytes() == (f / np.quantile(f, 0.999)).tobytes()
 
 
 def test_segment_outer_record_reuses_last_flow_step(monkeypatch):
@@ -943,10 +947,13 @@ def test_segment_err1_is_l2_of_mask_change():
 
 
 def test_segment_validates_inputs():
+    # a negative image is refused as such, not as all zero: its scale is
+    # taken only from a nonnegative one
     f = np.full((8, 8), 10.0)
     init = two_phase(np.ones((8, 8)))
-    with pytest.raises(ValueError):
-        segment(-f, init, ModelParams())
+    for negative in (-f, np.full((8, 8), -1e-3)):
+        with pytest.raises(ValueError, match="image must be nonnegative"):
+            segment(negative, init, ModelParams())
     with pytest.raises(ValueError, match=r"field must be 2-D .*, got shape \(8,\)"):
         segment(f[0], init, ModelParams())
     nan = f.copy()
@@ -1020,6 +1027,9 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # convolves. So the counts do not depend on when the helper runs.
     # Everything calls `convolve` through a module global, so it is patched
     # in each module; the counts are kept under a lock.
+    # The helper takes two jobs per iteration: the bias denominator, then
+    # K*b^2 with the length potentials; a frozen bias hands it only the
+    # second. They are counted under the iteration that submits them.
     import ictmseg.energy
     import ictmseg.field
     import ictmseg.solve
@@ -1039,7 +1049,7 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     outer = [-1]                    # the caller's iteration; -1 before the loop
     job = threading.local()         # the iteration that submitted a helper job
     partitions = []                 # kept alive, so that no mask id is reused
-    fits, heats = {}, {}
+    fits, heats, jobs = {}, {}, {}
     lock = threading.Lock()
 
     def same(kernel, ref):
@@ -1058,6 +1068,7 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
 
     def tagged(fn, *args):
         k = outer[0]
+        jobs[k] = jobs.get(k, 0) + 1
 
         def run(*a):
             job.outer = k
@@ -1084,4 +1095,5 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     _, log = segment(f, partitions[0], params)
     assert len(log.outers) == 4 and len(partitions) == 5
     assert fits == ({} if freeze_bias else {k: 4 for k in range(4)})
+    assert jobs == {k: 1 if freeze_bias else 2 for k in range(4)}
     assert heats == {p: n_phases - 1 for p in range(5)}
