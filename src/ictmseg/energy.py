@@ -17,7 +17,6 @@ force in `solve` is the exact gradient of the energy evaluated here.
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -83,26 +82,19 @@ class ModelParams(NamedTuple):
 
     def scale_of(self, f: np.ndarray) -> float:
         """Intensity scale of image f >= 0: `intensity_scale` if set, else the
-        0.999-quantile of f (np.quantile's, bit for bit), or its maximum when
-        that is 0; taken from the data, a run is equivariant under scaling f."""
+        0.999-quantile of f (np.quantile's bit for bit, with no numpy.ma import),
+        or its maximum when that is 0; from the data, a run is scale-equivariant."""
         if self.intensity_scale is not None:
             return self.intensity_scale
         x = np.asarray(f, dtype=np.float64)
         if x.min() < 0:
             raise ValueError("image must be nonnegative")
         pos = (x.size - 1) * 0.999
-        lo, top = int(pos), float(x.max())
-        # s[lo] of the sorted values s is the largest v with x.size - lo values
-        # >= v, bisected over the bits of doubles >= 0, which order as their
-        # values do, with no sort: np.quantile imports numpy.ma (1.2 MB resident)
-        k = bisect.bisect_left(range(max(0, int(np.float64(top).view(np.int64))) + 1), True,
-                               key=lambda v: np.count_nonzero(
-                                   x >= np.int64(v).view(np.float64)) < x.size - lo)
-        low = float(np.int64(max(k - 1, 0)).view(np.float64))
-        above = x[x > low]      # s[lo + 1] is their least unless it equals s[lo]
-        high = float(above.min()) if 0 < above.size == x.size - lo - 1 else low
+        lo = int(pos)
+        hi = min(lo + 1, x.size - 1)
+        low, high = np.partition(x.ravel(), [lo, hi])[[lo, hi]].tolist()
         t, step = pos - lo, high - low
-        scale = (high - step * (1.0 - t) if t >= 0.5 else low + step * t) or top
+        scale = (high - step * (1.0 - t) if t >= 0.5 else low + step * t) or float(x.max())
         if scale <= 0.0:
             raise ConfigError("input is all zero: no intensity_scale can be taken from it")
         return scale

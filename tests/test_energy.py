@@ -205,6 +205,10 @@ def test_gray_indicator_scale_invariant():
 def test_gray_indicator_rejects_zero_image():
     with pytest.raises(ValueError, match="all-zero image has no gray-level scale"):
         gray_indicator(np.zeros((5, 5)), 1.0, 1.3)
+    f = np.ones((5, 5))
+    f[2, 3] = -1e-3
+    with pytest.raises(ValueError, match="image must be nonnegative"):
+        gray_indicator(f, 1.0, 1.3)
 
 
 # ------------------------------------------------------------- fit residual

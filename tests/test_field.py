@@ -199,14 +199,21 @@ def test_run_imports_no_heavy_scipy_module():
     # in scipy.special and the array-API layer (0.3 s of every run). Importing
     # scipy.signal made the first heat-kernel convolution of a 256^2 run
     # ~0.6 s slower; importing scipy.optimize adds ~20 MB of resident memory.
-    code = ("import sys, numpy as np, ictmseg, ictmseg.cli\n"
+    # The intensity scale is np.quantile's without calling it: np.quantile
+    # imports numpy.ma (+1.2 MB resident, ~15 ms a run). Numpy versions that
+    # load numpy.ma themselves (1.x) leave nothing to check for it.
+    code = ("import sys, numpy as np\n"
+            "ma_by_numpy = 'numpy.ma' in sys.modules\n"
+            "import ictmseg, ictmseg.cli\n"
             "u = ictmseg.IndicatorSet(np.eye(4, dtype=np.int64), 2)\n"
             "ictmseg.match_phases(u, u)\n"
             "ictmseg.convolve(np.ones((8, 8)), ictmseg.field.heat_kernel_pixels(80.0))\n"
             "ictmseg.field.solve_implicit(np.ones((8, 8)),\n"
             "                             ictmseg.field.implicit_symbol((8, 8), 0.1))\n"
-            "heavy = ('scipy.signal', 'scipy.ndimage', 'scipy.optimize', 'scipy.fft',\n"
-            "         'scipy.special', 'scipy._lib._array_api')\n"
+            "ictmseg.ModelParams().scale_of(np.arange(4096.0).reshape(64, 64))\n"
+            "heavy = ['scipy.signal', 'scipy.ndimage', 'scipy.optimize', 'scipy.fft',\n"
+            "         'scipy.special', 'scipy._lib._array_api']\n"
+            "if not ma_by_numpy: heavy.append('numpy.ma')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n")
     package_root = Path(ictmseg.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
