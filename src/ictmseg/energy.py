@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .field import CUTOFF_SDS, MAX_RADIUS, Kernel, convolve, gaussian_kernel, gradient
+from .field import Kernel, convolve, gaussian_kernel, gradient, heat_std, kernel_std
 
 __all__ = [
     "ModelParams",
@@ -110,19 +110,16 @@ class ModelParams(NamedTuple):
             raise ConfigError("lambda weights must be positive")
         if min(self.mu, self.gamma, self.nu, self.p) < 0:
             raise ConfigError("mu, gamma, nu, p must be nonnegative")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.intensity_scale is not None and self.intensity_scale <= 0:
-            raise ConfigError("intensity_scale must be positive")
-        for name in ("rho", "tau", "sigma", "c0", "eps_tv", "g_floor"):
-            if getattr(self, name) <= 0:
+        for name in ("dt", "intensity_scale", "rho", "tau", "sigma", "c0", "eps_tv", "g_floor"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:      # dt and intensity_scale may be None
                 raise ConfigError(f"{name} must be positive")
         tiny = np.finfo(np.float64).tiny      # the TV term divides by sqrt(... + eps^2)
         if self.eps_tv * self.eps_tv < tiny:
             raise ConfigError(f"eps_tv must be at least {np.sqrt(tiny):.3g} (its square "
                               f"must not underflow), got {self.eps_tv!r}")
         for name in ("rho", "sigma"):
-            _refuse_wide_kernel(getattr(self, name), f"{name} = {getattr(self, name):.6g}")
+            kernel_std(getattr(self, name), f"{name} = {getattr(self, name):.6g}")
         if not 0.0 <= self.eta_relax <= 1.0:
             raise ConfigError("eta_relax must lie in [0, 1]")
         if self.tol1 < 0 or self.tol2 < 0:
@@ -133,27 +130,12 @@ class ModelParams(NamedTuple):
 
     def heat_time_pixels(self, shape: tuple[int, int]) -> float:
         """Length-kernel heat time in pixel^2 units for an image shape,
-        refused when its kernel would be narrower than a pixel (as
-        `heat_kernel_pixels` refuses it) or wider than `MAX_RADIUS`."""
-        time_px = self.tau
-        if not self.tau_in_pixels:
-            scale = float(max(shape))
-            time_px = self.tau * scale * scale
-        std = np.sqrt(2.0 * time_px)
-        what = f"tau = {self.tau:.6g} (heat time {time_px:.6g} px^2)"
-        if CUTOFF_SDS * std < 1.0:
-            raise ConfigError(f"{what} gives a sub-pixel heat kernel (std {std:.4f} px); "
-                              "increase tau")
-        _refuse_wide_kernel(std, what)
+        refused by `heat_std`, naming tau, when `heat_kernel_pixels` would
+        refuse its kernel."""
+        scale = 1.0 if self.tau_in_pixels else float(max(shape))
+        time_px = self.tau * scale * scale
+        heat_std(time_px, f"tau = {self.tau:.6g} (heat time {time_px:.6g} px^2)")
         return time_px
-
-
-def _refuse_wide_kernel(std: float, what: str) -> None:
-    """Refuse, naming `what`, a Gaussian std whose kernel `gaussian_kernel`
-    would not make."""
-    if CUTOFF_SDS * std > MAX_RADIUS:
-        raise ConfigError(f"{what} gives a Gaussian kernel of std {std:.6g} px, "
-                          f"wider than the {MAX_RADIUS}-px radius limit")
 
 
 class IndicatorSet:
@@ -251,7 +233,7 @@ def residual_fields(g: np.ndarray, c, kb: np.ndarray, kb2: np.ndarray) -> np.nda
 
 def fit_term(e_fields: np.ndarray, u: IndicatorSet, lambdas) -> float:
     """sum_i lam_i * <u_i, e_i> for fixed residual fields."""
-    return float(sum(lam * s for lam, s in zip(lambdas, u.inner_products(e_fields))))
+    return float(sum(lam * s for lam, s in zip(lambdas, u.inner_products(e_fields), strict=True)))
 
 
 def length_potentials(u: IndicatorSet, kernel: Kernel) -> np.ndarray:

@@ -19,6 +19,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Kernel",
     "gaussian_kernel",
@@ -73,14 +75,30 @@ class Kernel:
         return m
 
 
+def kernel_std(std: float, what: str) -> float:
+    """`std`, refused naming `what` when its Gaussian's radius would pass
+    `MAX_RADIUS`: the one statement of that rule."""
+    if CUTOFF_SDS * std > MAX_RADIUS:
+        raise ConfigError(f"{what} gives a Gaussian kernel of std {std:.6g} px, needing a "
+                          f"kernel radius above {MAX_RADIUS} px, the radius limit")
+    return std
+
+
+def heat_std(time_px: float, what: str) -> float:
+    """The std sqrt(2 * time_px) px of the heat kernel of time `time_px` px^2,
+    refused naming `what` below a pixel (4 std < 1 px) or by `kernel_std`."""
+    std = float(np.sqrt(2.0 * time_px))
+    if CUTOFF_SDS * std < 1.0:
+        raise ConfigError(f"{what} gives a sub-pixel heat kernel (std {std:.4f} px)")
+    return kernel_std(std, what)
+
+
 def gaussian_kernel(std_dev: float) -> Kernel:
     """Sampled Gaussian with standard deviation `std_dev` in pixels, cut off
     at `CUTOFF_SDS` standard deviations and renormalized to unit sum."""
     if std_dev <= 0:
         raise ValueError(f"std_dev must be positive, got {std_dev}")
-    if CUTOFF_SDS * std_dev > MAX_RADIUS:
-        raise ValueError(f"std_dev {std_dev} needs a kernel radius above {MAX_RADIUS} px")
-    radius = int(np.ceil(CUTOFF_SDS * std_dev))
+    radius = int(np.ceil(CUTOFF_SDS * kernel_std(std_dev, f"std_dev {std_dev}")))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(over="ignore"):    # a tiny std_dev: exp(-inf) = 0 off centre
         p = np.exp(-0.5 * (x / std_dev) ** 2)
@@ -92,12 +110,7 @@ def heat_kernel_pixels(time_px: float) -> Kernel:
     units: a Gaussian of standard deviation sqrt(2*time_px) pixels."""
     if time_px <= 0:
         raise ValueError(f"time must be positive, got {time_px}")
-    std_px = np.sqrt(2.0 * time_px)
-    if CUTOFF_SDS * std_px < 1.0:
-        raise ValueError(
-            f"heat time {time_px} gives a sub-pixel kernel (std {std_px:.4f} px); "
-            "increase the time")
-    return gaussian_kernel(std_px)
+    return gaussian_kernel(heat_std(time_px, f"heat time {time_px}"))
 
 
 def _multiplier(stencil, n: int) -> np.ndarray:

@@ -440,7 +440,7 @@ def threshold(e_fields: np.ndarray, potentials: np.ndarray, lambdas,
     pref = 2.0 * mu * np.sqrt(np.pi / time_px)
     least, phi = np.empty((2,) + e_fields.shape[1:])
     labels = np.zeros(least.shape, dtype=np.intp)
-    for i, (lam, e, p) in enumerate(zip(lambdas, e_fields, potentials)):
+    for i, (lam, e, p) in enumerate(zip(lambdas, e_fields, potentials, strict=True)):
         cost = phi if i else least
         np.multiply(lam, e, out=cost)
         cost += pref * p

@@ -123,6 +123,37 @@ def test_heat_time_refuses_a_sub_pixel_kernel():
     heat_kernel_pixels(0.03125)
 
 
+def _up(x):
+    return float(np.nextafter(x, np.inf))
+
+
+@pytest.mark.parametrize("key, value, refusal", [
+    ("rho", 2.0**18, None),
+    ("rho", _up(2.0**18), "radius limit"),
+    ("tau", 1 / 32, None),
+    ("tau", float(np.nextafter(1 / 32, 0)), "sub-pixel heat kernel"),
+    ("tau", 2.0**35, None),
+    # sqrt(2 t) one ulp above 2^35 rounds back to a std of 2^18 px
+    ("tau", _up(2.0**35), None),
+    ("tau", _up(_up(2.0**35)), "radius limit"),
+], ids=["rho-widest", "rho-too-wide", "tau-narrowest", "tau-sub-pixel", "tau-widest",
+        "tau-widest-after-rounding", "tau-too-wide"])
+def test_params_and_field_accept_and_refuse_the_same_kernels(key, value, refusal):
+    # each kernel-size rule, at its edge, as the config layer applies it and
+    # as the kernel constructor the solve then calls does
+    if key == "rho":
+        layers = (lambda: ModelParams(rho=value).validate(), lambda: gaussian_kernel(value))
+    else:
+        layers = (lambda: ModelParams(tau=value, tau_in_pixels=True).heat_time_pixels((9, 9)),
+                  lambda: heat_kernel_pixels(value))
+    for layer in layers:
+        if refusal is None:
+            layer()
+        else:
+            with pytest.raises(ConfigError, match=refusal):
+                layer()
+
+
 def test_heat_time_conversion():
     p = ModelParams(tau=0.02)
     assert p.heat_time_pixels((256, 128)) == pytest.approx(0.02 * 256**2)

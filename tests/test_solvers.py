@@ -13,6 +13,7 @@ from ictmseg.energy import (
     IndicatorSet,
     ModelParams,
     SegState,
+    fit_term,
     gray_indicator,
     idiv_energy,
     length_potentials,
@@ -883,6 +884,22 @@ def test_threshold_picks_minimum_and_breaks_ties_low():
 def test_threshold_refuses_a_single_phase():
     with pytest.raises(ValueError, match="need at least two phase cost fields"):
         least_cost(np.zeros((1, 4, 4)))
+
+
+def test_threshold_and_fit_term_refuse_mismatched_phase_counts():
+    # three constant cost fields whose cheapest is phase 2 everywhere: a
+    # weight or potential list one phase short must be refused, not zipped
+    # down to two phases (which labelled every pixel 1 and fit 0.0)
+    e = np.stack([np.full((4, 4), v) for v in (3.0, 2.0, 1.0)])
+    with pytest.raises(ValueError):
+        threshold(e, np.zeros_like(e), (1.0, 1.0), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        threshold(e, np.zeros_like(e[:2]), (1.0, 1.0, 1.0), 1.0, 1.0)
+    assert np.all(threshold(e, np.zeros_like(e), (1.0,) * 3, 1.0, 1.0).labels() == 2)
+    u = IndicatorSet(np.full((4, 4), 2), 3)
+    assert fit_term(e, u, (1.0, 1.0, 1.0)) == 16.0
+    with pytest.raises(ValueError):
+        fit_term(e, u, (1.0, 1.0))
 
 
 def test_threshold_achieves_pointwise_minimum():
