@@ -137,16 +137,12 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
 
 def _source(cfg: ExperimentConfig):
     """(image, truth): the configured image under the configured noise, not
-    clamped, and the synthetic truth's label map (None for an input file,
-    which must be finite)."""
+    clamped, and the synthetic truth's label map (None for an input file)."""
     if cfg.synth is not None:
         clean, scene, _ = generate(cfg.synth)
         truth = scene.labels()
     else:
         clean, truth = read_field(cfg.input), None
-        bad = np.count_nonzero(~np.isfinite(clean))
-        if bad:
-            raise ConfigError(f"{cfg.input}: {bad} of {clean.size} values are infinite")
     return corrupt(clean, cfg.noise), truth
 
 

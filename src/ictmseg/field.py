@@ -96,7 +96,7 @@ def heat_std(time_px: float, what: str) -> float:
 def gaussian_kernel(std_dev: float) -> Kernel:
     """Sampled Gaussian with standard deviation `std_dev` in pixels, cut off
     at `CUTOFF_SDS` standard deviations and renormalized to unit sum."""
-    if std_dev <= 0:
+    if not std_dev > 0:     # NaN too; inf is refused by kernel_std
         raise ValueError(f"std_dev must be positive, got {std_dev}")
     radius = int(np.ceil(CUTOFF_SDS * kernel_std(std_dev, f"std_dev {std_dev}")))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -108,7 +108,7 @@ def gaussian_kernel(std_dev: float) -> Kernel:
 def heat_kernel_pixels(time_px: float) -> Kernel:
     """Heat kernel exp(-|x|^2 / (4*time_px)), the diffusion time in pixel^2
     units: a Gaussian of standard deviation sqrt(2*time_px) pixels."""
-    if time_px <= 0:
+    if not time_px > 0:     # NaN too; inf is refused by heat_std
         raise ValueError(f"time must be positive, got {time_px}")
     return gaussian_kernel(heat_std(time_px, f"heat time {time_px}"))
 
@@ -251,8 +251,8 @@ def implicit_symbol(shape: tuple[int, int], dt: float) -> np.ndarray:
     """DCT-II eigenvalues 1 + dt * (lam_y + lam_x)^2 of I + dt * Lap^2 on
     `shape`, read-only: a flow that solves with one (shape, dt) at every step
     builds it once."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     lam_y, lam_x = (_multiplier([1.0, -2.0, 1.0], n) for n in shape)
     lam = lam_y[:, None] + lam_x[None, :]
     symbol = 1.0 + dt * lam * lam

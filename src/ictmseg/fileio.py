@@ -94,9 +94,10 @@ def read_f64(path) -> np.ndarray:
     data = np.frombuffer(blob[16:], dtype="<f8")
     if data.size != w * h:
         raise ConfigError(f"{path}: raster size mismatch")
-    nans = np.count_nonzero(np.isnan(data))
-    if nans:
-        raise ConfigError(f"{path}: {nans} of {data.size} values are NaN")
+    for what, test in (("NaN", np.isnan), ("infinite", np.isinf)):
+        bad = np.count_nonzero(test(data))
+        if bad:
+            raise ConfigError(f"{path}: {bad} of {data.size} values are {what}")
     return data.reshape(h, w).copy()
 
 

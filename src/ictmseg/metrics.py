@@ -76,9 +76,7 @@ def kappa(counts: ConfusionCounts) -> float:
     returned as 1 by convention.
     """
     n = counts.total
-    if n == 0:
-        raise ValueError("empty confusion counts")
-    p_o = accuracy(counts)
+    p_o = accuracy(counts)      # refuses empty counts before the division
     p_e = ((counts.tp + counts.fp) * (counts.tp + counts.fn)
            + (counts.fn + counts.tn) * (counts.fp + counts.tn)) / (n * n)
     if p_e == 1.0:
@@ -135,6 +133,8 @@ def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
     n = pred.n
     if n != truth.n:
         raise ValueError(f"phase count mismatch: {n} vs {truth.n}")
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     # overlap[i, j] counts the pixels labelled i in pred and j in truth
     pairs = pred.labels().ravel() * n + truth.labels().ravel()
     overlap = np.bincount(pairs, minlength=n * n).reshape(n, n)
@@ -142,10 +142,8 @@ def match_phases(pred: IndicatorSet, truth: IndicatorSet) -> IndicatorSet:
 
 
 def multiphase_report(pred: IndicatorSet, truth: IndicatorSet) -> list[dict]:
-    """One-vs-rest scores per phase. Phases are compared index to index."""
+    """One-vs-rest scores per phase, index to index; `confusion` refuses a shape mismatch."""
     if pred.n != truth.n:
         raise ValueError(f"phase count mismatch: {pred.n} vs {truth.n}")
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     return [{"class": f"phase_{i}", **score_masks(p, t)}
             for i, (p, t) in enumerate(zip(pred.phase_masks(), truth.phase_masks()))]

@@ -22,21 +22,21 @@ class NoiseSpec:
     def __init__(self, kind: str = "none", looks: float = 10.0, seed: int = 0):
         if kind not in ("none", "gamma", "poisson"):
             raise ValueError(f"unknown noise kind {kind!r}")
-        if kind == "gamma" and looks <= 0:
-            raise ValueError(f"looks must be positive, got {looks}")
+        if kind == "gamma" and not 0 < looks < np.inf:
+            raise ValueError(f"looks must be positive and finite, got {looks}")
         self.kind, self.looks, self.seed = kind, looks, seed
 
 
 def _generator(seed: int) -> np.random.Generator:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64) to key Philox, got {seed}")
+    if not (0 <= seed < 2**64 and seed == int(seed)):
+        raise ValueError(f"seed must be in [0, 2^64) and an integer to key Philox, got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def sample_gamma_field(width: int, height: int, looks: float, seed: int) -> np.ndarray:
     """I.i.d. Gamma(shape=looks, scale=1/looks) speckle field, mean 1."""
-    if looks <= 0:
-        raise ValueError(f"looks must be positive, got {looks}")
+    if not 0 < looks < np.inf:
+        raise ValueError(f"looks must be positive and finite, got {looks}")
     if width < 1 or height < 1:
         raise ValueError("field dimensions must be positive")
     rng = _generator(seed)

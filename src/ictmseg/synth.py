@@ -63,6 +63,8 @@ class SynthSpec(NamedTuple):
         if not 0.0 <= self.background <= 255.0:
             raise ConfigError("background intensity must lie in [0, 255]")
         kind, *args = self.bias
+        if not np.isfinite([v for s in self.shapes for v in s.params] + args).all():
+            raise ConfigError("synthetic region and bias numbers must be finite")
         if len(args) not in {"none": (0,), "ramp": (2,), "gaussian": (1, 2)}.get(kind, ()):
             raise ConfigError(f"synth.bias: {kind!r} with {len(args)} numbers; expected "
                               "none, ramp:left,right or gaussian:ratio[,std]")

@@ -75,6 +75,8 @@ def test_gaussian_kernel_rejects_bad_params():
         gaussian_kernel(0.0)
     with pytest.raises(ValueError):
         gaussian_kernel(-1.0)
+    with pytest.raises(ValueError, match="std_dev must be positive, got nan"):
+        gaussian_kernel(np.nan)
     # wider than MAX_RADIUS: refused before any tap is made
     with pytest.raises(ValueError, match="kernel radius above 1048576 px"):
         gaussian_kernel(np.nextafter(2.0**18, np.inf))
@@ -99,6 +101,8 @@ def test_heat_kernel_too_small_time():
         heat_kernel_pixels(1e-9 * 64.0**2)
     with pytest.raises(ValueError, match="time must be positive, got 0"):
         heat_kernel_pixels(0)
+    with pytest.raises(ValueError, match="time must be positive, got nan"):
+        heat_kernel_pixels(np.nan)
 
 
 def test_heat_kernel_impulse_response():
@@ -596,6 +600,9 @@ def test_solve_implicit_residual_bound():
 def test_solve_implicit_rejects_bad_dt():
     with pytest.raises(ValueError):
         solve_implicit(np.zeros((4, 4)), implicit_symbol((4, 4), 0.0))
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            implicit_symbol((4, 4), dt)
 
 
 # ----------------------------------------------------------- inner product

@@ -135,6 +135,11 @@ def test_multiphase_phase_count_mismatch():
         match_phases(labels_to_set([[0, 1]], 2), labels_to_set([[0, 2]], 3))
     with pytest.raises(ValueError, match=r"shape mismatch: \(1, 2\) vs \(2, 1\)"):
         multiphase_report(labels_to_set([[0, 1]], 2), labels_to_set([[0], [1]], 2))
+    # the same pixel count in another shape: refused, not matched pixel by
+    # misaligned pixel
+    with pytest.raises(ValueError, match=r"shape mismatch: \(4, 6\) vs \(6, 4\)"):
+        match_phases(labels_to_set(np.eye(4, 6, dtype=int), 2),
+                      labels_to_set(np.eye(6, 4, dtype=int), 2))
 
 
 def test_match_phases_repairs_label_swap():

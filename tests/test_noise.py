@@ -36,6 +36,12 @@ def test_gamma_rejects_bad_shape():
         sample_gamma_field(4, 4, 0.0, seed=0)
     with pytest.raises(ValueError):
         sample_gamma_field(4, 4, -2.0, seed=0)
+    for looks in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"looks must be positive and finite, got {looks}"):
+            sample_gamma_field(4, 4, looks, seed=0)
+    # a fractional seed would key Philox with its integer part
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\) and an integer"):
+        sample_gamma_field(4, 4, 10.0, seed=1.5)
     for width, height in ((0, 4), (4, 0)):
         with pytest.raises(ValueError, match="field dimensions must be positive"):
             sample_gamma_field(width, height, 10.0, seed=0)
@@ -111,6 +117,12 @@ def test_noise_spec_validation_and_corrupt():
         NoiseSpec(kind="salt")
     with pytest.raises(ValueError):
         NoiseSpec(kind="gamma", looks=0.0)
+    for looks in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"looks must be positive and finite, got {looks}"):
+            NoiseSpec(kind="gamma", looks=looks)
+    for kind in ("gamma", "poisson"):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\) and an integer"):
+            corrupt(np.full((2, 2), 50.0), NoiseSpec(kind=kind, seed=1.5))
     clean = np.full((8, 8), 50.0)
     same = corrupt(clean, NoiseSpec(kind="none"))
     assert np.array_equal(same, clean) and same is not clean

@@ -83,6 +83,14 @@ def test_spec_validation():
         generate(SynthSpec(size=(4, 4), bias=("wavy",)))
     with pytest.raises(ConfigError, match="unknown shape kind 'star'"):
         Shape("star", (2.0, 2.0, 1.0), 100.0).mask(4, 4)
+    # a NaN bias or disk centre would give a NaN image or paint nothing
+    for spec in (SynthSpec(size=(4, 4), bias=("ramp", np.nan, 1.0)),
+                 SynthSpec(size=(4, 4), bias=("gaussian", np.nan)),
+                 SynthSpec(size=(8, 8), shapes=(Shape("disk", (4.0, np.nan, 2.0), 200.0),))):
+        with pytest.raises(ConfigError, match="region and bias numbers must be finite"):
+            generate(spec)
+    with pytest.raises(ConfigError, match=r"region intensities must lie in \[0, 255\]"):
+        generate(SynthSpec(size=(4, 4), shapes=(Shape("disk", (2.0, 2.0, 1.0), np.nan),)))
 
 
 @pytest.mark.parametrize("text, bias, echo", [
@@ -139,6 +147,16 @@ def test_f64_rejects_corrupt(tmp_path):
     path = tmp_path / "bad.f64"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
     with pytest.raises(ConfigError):
+        read_f64(path)
+    # a raster must be finite: NaN is named before infinity
+    field = np.full((3, 4), 100.0)
+    field[0, 1], field[2, 3] = np.inf, -np.inf
+    write_f64(path, field)
+    with pytest.raises(ConfigError, match="bad.f64: 2 of 12 values are infinite"):
+        read_f64(path)
+    field[1, 1] = np.nan
+    write_f64(path, field)
+    with pytest.raises(ConfigError, match="bad.f64: 1 of 12 values are NaN"):
         read_f64(path)
 
 
