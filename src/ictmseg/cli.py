@@ -45,7 +45,7 @@ def _write_energy_csv(path, inners, outers=()) -> None:
     """One row per RMSAV step, each outer iteration's steps followed by its
     summary row."""
     rows = [(r.outer, 0, [r.outer, r.inner, _fmt(r.fit), "", _fmt(r.idiv), _fmt(r.tv),
-                          _fmt(r.energy), "", _fmt(r.z_sq), _fmt(r.xi), "", _fmt(r.err2)])
+                          _fmt(r.e_next), "", _fmt(r.z_sq), _fmt(r.xi), "", _fmt(r.err2)])
             for r in inners]
     rows += [(r.outer, 1, [r.outer, "", _fmt(r.fit), _fmt(r.length), _fmt(r.idiv),
                            _fmt(r.tv), _fmt(r.total), _fmt(r.eu_after), "", "",
@@ -118,12 +118,12 @@ def _build_init(spec_text: str | None, f: np.ndarray, n: int) -> IndicatorSet:
             raise ConfigError("checkerboard cell must be >= 1")
         yy, xx = np.mgrid[0:h, 0:w]
         return IndicatorSet(((yy // cell) + (xx // cell)) % n, n)
-    shape_kinds = {"circle": ("disk", 3), "rect": ("rect", 4)}
+    shape_kinds = {"circle": "disk", "rect": "rect"}
     if kind not in shape_kinds:
         raise ConfigError(f"unknown init kind {kind!r} "
                           "(circle|rect|checkerboard|mask)")
-    shape, arity = shape_kinds[kind]
-    values = tuple(_parse_floats(args, arity, f"init {kind}"))
+    shape = shape_kinds[kind]
+    values = tuple(_parse_floats(args, Shape.ARITY[shape], f"init {kind}"))
     outside = ~Shape(shape, values, 0.0).mask(h, w)
     labels = outside.astype(np.int64)     # one exterior group: no ranking
     if n > 2:

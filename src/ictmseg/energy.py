@@ -126,6 +126,8 @@ class ModelParams(NamedTuple):
             raise ConfigError("tolerances must be nonnegative")
         if self.max_outer < 1 or self.max_inner < 0:
             raise ConfigError("iteration caps out of range")
+        if self.max_outer % 1 or self.max_inner % 1:
+            raise ConfigError("iteration caps (max_outer, max_inner) must be whole numbers")
         return self
 
     def heat_time_pixels(self, shape: tuple[int, int]) -> float:

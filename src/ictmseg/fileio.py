@@ -204,10 +204,9 @@ def _parse_ints(text: str, count: int, what: str) -> list[int]:
 
 def _parse_region(text: str) -> Shape:
     kind, args = _split_spec(text)
-    arity = {"disk": 4, "rect": 5, "ring": 5}
-    if kind not in arity:
+    if kind not in Shape.ARITY:
         raise ConfigError(f"unknown region kind {kind!r} (disk|rect|ring)")
-    vals = _parse_floats(args, arity[kind], f"synth.region {kind}")
+    vals = _parse_floats(args, Shape.ARITY[kind] + 1, f"synth.region {kind}")
     return Shape(kind=kind, params=tuple(vals[:-1]), intensity=vals[-1])
 
 

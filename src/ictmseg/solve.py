@@ -72,7 +72,6 @@ from .field import (
 
 __all__ = [
     "StepResult",
-    "InnerRecord",
     "OuterRecord",
     "IterationLog",
     "GContext",
@@ -96,7 +95,11 @@ __all__ = [
 # bookkeeping types
 
 class StepResult(NamedTuple):
-    g_next: np.ndarray
+    """One RMSAV step; the log keeps it with g_next and tv_force None."""
+
+    outer: int
+    inner: int
+    g_next: np.ndarray | None
     z_tilde: float
     z_next: float
     xi: float
@@ -106,25 +109,13 @@ class StepResult(NamedTuple):
     fit: float
     idiv: float
     tv: float
+    err2: float           # |E_g change| / |E_g| of the step
     floored: bool
-    tv_force: np.ndarray  # TV part of the force at g_next (`evaluate`)
-
-
-class InnerRecord(NamedTuple):
-    outer: int
-    inner: int
-    energy: float
-    fit: float
-    idiv: float
-    tv: float
-    z: float
-    xi: float
-    err2: float
-    floored: bool
+    tv_force: np.ndarray | None   # TV part of the force at g_next (`evaluate`)
 
     @property
     def z_sq(self) -> float:
-        return self.z * self.z
+        return self.z_next * self.z_next
 
 
 class OuterRecord(NamedTuple):
@@ -336,7 +327,8 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext, e_cur: float,
     is `e_cur` and the TV part of whose force is `tv_force`, as `evaluate`
     gives them; the result carries both for `g_next`. The positivity floor
     is applied after the update, and the G-functional is that of the
-    pre-floor displacement. `outer` and `inner` locate a failure.
+    pre-floor displacement. `outer` and `inner` number the step and locate
+    a failure.
     """
     if z <= 0.0:
         raise NumericalFailure(f"auxiliary variable must stay positive, got {z}",
@@ -360,10 +352,11 @@ def rmsav_step(g: np.ndarray, z: float, ctx: GContext, e_cur: float,
     xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta,
                                 outer, inner)
     z_next = xi * z_tilde + (1.0 - xi) * np.sqrt(e_next + ctx.shift)
-    return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
-                      xi=float(xi), g_val=float(g_val), e_next=float(e_next),
-                      fit=float(fit), idiv=float(idiv), tv=float(tv),
-                      floored=floored, tv_force=tv_next)
+    err2 = abs(e_next - e_cur) / max(abs(e_next), np.finfo(float).tiny)
+    return StepResult(outer=outer, inner=inner, g_next=g_next, z_tilde=float(z_tilde),
+                      z_next=float(z_next), xi=float(xi), g_val=float(g_val),
+                      e_next=float(e_next), fit=float(fit), idiv=float(idiv), tv=float(tv),
+                      err2=float(err2), floored=floored, tv_force=tv_next)
 
 
 def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
@@ -392,11 +385,11 @@ def relaxation_coefficient(z_tilde: float, z_prev: float, e_next: float,
 
 
 def update_image(g: np.ndarray, ctx: GContext, run: FlowRun, params: ModelParams,
-                 outer: int) -> tuple[np.ndarray, list[InnerRecord], bool]:
+                 outer: int) -> tuple[np.ndarray, list[StepResult], bool]:
     """Run the RMSAV inner loop of `ctx` from `g` until the relative energy
     change drops to tol2 (or max_inner is hit, which sets the warning flag).
     `run` carries the hand-off between flows: its `entry` must belong to `g`.
-    `outer` numbers the records and locates a failure.
+    `outer` numbers the steps, listed with their two arrays released.
     """
     g = np.asarray(g, dtype=np.float64)
     if run.entry is None:
@@ -406,17 +399,13 @@ def update_image(g: np.ndarray, ctx: GContext, run: FlowRun, params: ModelParams
         e_cur = _fit_energy(g, ctx) + idiv + tv
     run.entry = None
     z = float(np.sqrt(e_cur + ctx.shift))
-    records: list[InnerRecord] = []
+    records: list[StepResult] = []
     err2 = np.inf
     while err2 > params.tol2 and len(records) < params.max_inner:
         step = rmsav_step(g, z, ctx, e_cur, tv_force, outer, len(records))
-        err2 = abs(step.e_next - e_cur) / max(abs(step.e_next), np.finfo(float).tiny)
-        records.append(InnerRecord(
-            outer=outer, inner=len(records), energy=step.e_next,
-            fit=step.fit, idiv=step.idiv, tv=step.tv,
-            z=step.z_next, xi=step.xi, err2=float(err2), floored=step.floored))
+        records.append(step._replace(g_next=None, tv_force=None))
         g, e_cur, tv_force, z = step.g_next, step.e_next, step.tv_force, step.z_next
-        idiv, tv = step.idiv, step.tv
+        idiv, tv, err2 = step.idiv, step.tv, step.err2
     run.entry = (tv_force, idiv, tv)
     hit_cap = err2 > params.tol2
     return g, records, hit_cap

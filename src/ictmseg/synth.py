@@ -21,7 +21,13 @@ class Shape:
     with sizes >= 0 and r_in <= r_out. Later shapes paint over earlier ones.
     """
 
+    ARITY = {"disk": 3, "rect": 4, "ring": 4}
+
     def __init__(self, kind: str, params: tuple, intensity: float):
+        if kind not in self.ARITY:
+            raise ConfigError(f"unknown shape kind {kind!r}")
+        if len(params) != self.ARITY[kind]:
+            raise ConfigError(f"a {kind} takes {self.ARITY[kind]} numbers, got {len(params)}")
         sizes = params[2:]
         if min(sizes, default=0) < 0 or kind == "ring" and sizes[0] > sizes[1]:
             raise ConfigError(f"{kind}:{','.join(f'{v:g}' for v in params)}: "
@@ -36,11 +42,9 @@ class Shape:
         if self.kind == "rect":
             x, y, w, h = self.params
             return (xx >= x) & (xx < x + w) & (yy >= y) & (yy < y + h)
-        if self.kind == "ring":
-            cx, cy, r_in, r_out = self.params
-            rr = (xx - cx) ** 2 + (yy - cy) ** 2
-            return (rr >= r_in * r_in) & (rr <= r_out * r_out)
-        raise ConfigError(f"unknown shape kind {self.kind!r}")
+        cx, cy, r_in, r_out = self.params      # a ring
+        rr = (xx - cx) ** 2 + (yy - cy) ** 2
+        return (rr >= r_in * r_in) & (rr <= r_out * r_out)
 
 
 class SynthSpec(NamedTuple):

@@ -376,7 +376,8 @@ def rmsav_step_reference(g: np.ndarray, z: float, ctx, e_cur: float | None = Non
     xi = relaxation_coefficient(z_tilde, z, e_next, g_val, ctx.shift, ctx.eta,
                                 outer, inner)
     z_next = xi * z_tilde + (1.0 - xi) * np.sqrt(e_next + ctx.shift)
-    return StepResult(g_next=g_next, z_tilde=float(z_tilde), z_next=float(z_next),
-                      xi=float(xi), g_val=float(g_val), e_next=float(e_next),
-                      fit=float(fit), idiv=float(idiv), tv=float(tv),
-                      floored=floored, tv_force=tv_force)
+    err2 = abs(e_next - e_cur) / max(abs(e_next), np.finfo(float).tiny)
+    return StepResult(outer=outer, inner=inner, g_next=g_next, z_tilde=float(z_tilde),
+                      z_next=float(z_next), xi=float(xi), g_val=float(g_val),
+                      e_next=float(e_next), fit=float(fit), idiv=float(idiv), tv=float(tv),
+                      err2=float(err2), floored=floored, tv_force=tv_force)

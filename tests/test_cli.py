@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import re
 import shutil
 import subprocess
 import sys
@@ -95,6 +96,19 @@ def test_segment_command_full_run(tmp_path):
     m1 = read_pgm(out / "mask_1.pgm")
     assert np.array_equal((m0 > 127) | (m1 > 127), np.ones((48, 48), dtype=bool))
     assert not ((m0 > 127) & (m1 > 127)).any()
+
+
+def test_readme_example_config_segments(tmp_path):
+    # the README's example config runs as written and meets criterion 10's bar
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config format\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    out = tmp_path / "readme"
+    rc = main(["segment", "--config", str(write_cfg(tmp_path, block)), "--out", str(out),
+               "--quiet"])
+    assert rc == 0
+    with open(out / "metrics.csv") as fh:
+        dsc = [float(row["dsc"]) for row in csv.DictReader(fh)]
+    assert len(dsc) == 2 and min(dsc) >= 0.95, dsc
 
 
 DENOISE_CFG = ("synth.size = 32,32\nsynth.background = 80\n"

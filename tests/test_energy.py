@@ -51,7 +51,9 @@ def test_params_defaults_and_validation():
                             ({"intensity_scale": 0.0}, "intensity_scale must be positive"),
                             ({"tol2": -1.0}, "tolerances must be nonnegative"),
                             ({"max_outer": 0}, "iteration caps out of range"),
-                            ({"max_inner": -1}, "iteration caps out of range")):
+                            ({"max_inner": -1}, "iteration caps out of range"),
+                            ({"max_outer": 1.5}, "must be whole numbers"),
+                            ({"max_inner": 2.5}, "must be whole numbers")):
         with pytest.raises(ConfigError, match=message):
             ModelParams(**kwargs).validate()
 

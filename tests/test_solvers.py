@@ -28,6 +28,7 @@ from ictmseg.noise import sample_gamma_field
 from ictmseg.solve import (
     FlowRun,
     IterationLog,
+    StepResult,
     build_g_context,
     energy_shift,
     evaluate,
@@ -186,6 +187,20 @@ def image_flow(state, f, params):
     """`update_image` from `state.g`, as the first flow of a `segment` run."""
     fields, run = run_inputs(state, f, params)
     return update_image(state.g, g_context(state, params, fields, run), run, params, 0)
+
+
+def assert_logged_steps(records):
+    """The log keeps each `StepResult` with its two fields released, numbered
+    (outer, inner), and from a flow's second step on err2 is the relative
+    change of E_g from the step before, bit for bit."""
+    for prev, rec in zip([None, *records], records):
+        assert isinstance(rec, StepResult) and rec.g_next is None and rec.tv_force is None
+        if prev is None or rec.outer != prev.outer:
+            assert (rec.outer, rec.inner) == (0 if prev is None else prev.outer + 1, 0)
+            continue
+        assert rec.inner == prev.inner + 1
+        assert rec.err2 == abs(rec.e_next - prev.e_next) / max(abs(rec.e_next),
+                                                               np.finfo(float).tiny)
 
 
 def test_force_zero_at_perfect_fit():
@@ -499,6 +514,7 @@ def test_segment_flows_start_from_last_step(monkeypatch):
                          max_inner=steps)
     _, log = segment(f, IndicatorSet(labels, 3), params)
     assert len(log.outers) == 3 and len(log.inners) == 3 * steps
+    assert_logged_steps(log.inners)
     assert counts == {"gradient": 3 * steps + 1, "implicit_symbol": 1}
 
 
@@ -626,8 +642,10 @@ def test_shared_contexts_and_records_cannot_be_changed_in_place():
     step = rmsav_step(state.g, float(np.sqrt(e + ctx.shift)), ctx, e, tv_force, 0, 0)
     _, inners, _ = update_image(state.g, ctx, run, params, 0)
     _, log = segment(state.g, state.u, params._replace(max_outer=1))
+    assert_logged_steps(inners)
+    assert_logged_steps(log.inners)
     for record, name in [(params, "mu"), (ctx, "weight"), (run.ctx, "fit_const"),
-                         (step, "g_next"), (inners[0], "z"), (log.outers[0], "flags")]:
+                         (step, "g_next"), (inners[0], "z_next"), (log.outers[0], "flags")]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 

@@ -83,6 +83,11 @@ def test_spec_validation():
         generate(SynthSpec(size=(4, 4), bias=("wavy",)))
     with pytest.raises(ConfigError, match="unknown shape kind 'star'"):
         Shape("star", (2.0, 2.0, 1.0), 100.0).mask(4, 4)
+    # a wrong count of numbers is refused where the shape is made
+    for kind, params in (("ring", (1.0, 2.0, 3.0)), ("disk", (1.0, 2.0)),
+                         ("rect", (1.0, 2.0, 3.0, 4.0, 5.0))):
+        with pytest.raises(ConfigError, match=f"a {kind} takes . numbers, got {len(params)}"):
+            Shape(kind, params, 100.0)
     # a NaN bias or disk centre would give a NaN image or paint nothing
     for spec in (SynthSpec(size=(4, 4), bias=("ramp", np.nan, 1.0)),
                  SynthSpec(size=(4, 4), bias=("gaussian", np.nan)),
