@@ -169,29 +169,31 @@ def update_means(state: SegState, kb: np.ndarray,
 
 
 def update_bias(state: SegState, params: ModelParams,
-                kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal bias field and its denominator den, (b, den):
+                kernel: Kernel) -> tuple[np.ndarray, float]:
+    """Optimal bias field and the fitting term's constant, (b, fit_const):
 
         b(y) = sum_i lam_i c_i (K*(u_i g))(y) / sum_i lam_i c_i^2 (K*u_i)(y)
-             = K*(sum_i lam_i c_i u_i g) / K*(sum_i lam_i c_i^2 u_i),
+             = K*(sum_i lam_i c_i u_i g) / den,  den = K*(sum_i lam_i c_i^2 u_i),
 
     two convolutions for any number of phases (K is linear): the helper
     thread makes den while the caller makes the numerator, so a helper job
-    must not call this. den gives the fitting term's constant: K is
-    self-adjoint, so <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>. A frozen
-    bias keeps b = `state.b` = 1, and den is sum_i lam_i c_i^2 u_i (K*1 = 1).
+    must not call this. K is self-adjoint, so fit_const =
+    <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>. A frozen bias keeps
+    b = `state.b` = 1, and den is sum_i lam_i c_i^2 u_i (K*1 = 1).
     """
     c = np.asarray(state.c, dtype=np.float64)
     lam_c = np.asarray(params.lambdas, dtype=np.float64) * c
     if params.freeze_bias:
-        return state.b, state.u.weighted_sum(lam_c * c)
-    if not np.any(c != 0.0):
-        raise ValueError("all region means are zero; bias undefined")
-    den_job = on_helper(lambda: convolve(state.u.weighted_sum(lam_c * c), kernel))
-    num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
-    den = den_job()
-    np.maximum(den, np.finfo(np.float64).tiny, out=den)
-    return np.divide(num, den, out=num), den
+        b, den = state.b, state.u.weighted_sum(lam_c * c)
+    else:
+        if not np.any(c != 0.0):
+            raise ValueError("all region means are zero; bias undefined")
+        den_job = on_helper(lambda: convolve(state.u.weighted_sum(lam_c * c), kernel))
+        num = convolve(state.u.weighted_sum(lam_c) * state.g, kernel)
+        den = den_job()
+        np.maximum(den, np.finfo(np.float64).tiny, out=den)
+        b = np.divide(num, den, out=num)
+    return b, float(np.einsum("ij,ij,ij->", den, b, b))
 
 
 # --------------------------------------------------------------------------
@@ -511,13 +513,10 @@ def segment(f: np.ndarray, init: IndicatorSet, params: ModelParams,
             state.c, flags = update_means(state, kb, kb2)
             log.warnings.extend(msg for msg in flags if msg not in log.warnings)
             del kb, kb2     # the old bias's; update_means was their last reader
-            state.b, den = update_bias(state, params, fit_kernel)
-            # the helper makes K*b^2, first read after the flow, then u's length
+            state.b, fit_const = update_bias(state, params, fit_kernel)
+            # hand over before K*b: made first, K*b delays the helper's job (ROADMAP *Tried*)
             after = on_helper(after_flow, state.b, state.u)
             kb = state.b if params.freeze_bias else convolve(state.b, fit_kernel)
-            # <sum_i lam_i c_i^2 u_i, K*b^2> = <den, b^2>: K is self-adjoint
-            fit_const = float(np.einsum("ij,ij,ij->", den, state.b, state.b))
-            del den
             state.g, inner_records, hit_cap = update_image(
                 state.g, build_g_context(state, params, kb, fit_const, run), run, params, k)
         finally:        # the last record, even when this iteration fails early

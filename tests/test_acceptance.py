@@ -263,10 +263,10 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_08_fit_constant_through_the_bias_denominator():
-    # `segment` takes the fitting term's constant <sum_i lam_i c_i^2 u_i, K*b^2>
-    # as <den, b^2>, den = K*(sum_i lam_i c_i^2 u_i) from the bias update: every
-    # convolution is C^T M C with C the orthonormal DCT, so K is self-adjoint
-    # and the two agree to roundoff, on any partition and any shape
+    # the bias update hands `segment` the fitting term's constant
+    # <sum_i lam_i c_i^2 u_i, K*b^2> as <den, b^2>, den = K*(sum_i lam_i c_i^2 u_i):
+    # every convolution is C^T M C with C the orthonormal DCT, so K is
+    # self-adjoint and the two agree to roundoff, on any partition and any shape
     r = np.random.default_rng(808)
     worst = 0.0
     for shape, n_phases, rho in [((37, 53), 2, 3.0), ((37, 53), 3, 1.7), ((53, 37), 4, 6.0),
@@ -277,8 +277,7 @@ def test_criterion_08_fit_constant_through_the_bias_denominator():
                              g=r.random(shape) * 5 + 0.5,
                              u=IndicatorSet(r.integers(0, n_phases, shape), n_phases))
             k = gaussian_kernel(rho)
-            state.b, den = update_bias(state, params, k)
-            via_den = inner_product(den, state.b * state.b)
+            state.b, via_den = update_bias(state, params, k)
             by_definition = fit_constant(state, params, convolve(state.b * state.b, k))
             worst = max(worst, abs(via_den - by_definition) / abs(by_definition))
     report("criterion 8 (fit constant through the bias denominator)", worst <= 1e-12,

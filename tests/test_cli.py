@@ -493,7 +493,7 @@ def test_init_mask_may_leave_a_phase_empty(tmp_path):
     assert "# warning = phase 1 empty" in (out / "manifest.txt").read_text(encoding="utf-8")
 
 
-DENOISE_CFG = """
+DENOISE_DEFAULT_CFG = """
 synth.size = 32,32
 synth.background = 80
 synth.region = rect:8,8,16,16,180
@@ -503,7 +503,8 @@ seed = 5
 """
 
 
-@pytest.mark.parametrize("command, text", [("segment", SEG_CFG), ("denoise", DENOISE_CFG)],
+@pytest.mark.parametrize("command, text",
+                         [("segment", SEG_CFG), ("denoise", DENOISE_DEFAULT_CFG)],
                          ids=["segment", "denoise"])
 def test_manifest_reruns_as_config(tmp_path, command, text):
     # the manifest echoes every value the run used, the step cap `denoise`

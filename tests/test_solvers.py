@@ -1065,6 +1065,9 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     # The helper takes two jobs per iteration: the bias denominator, then
     # K*b^2 with the length potentials; a frozen bias hands it only the
     # second. They are counted under the iteration that submits them.
+    # The caller's lane is pinned in order too: den is handed over before the
+    # numerator is made, and the job after the flow before K*b, so the helper
+    # never waits on the caller's convolution.
     import ictmseg.energy
     import ictmseg.field
     import ictmseg.solve
@@ -1085,6 +1088,8 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     job = threading.local()         # the iteration that submitted a helper job
     partitions = []                 # kept alive, so that no mask id is reused
     fits, heats, jobs = {}, {}, {}
+    order = {}                      # per iteration, the caller's hand-offs and fit convolutions
+    caller = threading.get_ident()
     lock = threading.Lock()
 
     def same(kernel, ref):
@@ -1095,6 +1100,8 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
             if same(kernel, fit_kernel):
                 k = getattr(job, "outer", outer[0])
                 fits[k] = fits.get(k, 0) + 1
+                if threading.get_ident() == caller:
+                    order.setdefault(k, []).append("fit")
             elif same(kernel, heat_kernel):
                 p = next(i for i, u in enumerate(partitions)
                          if any(m is field for m in u.phase_masks()))
@@ -1104,6 +1111,8 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     def tagged(fn, *args):
         k = outer[0]
         jobs[k] = jobs.get(k, 0) + 1
+        if threading.get_ident() == caller:
+            order.setdefault(k, []).append("job")
 
         def run(*a):
             job.outer = k
@@ -1131,4 +1140,6 @@ def test_segment_fit_convolution_budget(monkeypatch, n_phases, freeze_bias):
     assert len(log.outers) == 4 and len(partitions) == 5
     assert fits == ({} if freeze_bias else {k: 4 for k in range(4)})
     assert jobs == {k: 1 if freeze_bias else 2 for k in range(4)}
+    assert order == {k: ["job"] if freeze_bias else ["job", "fit", "job", "fit"]
+                     for k in range(4)}
     assert heats == {p: n_phases - 1 for p in range(5)}
